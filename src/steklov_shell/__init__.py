@@ -60,6 +60,7 @@ from .shell_spectrum import (
     sigma1_closed_form,
     spectrum,
     spectrum_complete_below,
+    tau1_closed_form,
 )
 
 __version__ = "0.1.0"
@@ -120,5 +121,6 @@ __all__ = [
     "sigma1_closed_form",
     "spectrum",
     "spectrum_complete_below",
+    "tau1_closed_form",
     "__version__",
 ]

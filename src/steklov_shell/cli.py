@@ -112,10 +112,6 @@ def _tolerances(args) -> dict:
     return {"quad_abs": args.tol, "quad_rel": args.tol}
 
 
-def _apply_tol(args) -> None:
-    rayleigh.set_quad_tolerance(args.tol, args.tol)
-
-
 # ----------------------------------------------------------------------
 # subcommands
 
@@ -133,7 +129,6 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_bound(args) -> int:
-    _apply_tol(args)
     cfg = ShellConfig(args.dim, args.a, args.d)
     manifest = RunManifest.create(
         "bound",
@@ -141,7 +136,7 @@ def cmd_bound(args) -> int:
         _tolerances(args),
     )
     if args.problem == "steklov":
-        b = rayleigh.steklov_bound(cfg)
+        b = rayleigh.steklov_bound(cfg, tol=args.tol)
         fields = [
             ("mu", b.mu),
             ("w1", b.W1),
@@ -158,18 +153,13 @@ def cmd_bound(args) -> int:
             ("sigma1_concentric", shell_spectrum.sigma1_closed_form(cfg.n, cfg.a)),
         ]
     else:
-        energy = rayleigh.ds_energy(cfg)
-        mass = rayleigh.ds_boundary_mass(cfg)
-        tau0 = (
-            1.0 / math.log(1.0 / cfg.a)
-            if cfg.n == 2
-            else (cfg.n - 2) / (cfg.a ** (2 - cfg.n) - 1.0)
-        )
+        energy = rayleigh.ds_energy(cfg, tol=args.tol)
+        mass = rayleigh.ds_boundary_mass(cfg, tol=args.tol)
         fields = [
             ("energy", energy),
             ("boundary_mass", mass),
             ("bound", energy / mass),
-            ("tau1_concentric", tau0),
+            ("tau1_concentric", shell_spectrum.tau1_closed_form(cfg.n, cfg.a)),
         ]
     if args.format == "csv":
         columns = [name for name, _ in fields]
@@ -218,9 +208,8 @@ def cmd_solve(args) -> int:
 
 def _steklov_point(task) -> tuple:
     n, a, d, use_solver, order, points, tol = task
-    rayleigh.set_quad_tolerance(tol, tol)
     cfg = ShellConfig(n, a, d)
-    bound = rayleigh.steklov_bound(cfg).bound
+    bound = rayleigh.steklov_bound(cfg, tol=tol).bound
     closed = shell_spectrum.sigma1_closed_form(n, a)
     if use_solver:
         res = solver.solve_with_order_fallback(cfg, N=order, m=points)
@@ -230,10 +219,9 @@ def _steklov_point(task) -> tuple:
 
 def _ds_point(task) -> tuple:
     n, a, d, use_solver, order, points, tol = task
-    rayleigh.set_quad_tolerance(tol, tol)
     cfg = ShellConfig(n, a, d)
-    bound = rayleigh.ds_bound(cfg)
-    closed = 1.0 / math.log(1.0 / a) if n == 2 else (n - 2) / (a ** (2 - n) - 1.0)
+    bound = rayleigh.ds_bound(cfg, tol=tol)
+    closed = shell_spectrum.tau1_closed_form(n, a)
     if use_solver:
         res = solver.solve_with_order_fallback(cfg, N=order, m=points, problem="dirichlet-steklov")
         return (d, bound, float(res.eigenvalues[0]), closed)
@@ -253,7 +241,6 @@ def _run_pool(fn, tasks, jobs: int):
 
 
 def cmd_sweep(args) -> int:
-    _apply_tol(args)
     jobs = args.jobs if args.jobs else (os.cpu_count() or 1)
     params = {"dim": args.dim, "problem": args.problem}
 
@@ -320,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", metavar="PATH", default=None)
     common.add_argument("--jobs", type=int, default=0, metavar="K",
                         help="worker processes for sweeps (0 = all cores)")
-    common.add_argument("--tol", type=float, default=1e-12,
+    common.add_argument("--tol", type=float, default=rayleigh.QUAD_TOL,
                         help="quadrature tolerance per integral")
 
     parser = argparse.ArgumentParser(
@@ -375,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--inject-fault", choices=verify.FAULTS, default=None,
                    help="debug: deliberately break one identity to test the harness")
     p.add_argument("--checks", metavar="SUBSTRING", default=None,
-                   help="run only checks whose name contains SUBSTRING")
+                   help="run only checks whose report name contains SUBSTRING")
     p.set_defaults(func=cmd_verify)
     return parser
 
@@ -384,6 +371,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if not 0.0 < args.tol < math.inf:
+            raise ValueError("--tol must be positive and finite")
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -12,6 +12,7 @@ values (scalar-only callables can be wrapped with ``np.vectorize``).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -80,8 +81,8 @@ def integrate(
     """
     if hi < lo:
         raise ValueError("integration bounds must satisfy lo <= hi")
-    if abs_tol <= 0.0 or rel_tol <= 0.0:
-        raise ValueError("tolerances must be positive")
+    if not (0.0 < abs_tol < math.inf and 0.0 < rel_tol < math.inf):
+        raise ValueError("tolerances must be positive and finite")
     if hi == lo:
         return QuadResult(0.0, 0.0, 0)
 

@@ -25,22 +25,9 @@ from .quadrature import integrate
 from .special import wallis
 from .shell_spectrum import mu_sigma
 
-QUAD_ABS_TOL = 1e-12
-QUAD_REL_TOL = 1e-12
-
-_quad_tols = {"abs": QUAD_ABS_TOL, "rel": QUAD_REL_TOL}
-
-
-def set_quad_tolerance(abs_tol: float, rel_tol: float) -> None:
-    """Override the per-integral quadrature tolerances (CLI --tol hook).
-
-    Set once before computing; the module's functions stay pure with respect
-    to any single configuration.
-    """
-    if abs_tol <= 0.0 or rel_tol <= 0.0:
-        raise ValueError("tolerances must be positive")
-    _quad_tols["abs"] = abs_tol
-    _quad_tols["rel"] = rel_tol
+# Absolute and relative tolerance of every 1D integral, unless a caller
+# passes its own as the ``tol`` keyword.
+QUAD_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -67,8 +54,8 @@ class RayleighBreakdown:
     bound: float
 
 
-def _quad(f, lo: float, hi: float) -> float:
-    return integrate(f, lo, hi, abs_tol=_quad_tols["abs"], rel_tol=_quad_tols["rel"]).value
+def _quad(f, lo: float, hi: float, tol: float) -> float:
+    return integrate(f, lo, hi, abs_tol=tol, rel_tol=tol).value
 
 
 def steklov_angular_constant(n: int) -> float:
@@ -87,63 +74,65 @@ def ds_angular_constant(n: int) -> float:
     return out
 
 
-def w1(cfg: ShellConfig) -> float:
+def w1(cfg: ShellConfig, *, tol: float = QUAD_TOL) -> float:
     """Integral of sin^(n-2) * (R^n - a^n); translation-invariant in d."""
     n, a, d = cfg.n, cfg.a, cfg.d
-    return _quad(lambda t: np.sin(t) ** (n - 2) * (radius(d, t) ** n - a**n), 0.0, math.pi)
+    return _quad(lambda t: np.sin(t) ** (n - 2) * (radius(d, t) ** n - a**n), 0.0, math.pi, tol)
 
 
-def w2(cfg: ShellConfig) -> float:
+def w2(cfg: ShellConfig, *, tol: float = QUAD_TOL) -> float:
     """Integral of phi_weight * log(R/a); vanishes identically."""
     n, a, d = cfg.n, cfg.a, cfg.d
-    return _quad(lambda t: phi_weight(n, t) * np.log(radius(d, t) / a), 0.0, math.pi)
+    return _quad(lambda t: phi_weight(n, t) * np.log(radius(d, t) / a), 0.0, math.pi, tol)
 
 
-def w3(cfg: ShellConfig) -> float:
+def w3(cfg: ShellConfig, *, tol: float = QUAD_TOL) -> float:
     """Integral of psi_weight * (R^-n - a^-n); nondecreasing in d."""
     n, a, d = cfg.n, cfg.a, cfg.d
     return _quad(
-        lambda t: psi_weight(n, t) * (radius(d, t) ** (-n) - a ** (-n)), 0.0, math.pi
+        lambda t: psi_weight(n, t) * (radius(d, t) ** (-n) - a ** (-n)), 0.0, math.pi, tol
     )
 
 
-def _v1_m(m: int, d: float) -> float:
-    return _quad(lambda t: np.sin(t) ** m * radius(d, t) ** m * arc_factor(d, t), 0.0, math.pi)
+def _v1_m(m: int, d: float, tol: float) -> float:
+    return _quad(lambda t: np.sin(t) ** m * radius(d, t) ** m * arc_factor(d, t), 0.0, math.pi, tol)
 
 
-def _v2_m(m: int, d: float) -> float:
+def _v2_m(m: int, d: float, tol: float) -> float:
     return _quad(
         lambda t: np.sin(t) ** m * d * np.cos(t) / np.sqrt(1.0 - d * d * np.sin(t) ** 2),
         0.0,
         math.pi,
+        tol,
     )
 
 
-def _v3_m(m: int, d: float) -> float:
+def _v3_m(m: int, d: float, tol: float) -> float:
     return _quad(
         lambda t: np.sin(t) ** m
         / (radius(d, t) ** (m - 1) * np.sqrt(1.0 - d * d * np.sin(t) ** 2)),
         0.0,
         math.pi,
+        tol,
     )
 
 
-def v1(cfg: ShellConfig) -> float:
+def v1(cfg: ShellConfig, *, tol: float = QUAD_TOL) -> float:
     """Integral of sin^n * R^n * arc factor; translation-invariant in d."""
-    return _v1_m(cfg.n, cfg.d)
+    return _v1_m(cfg.n, cfg.d, tol)
 
 
-def v2(cfg: ShellConfig) -> float:
+def v2(cfg: ShellConfig, *, tol: float = QUAD_TOL) -> float:
     """Integral of sin^n * d cos / sqrt(1 - d^2 sin^2); vanishes identically."""
-    return _v2_m(cfg.n, cfg.d)
+    return _v2_m(cfg.n, cfg.d, tol)
 
 
-def v3(cfg: ShellConfig) -> float:
+def v3(cfg: ShellConfig, *, tol: float = QUAD_TOL) -> float:
     """Integral of sin^n / (R^(n-1) sqrt(1 - d^2 sin^2)); nondecreasing in d."""
-    return _v3_m(cfg.n, cfg.d)
+    return _v3_m(cfg.n, cfg.d, tol)
 
 
-def g_comparator(cfg: ShellConfig) -> float:
+def g_comparator(cfg: ShellConfig, *, tol: float = QUAD_TOL) -> float:
     """Monotone minorant of w3: psi_weight against (1 + d cos)^-n - a^-n.
 
     Coincides with w3 at d = 0 and increases strictly with d.
@@ -153,17 +142,18 @@ def g_comparator(cfg: ShellConfig) -> float:
         lambda t: psi_weight(n, t) * ((1.0 + d * np.cos(t)) ** (-n) - a ** (-n)),
         0.0,
         math.pi,
+        tol,
     )
 
 
-def h_comparator(cfg: ShellConfig) -> float:
+def h_comparator(cfg: ShellConfig, *, tol: float = QUAD_TOL) -> float:
     """Monotone minorant of v3: sin^n against (1 + d cos)^-(n-1).
 
     Coincides with v3 at d = 0 and increases strictly with d.
     """
     n, d = cfg.n, cfg.d
     return _quad(
-        lambda t: np.sin(t) ** n * (1.0 + d * np.cos(t)) ** (-(n - 1)), 0.0, math.pi
+        lambda t: np.sin(t) ** n * (1.0 + d * np.cos(t)) ** (-(n - 1)), 0.0, math.pi, tol
     )
 
 
@@ -182,7 +172,7 @@ def inner_boundary_mass(cfg: ShellConfig) -> float:
     )
 
 
-def steklov_bound(cfg: ShellConfig) -> RayleighBreakdown:
+def steklov_bound(cfg: ShellConfig, *, tol: float = QUAD_TOL) -> RayleighBreakdown:
     """Certified upper bound on the first nonzero Steklov eigenvalue.
 
     bound = energy / boundary_mass for the fixed concentric eigenfunction;
@@ -193,8 +183,8 @@ def steklov_bound(cfg: ShellConfig) -> RayleighBreakdown:
     const = steklov_angular_constant(n)
     In = wallis(n)
 
-    W1, W2, W3 = w1(cfg), w2(cfg), w3(cfg)
-    V1, V2, V3 = v1(cfg), v2(cfg), v3(cfg)
+    W1, W2, W3 = w1(cfg, tol=tol), w2(cfg, tol=tol), w3(cfg, tol=tol)
+    V1, V2, V3 = v1(cfg, tol=tol), v2(cfg, tol=tol), v3(cfg, tol=tol)
 
     energy = const * ((n - 1) / n * W1 + 2.0 * mu * W2 - mu * mu / n * W3)
     inner = inner_boundary_mass(cfg)
@@ -216,7 +206,7 @@ def steklov_bound(cfg: ShellConfig) -> RayleighBreakdown:
     )
 
 
-def ds_energy(cfg: ShellConfig) -> float:
+def ds_energy(cfg: ShellConfig, *, tol: float = QUAD_TOL) -> float:
     """Energy of the radial mixed-problem test function over the eccentric shell.
 
     The gradient is radial, so the r-integral is analytic and only the polar
@@ -224,16 +214,17 @@ def ds_energy(cfg: ShellConfig) -> float:
     """
     n, a, d = cfg.n, cfg.a, cfg.d
     if n == 2:
-        return 2.0 * _quad(lambda t: np.log(radius(d, t) / a), 0.0, math.pi)
+        return 2.0 * _quad(lambda t: np.log(radius(d, t) / a), 0.0, math.pi, tol)
     const = (n - 2) * ds_angular_constant(n)
     return const * _quad(
         lambda t: np.sin(t) ** (n - 2) * (a ** (2 - n) - radius(d, t) ** (2 - n)),
         0.0,
         math.pi,
+        tol,
     )
 
 
-def ds_boundary_mass(cfg: ShellConfig) -> float:
+def ds_boundary_mass(cfg: ShellConfig, *, tol: float = QUAD_TOL) -> float:
     """Mass of the radial test function on the shifted outer sphere.
 
     Minimal at d = 0.  In the plane the outer circle is parameterized by its
@@ -248,23 +239,24 @@ def ds_boundary_mass(cfg: ShellConfig) -> float:
             lambda t: (0.5 * np.log1p(d * d + 2.0 * d * np.cos(t)) - log_a) ** 2,
             0.0,
             math.pi,
+            tol,
         )
     const = ds_angular_constant(n)
     m = n - 2
     return const * (
-        a ** (4 - 2 * n) * _v1_m(m, d)
-        - 2.0 * a ** (2 - n) * (wallis(m) + _v2_m(m, d))
-        + _v3_m(m, d)
+        a ** (4 - 2 * n) * _v1_m(m, d, tol)
+        - 2.0 * a ** (2 - n) * (wallis(m) + _v2_m(m, d, tol))
+        + _v3_m(m, d, tol)
     )
 
 
-def ds_bound(cfg: ShellConfig) -> float:
+def ds_bound(cfg: ShellConfig, *, tol: float = QUAD_TOL) -> float:
     """Upper bound on the first mixed (inner Dirichlet) eigenvalue.
 
     Equals 1/log(1/a) (n = 2) or (n-2)/(a^(2-n) - 1) (n >= 3) at d = 0 and
     decreases strictly in d.
     """
-    return ds_energy(cfg) / ds_boundary_mass(cfg)
+    return ds_energy(cfg, tol=tol) / ds_boundary_mass(cfg, tol=tol)
 
 
 def _axis_factors(n: int, i: int) -> list:
@@ -281,7 +273,7 @@ def _axis_factors(n: int, i: int) -> list:
     return factors
 
 
-def test_function_orthogonality(cfg: ShellConfig, i: int) -> float:
+def test_function_orthogonality(cfg: ShellConfig, i: int, *, tol: float = QUAD_TOL) -> float:
     """Boundary integral of the coordinate eigenfunction x_i (1 + mu/|x|^n).
 
     Zero (within quadrature tolerance) for every in-plane axis i <= n - 1,
@@ -317,7 +309,7 @@ def test_function_orthogonality(cfg: ShellConfig, i: int) -> float:
                 tf = np.where(t > math.pi, 2.0 * math.pi - t, t)
                 return f(tf) * np.where(t > math.pi, _axis_sign(i), 1.0)
 
-            return _quad(g, 0.0, math.pi) + _quad(g, math.pi, 2.0 * math.pi)
+            return _quad(g, 0.0, math.pi, tol) + _quad(g, math.pi, 2.0 * math.pi, tol)
 
         def _axis_sign(axis: int) -> float:
             # x_1 = r sin(theta) flips sign across the fold; x_2 = r cos does not.
@@ -332,9 +324,9 @@ def test_function_orthogonality(cfg: ShellConfig, i: int) -> float:
         sj = factors[j - 1]
         power = n - 1 - j
         if j <= n - 2:
-            rest *= _quad(lambda t, sj=sj, p=power: sj(t) * np.sin(t) ** p, 0.0, math.pi)
+            rest *= _quad(lambda t, sj=sj, p=power: sj(t) * np.sin(t) ** p, 0.0, math.pi, tol)
         else:
-            rest *= _quad(lambda t, sj=sj: sj(t), 0.0, 2.0 * math.pi)
-    outer = _quad(outer_polar, 0.0, math.pi) * rest
-    inner = _quad(inner_polar, 0.0, math.pi) * (a + mu * a ** (1 - n)) * a ** (n - 1) * rest
+            rest *= _quad(lambda t, sj=sj: sj(t), 0.0, 2.0 * math.pi, tol)
+    outer = _quad(outer_polar, 0.0, math.pi, tol) * rest
+    inner = _quad(inner_polar, 0.0, math.pi, tol) * (a + mu * a ** (1 - n)) * a ** (n - 1) * rest
     return outer + inner

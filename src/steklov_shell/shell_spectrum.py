@@ -105,6 +105,16 @@ def sigma1_closed_form(n: int, a: float) -> float:
     return 2.0 * (n - 1) * (1.0 - a**n) / (t + math.sqrt(disc))
 
 
+def tau1_closed_form(n: int, a: float) -> float:
+    """First eigenvalue of the concentric mixed problem (zero trace on the hole).
+
+    The radial profile's flux over its trace on the outer sphere:
+    1/log(1/a) for n = 2 and (n-2)/(a^(2-n) - 1) otherwise.
+    """
+    _check_na(n, a)
+    return 1.0 / math.log(1.0 / a) if n == 2 else (n - 2) / (a ** (2 - n) - 1.0)
+
+
 def mu_sigma(n: int, a: float) -> float:
     """Radial mixing coefficient (1 - sigma1) / (n + sigma1 - 1) of the first mode.
 

@@ -209,61 +209,70 @@ def _gram_checks(M: np.ndarray) -> float:
     return cond
 
 
-def assemble_steklov(cfg: ShellConfig, N: int, m: int, symmetrize: bool = True):
-    """Stiffness and mass matrices of the full-boundary spectral problem.
+def _assemble(cfg: ShellConfig, N: int, m: int, kind: str, symmetrize: bool = True):
+    """Basis, stiffness K, mass M and Gram condition of one boundary problem.
 
     K_ij = boundary integral of phi_i dphi_j/dn (equal to the volume energy
-    form by harmonicity), M_ij = boundary integral of phi_i phi_j over both
-    circles.  Raises IllConditionedError when the mass matrix cannot be
-    factorized or its condition number exceeds 1e14.
+    form by harmonicity), M_ij = boundary integral of phi_i phi_j over the
+    spectral part of the boundary: both circles for kind "steklov", the outer
+    circle alone for kind "dirichlet", whose fields vanish on the inner one.
+    Raises IllConditionedError when M cannot be factorized or its condition
+    number exceeds GRAM_CONDITION_CAP.
     """
     validate_problem_size(cfg, N, m)
-    basis = TrefftzBasis(max_order=N, a=cfg.a, d=cfg.d, kind="steklov")
-    pts, normals, weights, _ = boundary_points(cfg, m)
+    basis = TrefftzBasis(max_order=N, a=cfg.a, d=cfg.d, kind=kind)
+    pts, normals, weights, is_outer = boundary_points(cfg, m)
+    if kind == "dirichlet":
+        pts, normals, weights = pts[is_outer], normals[is_outer], weights[is_outer]
     B = basis.evaluate(pts)
-    Dn = basis.normal_derivative(pts, normals)
     WB = B * weights[:, None]
-    K = WB.T @ Dn
+    K = WB.T @ basis.normal_derivative(pts, normals)
     M = WB.T @ B
     if symmetrize:
         K = 0.5 * (K + K.T)
         M = 0.5 * (M + M.T)
-    _gram_checks(M)
-    return K, M
+    return basis, K, M, _gram_checks(M)
+
+
+def _solve(cfg: ShellConfig, N: int, m: int, kind: str) -> EigResult:
+    """Solve K c = sigma M c by Cholesky reduction of M (LAPACK), with diagnostics.
+
+    The residual is that of the principal mode: the first nonzero one for
+    kind "steklov" (the zero mode of the constants comes first), the first
+    one for kind "dirichlet".
+    """
+    basis, K, M, cond = _assemble(cfg, N, m, kind)
+    try:
+        vals, vecs = scipy.linalg.eigh(K, M)
+    except scipy.linalg.LinAlgError as exc:
+        raise NonConvergenceError("generalized eigenvalue iteration failed") from exc
+    mode = int(np.searchsorted(vals, ZERO_MODE_TOL)) if kind == "steklov" else 0
+    return EigResult(
+        eigenvalues=vals,
+        coefficients=vecs,
+        gram_condition=cond,
+        residual=_mode_residual(basis, cfg, vals[mode], vecs[:, mode]),
+        basis=basis,
+        n_points=m,
+    )
+
+
+def assemble_steklov(cfg: ShellConfig, N: int, m: int, symmetrize: bool = True):
+    """Stiffness and mass matrices of the full-boundary spectral problem.
+
+    Raises IllConditionedError when the mass matrix cannot be factorized or
+    its condition number exceeds 1e14.
+    """
+    return _assemble(cfg, N, m, "steklov", symmetrize)[1:3]
 
 
 def solve_steklov(cfg: ShellConfig, N: int = 24, m: int = 512) -> EigResult:
     """Spectrum of the eccentric annulus with the spectral condition on both circles.
 
-    Solves K c = sigma M c by Cholesky reduction of M to a standard symmetric
-    problem (LAPACK).  The zero eigenvalue (constants) is present; the first
-    eigenvalue above the zero tolerance is the first nonzero Steklov value.
+    The zero eigenvalue (constants) is present; the first eigenvalue above
+    the zero tolerance is the first nonzero Steklov value.
     """
-    K, M = assemble_steklov(cfg, N, m)
-    basis = TrefftzBasis(max_order=N, a=cfg.a, d=cfg.d, kind="steklov")
-    cond = float(np.linalg.cond(M))
-    try:
-        vals, vecs = scipy.linalg.eigh(K, M)
-    except scipy.linalg.LinAlgError as exc:
-        raise NonConvergenceError("generalized eigenvalue iteration failed") from exc
-    result = EigResult(
-        eigenvalues=vals,
-        coefficients=vecs,
-        gram_condition=cond,
-        residual=math.nan,
-        basis=basis,
-        n_points=m,
-    )
-    mode = int(np.searchsorted(vals, ZERO_MODE_TOL))
-    res = boundary_residual(result, cfg, mode)
-    return EigResult(
-        eigenvalues=vals,
-        coefficients=vecs,
-        gram_condition=cond,
-        residual=res,
-        basis=basis,
-        n_points=m,
-    )
+    return _solve(cfg, N, m, "steklov")
 
 
 def solve_dirichlet_steklov(cfg: ShellConfig, N: int = 24, m: int = 512) -> EigResult:
@@ -273,53 +282,10 @@ def solve_dirichlet_steklov(cfg: ShellConfig, N: int = 24, m: int = 512) -> EigR
     vanish identically on the inner circle, so only the outer boundary enters
     the mass; the first eigenvalue is the first mixed eigenvalue.
     """
-    validate_problem_size(cfg, N, m)
-    basis = TrefftzBasis(max_order=N, a=cfg.a, d=cfg.d, kind="dirichlet")
-    pts, normals, weights, is_outer = boundary_points(cfg, m)
-    op, onrm, ow = pts[is_outer], normals[is_outer], weights[is_outer]
-    B = basis.evaluate(op)
-    Dn = basis.normal_derivative(op, onrm)
-    WB = B * ow[:, None]
-    K_raw = WB.T @ Dn
-    M_raw = WB.T @ B
-    K = 0.5 * (K_raw + K_raw.T)
-    M = 0.5 * (M_raw + M_raw.T)
-    cond = _gram_checks(M)
-    try:
-        vals, vecs = scipy.linalg.eigh(K, M)
-    except scipy.linalg.LinAlgError as exc:
-        raise NonConvergenceError("generalized eigenvalue iteration failed") from exc
-    result = EigResult(
-        eigenvalues=vals,
-        coefficients=vecs,
-        gram_condition=cond,
-        residual=math.nan,
-        basis=basis,
-        n_points=m,
-    )
-    res = boundary_residual(result, cfg, 0)
-    return EigResult(
-        eigenvalues=vals,
-        coefficients=vecs,
-        gram_condition=cond,
-        residual=res,
-        basis=basis,
-        n_points=m,
-    )
+    return _solve(cfg, N, m, "dirichlet")
 
 
-def boundary_residual(result: EigResult, cfg: ShellConfig, mode: int, n_sample: int = 2048) -> float:
-    """Max pointwise spectral-condition defect of one mode on a dense sample.
-
-    |du/dn - sigma u| over the spectral part of the boundary (both circles,
-    or the outer circle only for the mixed problem, where the inner trace
-    defect |u| is folded in), normalized by the boundary sup of |u|.
-    """
-    if not 0 <= mode < len(result.eigenvalues):
-        raise ValueError("mode index out of range")
-    basis = result.basis
-    coeff = result.coefficients[:, mode]
-    sigma = result.eigenvalues[mode]
+def _mode_residual(basis: TrefftzBasis, cfg: ShellConfig, sigma, coeff, n_sample: int = 2048):
     pts, normals, _, is_outer = boundary_points(cfg, n_sample)
     u = basis.evaluate(pts) @ coeff
     dn = basis.normal_derivative(pts, normals) @ coeff
@@ -330,6 +296,22 @@ def boundary_residual(result: EigResult, cfg: ShellConfig, mode: int, n_sample: 
         defect = np.abs(dn[is_outer] - sigma * u[is_outer])
         defect = np.concatenate((defect, np.abs(u[~is_outer])))
     return float(np.max(defect)) / sup
+
+
+def boundary_residual(
+    result: EigResult, cfg: ShellConfig, mode: int, n_sample: int = 2048
+) -> float:
+    """Max pointwise spectral-condition defect of one mode on a dense sample.
+
+    |du/dn - sigma u| over the spectral part of the boundary (both circles,
+    or the outer circle only for the mixed problem, where the inner trace
+    defect |u| is folded in), normalized by the boundary sup of |u|.
+    """
+    if not 0 <= mode < len(result.eigenvalues):
+        raise ValueError("mode index out of range")
+    return _mode_residual(
+        result.basis, cfg, result.eigenvalues[mode], result.coefficients[:, mode], n_sample
+    )
 
 
 def solve_with_order_fallback(

@@ -3,7 +3,9 @@
 Each check computes a worst-case measured value and compares it against a
 fixed tolerance; the report is one line per check and is byte-identical
 across runs (no timings, no timestamps).  The "full" level adds the solver
-convergence studies on top of the "fast" set.
+convergence studies on top of the "fast" set.  Each check is a function named
+``check_<report name>``; FAST_CHECKS and FULL_CHECKS are the only definition
+of each invariant, and the test suite runs them as they are.
 
 The fault-injection hook deliberately mis-evaluates one integral so the
 harness itself can be shown to catch a broken identity.
@@ -43,8 +45,20 @@ def _quad(f, lo, hi):
     return integrate(f, lo, hi).value
 
 
-def _worst(name: str, tol: float, measured: float, larger_fails: bool = True) -> CheckResult:
-    ok = measured <= tol if larger_fails else measured >= tol
+def _worst(
+    name: str, tol: float, measured: float, larger_fails: bool = True, strict: bool = False
+) -> CheckResult:
+    """The result of check `name`; every check returns through here exactly once.
+
+    A strict check asserts a strict inequality, so a measured value equal to
+    the tolerance (a tie) fails.
+    """
+    if not larger_fails:
+        ok = measured >= tol
+    elif strict:
+        ok = measured < tol
+    else:
+        ok = measured <= tol
     return CheckResult(name=name, passed=bool(ok), measured=float(measured), tolerance=float(tol))
 
 
@@ -52,7 +66,7 @@ def _worst(name: str, tol: float, measured: float, larger_fails: bool = True) ->
 # special functions
 
 
-def check_wallis_recursion() -> CheckResult:
+def check_wallis_recursion_consistency() -> CheckResult:
     worst = 0.0
     for p in range(61):
         lhs = special.wallis(p + 2) * (p + 2)
@@ -61,7 +75,7 @@ def check_wallis_recursion() -> CheckResult:
     return _worst("wallis_recursion_consistency", 1e-13, worst)
 
 
-def check_wallis_quadrature() -> CheckResult:
+def check_wallis_vs_quadrature() -> CheckResult:
     worst = 0.0
     for p in range(31):
         q = _quad(lambda t, p=p: np.sin(t) ** p, 0.0, math.pi)
@@ -69,7 +83,7 @@ def check_wallis_quadrature() -> CheckResult:
     return _worst("wallis_vs_quadrature", 1e-11, worst)
 
 
-def check_wallis_table() -> CheckResult:
+def check_wallis_table_monotone_positive() -> CheckResult:
     tab = special.wallis_table(80)
     worst = abs(tab.values[0] - math.pi) + abs(tab.values[1] - 2.0)
     diffs = np.diff(tab.values)
@@ -77,12 +91,12 @@ def check_wallis_table() -> CheckResult:
     return _worst("wallis_table_monotone_positive", 1e-15, worst)
 
 
-def check_harmonic_dim_planar() -> CheckResult:
+def check_harmonic_dim_planar_pairs() -> CheckResult:
     worst = max(abs(special.harmonic_dim(2, k) - 2) for k in range(1, 51))
     return _worst("harmonic_dim_planar_pairs", 0.0, float(worst))
 
 
-def check_catalan_closed_form() -> CheckResult:
+def check_catalan_series_closed_form() -> CheckResult:
     worst = 0.0
     for x in np.linspace(-0.24, 0.24, 20):
         closed = 2.0 * math.log(2.0 / (1.0 + math.sqrt(1.0 - 4.0 * x)))
@@ -90,7 +104,7 @@ def check_catalan_closed_form() -> CheckResult:
     return _worst("catalan_series_closed_form", 1e-10, worst)
 
 
-def check_wallis_even_series() -> CheckResult:
+def check_wallis_even_series_closed_form() -> CheckResult:
     worst = 0.0
     for x in np.linspace(-0.9, 0.9, 20):
         closed = math.pi / math.sqrt(1.0 - x * x)
@@ -114,7 +128,7 @@ def _dt_grid():
     return np.linspace(0.0, 0.99, 100), np.linspace(0.0, math.pi, 100)
 
 
-def check_law_of_cosines() -> CheckResult:
+def check_law_of_cosines_residual() -> CheckResult:
     ds, ts = _dt_grid()
     worst = 0.0
     for d in ds:
@@ -135,7 +149,7 @@ def check_arc_factor_identity() -> CheckResult:
     return _worst("arc_factor_identity", 1e-12, worst)
 
 
-def check_radius_deriv_fd() -> CheckResult:
+def check_radius_deriv_finite_difference() -> CheckResult:
     worst = 0.0
     h = 1e-6
     for d in (0.1, 0.3, 0.5, 0.8):
@@ -145,7 +159,7 @@ def check_radius_deriv_fd() -> CheckResult:
     return _worst("radius_deriv_finite_difference", 1e-8, worst)
 
 
-def check_phi_symmetry() -> CheckResult:
+def check_phi_weight_symmetry() -> CheckResult:
     ts = np.linspace(0.0, math.pi, 101)
     worst = 0.0
     for n in range(2, 9):
@@ -156,7 +170,7 @@ def check_phi_symmetry() -> CheckResult:
     return _worst("phi_weight_symmetry", 1e-14, worst)
 
 
-def check_phi_integral_zero() -> CheckResult:
+def check_phi_weight_integral_zero() -> CheckResult:
     worst = max(
         abs(_quad(lambda t, n=n: geometry.phi_weight(n, t), 0.0, math.pi))
         for n in range(2, 9)
@@ -164,25 +178,25 @@ def check_phi_integral_zero() -> CheckResult:
     return _worst("phi_weight_integral_zero", 1e-10, worst)
 
 
-def check_psi_nonnegative() -> CheckResult:
+def check_psi_weight_nonnegative() -> CheckResult:
     ts = np.linspace(0.0, math.pi, 501)
     worst = min(float(geometry.psi_weight(n, ts).min()) for n in range(2, 9))
     return _worst("psi_weight_nonnegative", 0.0, worst, larger_fails=False)
 
 
-def check_radius_decreasing() -> CheckResult:
+def check_radius_strictly_decreasing() -> CheckResult:
     ts = np.linspace(0.0, math.pi, 200)
     worst = -1.0
     for d in (0.1, 0.4, 0.7, 0.95):
         worst = max(worst, float(np.diff(geometry.radius(d, ts)).max()))
-    return _worst("radius_strictly_decreasing", 0.0, worst)
+    return _worst("radius_strictly_decreasing", 0.0, worst, strict=True)
 
 
 # ----------------------------------------------------------------------
 # quadrature
 
 
-def check_monomial_exactness() -> CheckResult:
+def check_quadrature_monomial_exactness() -> CheckResult:
     rule = gauss_legendre_rule(16)
     worst = 0.0
     for j in range(32):
@@ -192,7 +206,7 @@ def check_monomial_exactness() -> CheckResult:
     return _worst("quadrature_monomial_exactness", 1e-13, worst)
 
 
-def check_rule_invariants() -> CheckResult:
+def check_quadrature_rule_invariants() -> CheckResult:
     worst = 0.0
     for order in (8, 16):
         rule = gauss_legendre_rule(order)
@@ -202,7 +216,7 @@ def check_rule_invariants() -> CheckResult:
     return _worst("quadrature_rule_invariants", 1e-13, worst)
 
 
-def check_interval_additivity() -> CheckResult:
+def check_quadrature_interval_additivity() -> CheckResult:
     f = lambda t: np.exp(np.cos(3.0 * t))
     whole = _quad(f, 0.0, 2.0)
     split = _quad(f, 0.0, 0.7) + _quad(f, 0.7, 2.0)
@@ -221,7 +235,7 @@ def check_quadrature_determinism() -> CheckResult:
 # concentric spectrum
 
 
-def check_closed_form_vs_quadratic() -> CheckResult:
+def check_closed_form_vs_quadratic_root() -> CheckResult:
     worst = 0.0
     for n, a in NA_GRID:
         s1 = shell_spectrum.sigma1_closed_form(n, a)
@@ -230,7 +244,7 @@ def check_closed_form_vs_quadratic() -> CheckResult:
     return _worst("closed_form_vs_quadratic_root", 1e-12, worst)
 
 
-def check_lower_branch_monotone() -> CheckResult:
+def check_lower_branch_strictly_increasing() -> CheckResult:
     worst = -1.0
     for n, a in NA_GRID:
         prev = 0.0
@@ -238,17 +252,17 @@ def check_lower_branch_monotone() -> CheckResult:
             cur = shell_spectrum.delta_pair(n, a, k)[0]
             worst = max(worst, prev - cur)
             prev = cur
-    return _worst("lower_branch_strictly_increasing", 0.0, worst)
+    return _worst("lower_branch_strictly_increasing", 0.0, worst, strict=True)
 
 
 def check_sigma1_below_delta0() -> CheckResult:
     worst = -1.0
     for n, a in NA_GRID:
         worst = max(worst, shell_spectrum.sigma1_closed_form(n, a) - shell_spectrum.delta0(n, a))
-    return _worst("sigma1_below_delta0", 0.0, worst)
+    return _worst("sigma1_below_delta0", 0.0, worst, strict=True)
 
 
-def check_discriminant_bound() -> CheckResult:
+def check_discriminant_dominates_square() -> CheckResult:
     worst = -1.0
     for n, a in NA_GRID:
         for k in range(1, 21):
@@ -257,7 +271,7 @@ def check_discriminant_bound() -> CheckResult:
     return _worst("discriminant_dominates_square", 1e-9, worst)
 
 
-def check_vieta() -> CheckResult:
+def check_vieta_identities() -> CheckResult:
     worst = 0.0
     for n, a in NA_GRID:
         for k in (1, 2, 5, 20):
@@ -289,7 +303,7 @@ def _branch_value(n: int, a: float, k: int, branch: str) -> float:
     return lower if branch == "lower" else upper
 
 
-def check_eigenfunction_bc() -> CheckResult:
+def check_eigenfunction_bc_residual() -> CheckResult:
     worst = 0.0
     for n, a in [(2, 0.1), (2, 0.5), (3, 0.5), (4, 0.9), (6, 0.3)]:
         cases = [(0, "radial0"), (0, "zero")] + [
@@ -305,7 +319,7 @@ def check_eigenfunction_bc() -> CheckResult:
     return _worst("eigenfunction_bc_residual", 1e-10, worst)
 
 
-def check_expansion_slope() -> CheckResult:
+def check_expansion_slope_normalized() -> CheckResult:
     worst = 0.0
     for n, eps, rel_tol in [(3, 1e-2, 0.05), (3, 1e-3, 0.005), (4, 1e-2, 0.05), (4, 1e-3, 0.005)]:
         f0 = shell_spectrum.scale_invariant(n, 0.0)
@@ -316,7 +330,7 @@ def check_expansion_slope() -> CheckResult:
     return _worst("expansion_slope_normalized", 1.0, worst)
 
 
-def check_optimal_eps() -> CheckResult:
+def check_optimal_eps_interior() -> CheckResult:
     worst = 0.0
     for n in (2, 3, 4):
         eps_star, value = shell_spectrum.optimal_eps(n)
@@ -370,7 +384,7 @@ def check_v2_vanishes() -> CheckResult:
     return _worst("v2_vanishes", 1e-10, worst)
 
 
-def check_w1_invariant() -> CheckResult:
+def check_w1_translation_invariant() -> CheckResult:
     worst = 0.0
     for n, a in RAYLEIGH_GRID:
         base = rayleigh.w1(ShellConfig(n, a, 0.0))
@@ -379,7 +393,7 @@ def check_w1_invariant() -> CheckResult:
     return _worst("w1_translation_invariant", 1e-10, worst)
 
 
-def check_v1_invariant() -> CheckResult:
+def check_v1_translation_invariant() -> CheckResult:
     worst = 0.0
     for n, a in RAYLEIGH_GRID:
         base = rayleigh.v1(ShellConfig(n, a, 0.0))
@@ -394,7 +408,7 @@ def _monotone_increments(fn, n: int, a: float):
     return ds, np.diff(vals)
 
 
-def check_w3_monotone() -> CheckResult:
+def check_w3_strictly_increasing() -> CheckResult:
     worst = math.inf
     for n, a in RAYLEIGH_GRID:
         ds, inc = _monotone_increments(rayleigh.w3, n, a)
@@ -405,7 +419,7 @@ def check_w3_monotone() -> CheckResult:
     return _worst("w3_strictly_increasing", 1e-8, worst, larger_fails=False)
 
 
-def check_v3_monotone() -> CheckResult:
+def check_v3_strictly_increasing() -> CheckResult:
     worst = math.inf
     for n, a in RAYLEIGH_GRID:
         ds, inc = _monotone_increments(rayleigh.v3, n, a)
@@ -480,7 +494,7 @@ ENERGY_TRIPLES = [
 ]
 
 
-def check_energy_decomposition() -> CheckResult:
+def check_energy_decomposition_2d() -> CheckResult:
     worst = 0.0
     for n, a, d in ENERGY_TRIPLES:
         dd = 0.4 * (1.0 - a) if d is None else d
@@ -494,7 +508,7 @@ def check_energy_decomposition() -> CheckResult:
 BOUND_ANCHOR_PAIRS = [(n, a) for n in (2, 3, 4, 5, 6) for a in (0.25, 0.5, 0.75)]
 
 
-def check_bound_anchor() -> CheckResult:
+def check_bound_anchor_concentric() -> CheckResult:
     worst = 0.0
     for n, a in BOUND_ANCHOR_PAIRS:
         bound = rayleigh.steklov_bound(ShellConfig(n, a, 0.0)).bound
@@ -502,7 +516,7 @@ def check_bound_anchor() -> CheckResult:
     return _worst("bound_anchor_concentric", 1e-9, worst)
 
 
-def check_bound_monotone() -> CheckResult:
+def check_bound_strictly_decreasing() -> CheckResult:
     worst = -1.0
     for n, a in [(2, 0.5), (3, 0.3), (4, 0.7)]:
         vals = [
@@ -510,19 +524,18 @@ def check_bound_monotone() -> CheckResult:
             for d in np.linspace(0.0, 0.95 * (1.0 - a), 21)
         ]
         worst = max(worst, float(np.diff(vals).max()))
-    return _worst("bound_strictly_decreasing", 0.0, worst)
+    return _worst("bound_strictly_decreasing", 0.0, worst, strict=True)
 
 
-def check_ds_anchor() -> CheckResult:
+def check_ds_bound_anchor_concentric() -> CheckResult:
     worst = 0.0
     for n, a in BOUND_ANCHOR_PAIRS:
         got = rayleigh.ds_bound(ShellConfig(n, a, 0.0))
-        exact = 1.0 / math.log(1.0 / a) if n == 2 else (n - 2) / (a ** (2 - n) - 1.0)
-        worst = max(worst, abs(got - exact))
+        worst = max(worst, abs(got - shell_spectrum.tau1_closed_form(n, a)))
     return _worst("ds_bound_anchor_concentric", 1e-10, worst)
 
 
-def check_ds_monotone() -> CheckResult:
+def check_ds_bound_strictly_decreasing() -> CheckResult:
     worst = -1.0
     for n, a in [(2, 0.5), (3, 0.5), (4, 0.3), (5, 0.5)]:
         vals = [
@@ -530,10 +543,10 @@ def check_ds_monotone() -> CheckResult:
             for d in np.linspace(0.0, 0.95 * (1.0 - a), 21)
         ]
         worst = max(worst, float(np.diff(vals).max()))
-    return _worst("ds_bound_strictly_decreasing", 0.0, worst)
+    return _worst("ds_bound_strictly_decreasing", 0.0, worst, strict=True)
 
 
-def check_orthogonality() -> CheckResult:
+def check_test_function_orthogonality() -> CheckResult:
     worst = 0.0
     cases = [(2, 0.5, 0.3, 1), (3, 0.4, 0.25, 1), (3, 0.4, 0.25, 2), (4, 0.3, 0.3, 3)]
     for n, a, d, i in cases:
@@ -541,12 +554,12 @@ def check_orthogonality() -> CheckResult:
     return _worst("test_function_orthogonality", 1e-10, worst)
 
 
-def check_offset_axis_not_orthogonal() -> CheckResult:
+def check_offset_axis_integral_nonzero() -> CheckResult:
     val = abs(rayleigh.test_function_orthogonality(ShellConfig(3, 0.4, 0.4), 3))
     return _worst("offset_axis_integral_nonzero", 1e-6, val, larger_fails=False)
 
 
-def check_planar_log_integral() -> CheckResult:
+def check_planar_log_integral_zero() -> CheckResult:
     worst = 0.0
     for d in np.linspace(0.1, 0.9, 9):
         val = _quad(lambda t, d=d: np.log1p(d * d + 2.0 * d * np.cos(t)), 0.0, 2.0 * math.pi)
@@ -558,7 +571,7 @@ def check_planar_log_integral() -> CheckResult:
 # planar solver
 
 
-def check_solver_concentric() -> CheckResult:
+def check_solver_concentric_oracle() -> CheckResult:
     worst = 0.0
     for a in SOLVER_RADII:
         res = solver.solve_steklov(ShellConfig(2, a, 0.0), N=24, m=512)
@@ -566,7 +579,7 @@ def check_solver_concentric() -> CheckResult:
     return _worst("solver_concentric_oracle", 1e-8, worst)
 
 
-def check_solver_spectrum_match() -> CheckResult:
+def check_solver_spectrum_below_delta0() -> CheckResult:
     worst = 0.0
     for a in SOLVER_RADII:
         res = solver.solve_steklov(ShellConfig(2, a, 0.0), N=24, m=512)
@@ -583,7 +596,7 @@ def check_solver_spectrum_match() -> CheckResult:
     return _worst("solver_spectrum_below_delta0", 1e-7, worst)
 
 
-def check_solver_multiplicity() -> CheckResult:
+def check_solver_first_mode_double() -> CheckResult:
     worst = 0.0
     for a in SOLVER_RADII:
         res = solver.solve_steklov(ShellConfig(2, a, 0.0), N=24, m=512)
@@ -602,7 +615,7 @@ def check_solver_zero_mode() -> CheckResult:
     return _worst("solver_zero_mode", 1e-9, worst)
 
 
-def check_symmetry_defect() -> CheckResult:
+def check_assembly_symmetry_defect() -> CheckResult:
     K, _ = solver.assemble_steklov(ShellConfig(2, 0.5, 0.3), N=20, m=400, symmetrize=False)
     return _worst("assembly_symmetry_defect", 1e-9, float(np.abs(K - K.T).max()))
 
@@ -611,7 +624,7 @@ def _solver_grid(a: float, count: int = 20):
     return np.linspace(0.0, 0.95 * (1.0 - a), count)
 
 
-def check_solver_sigma_monotone() -> CheckResult:
+def check_solver_sigma_strictly_decreasing() -> CheckResult:
     worst = -1.0
     for a in SOLVER_RADII:
         vals = []
@@ -619,10 +632,10 @@ def check_solver_sigma_monotone() -> CheckResult:
             res = solver.solve_with_order_fallback(ShellConfig(2, a, float(d)))
             vals.append(res.first_nonzero())
         worst = max(worst, float(np.diff(vals).max()))
-    return _worst("solver_sigma_strictly_decreasing", 0.0, worst)
+    return _worst("solver_sigma_strictly_decreasing", 0.0, worst, strict=True)
 
 
-def check_solver_bound_dominates() -> CheckResult:
+def check_solver_below_rayleigh_bound() -> CheckResult:
     worst = -math.inf
     for a in SOLVER_RADII:
         for d in _solver_grid(a):
@@ -636,11 +649,12 @@ def check_solver_tau_concentric() -> CheckResult:
     worst = 0.0
     for a in SOLVER_RADII:
         res = solver.solve_dirichlet_steklov(ShellConfig(2, a, 0.0), N=24, m=512)
-        worst = max(worst, abs(float(res.eigenvalues[0]) - 1.0 / math.log(1.0 / a)))
+        tau = float(res.eigenvalues[0])
+        worst = max(worst, abs(tau - shell_spectrum.tau1_closed_form(2, a)))
     return _worst("solver_tau_concentric", 1e-8, worst)
 
 
-def check_solver_tau_monotone() -> CheckResult:
+def check_solver_tau_strictly_decreasing() -> CheckResult:
     worst = -1.0
     for a in SOLVER_RADII:
         vals = []
@@ -650,7 +664,7 @@ def check_solver_tau_monotone() -> CheckResult:
             )
             vals.append(float(res.eigenvalues[0]))
         worst = max(worst, float(np.diff(vals).max()))
-    return _worst("solver_tau_strictly_decreasing", 0.0, worst)
+    return _worst("solver_tau_strictly_decreasing", 0.0, worst, strict=True)
 
 
 def check_tau_below_ds_bound() -> CheckResult:
@@ -663,7 +677,7 @@ def check_tau_below_ds_bound() -> CheckResult:
     return _worst("tau_below_ds_bound", 1e-8, worst)
 
 
-def check_solver_residual() -> CheckResult:
+def check_solver_residual_moderate_offset() -> CheckResult:
     res = solver.solve_steklov(ShellConfig(2, 0.5, 0.3), N=24, m=512)
     return _worst("solver_residual_moderate_offset", 1e-6, res.residual)
 
@@ -671,7 +685,7 @@ def check_solver_residual() -> CheckResult:
 # full level only ------------------------------------------------------
 
 
-def check_solver_convergence() -> CheckResult:
+def check_solver_spectral_convergence() -> CheckResult:
     worst = 0.0
     for d in (0.1, 0.2):
         cfg = ShellConfig(2, 0.5, d)
@@ -695,75 +709,80 @@ def check_solver_points_invariance() -> CheckResult:
     return _worst("solver_points_invariance", 1e-8, worst)
 
 
-def check_residual_improves_with_order() -> CheckResult:
+def check_solver_residual_improves() -> CheckResult:
     cfg = ShellConfig(2, 0.5, 0.3)
     r8 = solver.solve_steklov(cfg, N=8, m=128).residual
     r24 = solver.solve_steklov(cfg, N=24, m=512).residual
-    return _worst("solver_residual_improves", 0.0, r24 - r8)
+    return _worst("solver_residual_improves", 0.0, r24 - r8, strict=True)
 
 
 # ----------------------------------------------------------------------
 
 FAST_CHECKS = [
-    check_wallis_recursion,
-    check_wallis_quadrature,
-    check_wallis_table,
-    check_harmonic_dim_planar,
-    check_catalan_closed_form,
-    check_wallis_even_series,
+    check_wallis_recursion_consistency,
+    check_wallis_vs_quadrature,
+    check_wallis_table_monotone_positive,
+    check_harmonic_dim_planar_pairs,
+    check_catalan_series_closed_form,
+    check_wallis_even_series_closed_form,
     check_log_series_closed_form,
-    check_law_of_cosines,
+    check_law_of_cosines_residual,
     check_arc_factor_identity,
-    check_radius_deriv_fd,
-    check_phi_symmetry,
-    check_phi_integral_zero,
-    check_psi_nonnegative,
-    check_radius_decreasing,
-    check_monomial_exactness,
-    check_rule_invariants,
-    check_interval_additivity,
+    check_radius_deriv_finite_difference,
+    check_phi_weight_symmetry,
+    check_phi_weight_integral_zero,
+    check_psi_weight_nonnegative,
+    check_radius_strictly_decreasing,
+    check_quadrature_monomial_exactness,
+    check_quadrature_rule_invariants,
+    check_quadrature_interval_additivity,
     check_quadrature_determinism,
-    check_closed_form_vs_quadratic,
-    check_lower_branch_monotone,
+    check_closed_form_vs_quadratic_root,
+    check_lower_branch_strictly_increasing,
     check_sigma1_below_delta0,
-    check_discriminant_bound,
-    check_vieta,
-    check_eigenfunction_bc,
-    check_expansion_slope,
-    check_optimal_eps,
+    check_discriminant_dominates_square,
+    check_vieta_identities,
+    check_eigenfunction_bc_residual,
+    check_expansion_slope_normalized,
+    check_optimal_eps_interior,
     check_w2_vanishes,
     check_v2_vanishes,
-    check_w1_invariant,
-    check_v1_invariant,
-    check_w3_monotone,
-    check_v3_monotone,
+    check_w1_translation_invariant,
+    check_v1_translation_invariant,
+    check_w3_strictly_increasing,
+    check_v3_strictly_increasing,
     check_comparator_sandwich,
-    check_energy_decomposition,
-    check_bound_anchor,
-    check_bound_monotone,
-    check_ds_anchor,
-    check_ds_monotone,
-    check_orthogonality,
-    check_offset_axis_not_orthogonal,
-    check_planar_log_integral,
-    check_solver_concentric,
-    check_solver_spectrum_match,
-    check_solver_multiplicity,
+    check_energy_decomposition_2d,
+    check_bound_anchor_concentric,
+    check_bound_strictly_decreasing,
+    check_ds_bound_anchor_concentric,
+    check_ds_bound_strictly_decreasing,
+    check_test_function_orthogonality,
+    check_offset_axis_integral_nonzero,
+    check_planar_log_integral_zero,
+    check_solver_concentric_oracle,
+    check_solver_spectrum_below_delta0,
+    check_solver_first_mode_double,
     check_solver_zero_mode,
-    check_symmetry_defect,
-    check_solver_sigma_monotone,
-    check_solver_bound_dominates,
+    check_assembly_symmetry_defect,
+    check_solver_sigma_strictly_decreasing,
+    check_solver_below_rayleigh_bound,
     check_solver_tau_concentric,
-    check_solver_tau_monotone,
+    check_solver_tau_strictly_decreasing,
     check_tau_below_ds_bound,
-    check_solver_residual,
+    check_solver_residual_moderate_offset,
 ]
 
 FULL_CHECKS = FAST_CHECKS + [
-    check_solver_convergence,
+    check_solver_spectral_convergence,
     check_solver_points_invariance,
-    check_residual_improves_with_order,
+    check_solver_residual_improves,
 ]
+
+
+def check_name(check) -> str:
+    """The report name of a registry check: its function name without ``check_``."""
+    return check.__name__.removeprefix("check_")
 
 
 def run_checks(
@@ -773,8 +792,9 @@ def run_checks(
 ) -> list[CheckResult]:
     """Run the named invariant suite; returns one result per check.
 
-    name_filter keeps only checks whose name contains the given substring
-    (development aid; the default runs everything at the chosen level).
+    name_filter keeps only checks whose report name contains the given
+    substring (development aid; the default runs everything at the chosen
+    level).  A filter that matches no check is an error.
     """
     if level not in ("fast", "full"):
         raise ValueError("level must be 'fast' or 'full'")
@@ -782,7 +802,9 @@ def run_checks(
         raise ValueError(f"unknown fault {inject_fault!r}; available: {FAULTS}")
     checks = FAST_CHECKS if level == "fast" else FULL_CHECKS
     if name_filter is not None:
-        checks = [c for c in checks if name_filter in c.__name__]
+        checks = [c for c in checks if name_filter in check_name(c)]
+        if not checks:
+            raise ValueError(f"no {level} check name contains {name_filter!r}")
     results = []
     for check in checks:
         if check is check_w2_vanishes:

@@ -1,241 +1,30 @@
-"""Acceptance suite: one test per criterion, one printed PASS/FAIL line each.
+"""Acceptance suite: one test per verify check, with its report name as test id.
 
-Run with ``pytest -s tests/test_acceptance.py`` to see the per-criterion
-lines; every tolerance is fixed here, nothing is calibrated at runtime.
+``verify.FULL_CHECKS`` is the only definition of each invariant, its grid and
+its tolerance; this module runs every check as it is.  Each check runs twice:
+it must PASS, and its report line must be byte-identical both times.  The
+determinism test also asks the same of the whole fast report and of a sweep
+CSV written through the command line.  Run
+``pytest -v tests/test_acceptance.py`` to see one test id per report line.
 """
 
-import math
+import pytest
 
-import numpy as np
-
-from steklov_shell import cli, rayleigh, solver, special, verify
-from steklov_shell import shell_spectrum as sp
-from steklov_shell.geometry import ShellConfig
-from steklov_shell.quadrature import integrate
-
-FULL_GRID = [(n, round(0.05 * j, 2)) for n in (2, 3, 4, 5, 6) for j in range(1, 20)]
-IDENTITY_GRID = [(n, a) for n in (2, 3, 4) for a in (0.3, 0.5, 0.7)]
-SOLVER_RADII = (0.2, 0.5, 0.8)
+from steklov_shell import cli, verify
 
 
-def _report(num: int, name: str, ok: bool, detail: str) -> None:
-    print(f"ACCEPTANCE {num:02d} {name}: {'PASS' if ok else 'FAIL'} ({detail})")
-    assert ok, f"criterion {num} {name}: {detail}"
+@pytest.mark.parametrize("check", verify.FULL_CHECKS, ids=verify.check_name)
+def test_check(check):
+    first, second = check(), check()
+    assert first.name == verify.check_name(check)
+    assert first.passed, first.line()
+    assert first.line() == second.line()
 
 
-def test_criterion_01_closed_form_consistency():
-    worst = 0.0
-    for n, a in FULL_GRID:
-        s1 = sp.sigma1_closed_form(n, a)
-        worst = max(worst, abs(s1 - sp.delta_pair(n, a, 1)[0]) / s1)
-    _report(1, "closed_form_consistency", worst < 1e-12, f"worst rel diff {worst:.3e}")
-
-
-def test_criterion_02_lower_branch_monotone_and_delta0():
-    violations = 0
-    for n, a in FULL_GRID:
-        prev = 0.0
-        for k in range(1, 51):
-            cur = sp.delta_pair(n, a, k)[0]
-            if cur <= prev:
-                violations += 1
-            prev = cur
-        if sp.sigma1_closed_form(n, a) >= sp.delta0(n, a):
-            violations += 1
-    _report(2, "lower_branch_monotonicity", violations == 0, f"{violations} violations")
-
-
-def test_criterion_03_identity_suite():
-    worst_zero = worst_inv = 0.0
-    worst_inc = math.inf
-    monotone = True
-    for n, a in IDENTITY_GRID:
-        ds = np.linspace(0.0, 0.95 * (1 - a), 10)
-        w1_0 = rayleigh.w1(ShellConfig(n, a, 0.0))
-        v1_0 = rayleigh.v1(ShellConfig(n, a, 0.0))
-        w3s, v3s = [], []
-        for d in ds:
-            cfg = ShellConfig(n, a, float(d))
-            worst_zero = max(worst_zero, abs(rayleigh.w2(cfg)), abs(rayleigh.v2(cfg)))
-            worst_inv = max(
-                worst_inv,
-                abs(rayleigh.w1(cfg) - w1_0),
-                abs(rayleigh.v1(cfg) - v1_0),
-            )
-            w3s.append(rayleigh.w3(cfg))
-            v3s.append(rayleigh.v3(cfg))
-        for vals in (w3s, v3s):
-            inc = np.diff(vals)
-            monotone &= bool(np.all(inc > 0))
-            late = inc[ds[1:] > 0.1 * (1 - a)]
-            worst_inc = min(worst_inc, float(late.min()))
-    ok = worst_zero < 1e-10 and worst_inv < 1e-10 and monotone and worst_inc > 1e-8
-    _report(
-        3, "identity_suite", ok,
-        f"zero {worst_zero:.2e}, invariance {worst_inv:.2e}, "
-        f"monotone {monotone}, min late increment {worst_inc:.2e}",
-    )
-
-
-def test_criterion_04_energy_decomposition():
-    worst = 0.0
-    for n in (2, 3):
-        for a in (0.3, 0.5):
-            for d in (0.0, 0.2, 0.4 * (1 - a)):
-                cfg = ShellConfig(n, a, d)
-                assembled = rayleigh.steklov_bound(cfg).energy
-                direct = verify.energy_direct_2d(cfg)
-                worst = max(worst, abs(assembled - direct))
-    _report(4, "energy_decomposition", worst < 1e-8, f"worst abs diff {worst:.3e}")
-
-
-def test_criterion_05_rayleigh_anchor_and_monotonicity():
-    worst = 0.0
-    for n in (2, 3, 4, 5, 6):
-        for a in (0.25, 0.5, 0.75):
-            bound = rayleigh.steklov_bound(ShellConfig(n, a, 0.0)).bound
-            worst = max(worst, abs(bound - sp.sigma1_closed_form(n, a)))
-    monotone = True
-    for n, a in [(2, 0.5), (3, 0.3), (4, 0.7)]:
-        vals = [
-            rayleigh.steklov_bound(ShellConfig(n, a, float(d))).bound
-            for d in np.linspace(0.0, 0.95 * (1 - a), 21)
-        ]
-        monotone &= bool(np.all(np.diff(vals) < 0))
-    _report(
-        5, "rayleigh_anchor", worst < 1e-9 and monotone,
-        f"worst anchor diff {worst:.3e}, monotone {monotone}",
-    )
-
-
-def test_criterion_06_planar_solver_oracle():
-    worst_sigma = worst_spectrum = 0.0
-    doubles = True
-    for a in SOLVER_RADII:
-        res = solver.solve_steklov(ShellConfig(2, a, 0.0), N=24, m=512)
-        s1 = res.first_nonzero()
-        worst_sigma = max(worst_sigma, abs(s1 - sp.sigma1_closed_form(2, a)))
-        doubles &= sum(1 for v in res.eigenvalues if abs(v - s1) <= 1e-8) == 2
-        d0 = sp.delta0(2, a)
-        exact = []
-        for e in sp.spectrum(2, a, 24):
-            if 0 < e.value < d0 - 1e-9:
-                exact.extend([e.value] * e.multiplicity)
-        got = [v for v in res.eigenvalues if 1e-6 < v < d0 - 1e-9]
-        if len(got) != len(exact):
-            worst_spectrum = math.inf
-        else:
-            worst_spectrum = max(
-                worst_spectrum, float(np.abs(np.sort(got) - np.sort(exact)).max())
-            )
-    ok = worst_sigma < 1e-8 and doubles and worst_spectrum < 1e-7
-    _report(
-        6, "planar_solver_oracle", ok,
-        f"sigma diff {worst_sigma:.2e}, doubles {doubles}, spectrum diff {worst_spectrum:.2e}",
-    )
-
-
-def test_criterion_07_sigma_concentric_maximum_planar():
-    monotone = True
-    worst_excess = -math.inf
-    for a in SOLVER_RADII:
-        vals = []
-        for d in np.linspace(0.0, 0.95 * (1 - a), 20):
-            cfg = ShellConfig(2, a, float(d))
-            s1 = solver.solve_with_order_fallback(cfg).first_nonzero()
-            vals.append(s1)
-            worst_excess = max(
-                worst_excess, s1 - rayleigh.steklov_bound(cfg).bound
-            )
-        monotone &= bool(np.all(np.diff(vals) < 0))
-    ok = monotone and worst_excess <= 1e-8
-    _report(
-        7, "sigma_concentric_maximum_planar", ok,
-        f"monotone {monotone}, worst bound excess {worst_excess:.2e}",
-    )
-
-
-def test_criterion_08_tau_concentric_maximum():
-    worst_tau0 = 0.0
-    monotone = True
-    for a in SOLVER_RADII:
-        res = solver.solve_dirichlet_steklov(ShellConfig(2, a, 0.0), N=24, m=512)
-        worst_tau0 = max(worst_tau0, abs(float(res.eigenvalues[0]) - 1 / math.log(1 / a)))
-        taus = []
-        for d in np.linspace(0.0, 0.95 * (1 - a), 20):
-            r = solver.solve_with_order_fallback(
-                ShellConfig(2, a, float(d)), problem="dirichlet-steklov"
-            )
-            taus.append(float(r.eigenvalues[0]))
-        monotone &= bool(np.all(np.diff(taus) < 0))
-    worst_anchor = 0.0
-    dominated = True
-    for n in (3, 4, 5):
-        for a in SOLVER_RADII:
-            base = rayleigh.ds_bound(ShellConfig(n, a, 0.0))
-            worst_anchor = max(worst_anchor, abs(base - (n - 2) / (a ** (2 - n) - 1)))
-            for d in np.linspace(0.0, 0.95 * (1 - a), 20)[1:]:
-                dominated &= rayleigh.ds_bound(ShellConfig(n, a, float(d))) < base
-    ok = worst_tau0 < 1e-8 and monotone and worst_anchor < 1e-9 and dominated
-    _report(
-        8, "tau_concentric_maximum", ok,
-        f"tau anchor {worst_tau0:.2e}, monotone {monotone}, "
-        f"nd anchor {worst_anchor:.2e}, dominated {dominated}",
-    )
-
-
-def test_criterion_09_planar_identities():
-    worst_log = 0.0
-    for d in np.linspace(0.1, 0.9, 9):
-        val = integrate(
-            lambda t, d=d: np.log1p(d * d + 2 * d * np.cos(t)), 0.0, 2 * math.pi
-        ).value
-        worst_log = max(worst_log, abs(val))
-    worst_series = 0.0
-    for x in np.linspace(-0.24, 0.24, 20):
-        closed = 2 * math.log(2 / (1 + math.sqrt(1 - 4 * x)))
-        worst_series = max(worst_series, abs(special.catalan_series(float(x)) - closed))
-    for d in np.linspace(0.0, 0.95, 20):
-        closed = 2 * math.pi * math.log(1 + d * d)
-        worst_series = max(worst_series, abs(special.log_series_identity(float(d)) - closed))
-    ok = worst_log < 1e-10 and worst_series < 1e-10
-    _report(
-        9, "planar_identities", ok,
-        f"log integral {worst_log:.2e}, series {worst_series:.2e}",
-    )
-
-
-def test_criterion_10_expansion():
-    worst_ratio = 0.0
-    ok = True
-    for n in (3, 4):
-        f0 = sp.scale_invariant(n, 0.0)
-        for eps, tol in ((1e-2, 0.05), (1e-3, 0.005)):
-            slope = (sp.scale_invariant(n, eps) - f0) / (f0 * eps ** (n - 1))
-            rel = abs(slope - 1 / (n - 1)) * (n - 1)
-            worst_ratio = max(worst_ratio, rel / tol)
-            ok &= rel < tol
-    _report(10, "perimeter_expansion", ok, f"worst error/allowance {worst_ratio:.3f}")
-
-
-def test_criterion_11_optimal_ratio():
-    worst = 0.0
-    ok = True
-    for n in (2, 3, 4):
-        eps_star, value = sp.optimal_eps(n)
-        ok &= 0 < eps_star < 1
-        ok &= value > sp.scale_invariant(n, 0.0)
-        ok &= value > sp.scale_invariant(n, 1 - 1e-9)
-        grid = np.linspace(1e-6, 1 - 1e-6, 10_000)
-        vals = [sp.scale_invariant(n, float(e)) for e in grid]
-        worst = max(worst, abs(eps_star - float(grid[int(np.argmax(vals))])))
-    ok &= worst < 1e-4
-    _report(11, "optimal_ratio_sweep", ok, f"worst grid-scan gap {worst:.2e}")
-
-
-def test_criterion_12_determinism(tmp_path, capsys):
+def test_criterion_12_determinism(tmp_path):
     reports = [verify.format_report(verify.run_checks("fast")) for _ in range(2)]
-    reports_ok = reports[0] == reports[1] and "FAIL" not in reports[0]
+    assert reports[0] == reports[1]
+    assert "FAIL" not in reports[0]
     blobs = []
     for i in range(2):
         out = tmp_path / f"det{i}.csv"
@@ -245,8 +34,4 @@ def test_criterion_12_determinism(tmp_path, capsys):
         ])
         assert code == 0
         blobs.append(out.read_bytes())
-    csv_ok = blobs[0] == blobs[1]
-    _report(
-        12, "determinism", reports_ok and csv_ok,
-        f"verify report stable {reports_ok}, csv stable {csv_ok}",
-    )
+    assert blobs[0] == blobs[1]

@@ -1,11 +1,13 @@
 """Command-line interface: formats, exit codes, determinism."""
 
 import math
+from types import SimpleNamespace
 
 import pytest
 
-from steklov_shell import cli
+from steklov_shell import cli, rayleigh
 from steklov_shell import shell_spectrum as sp
+from steklov_shell.geometry import ShellConfig
 from steklov_shell.verify import check_w2_vanishes
 
 
@@ -71,6 +73,26 @@ class TestBoundCommand:
         header = [l for l in out.splitlines() if not l.startswith("#")][0].split(",")
         data = out.splitlines()[-1].split(",")
         assert float(data[header.index("bound")]) == pytest.approx(1 / math.log(2), abs=1e-9)
+
+    def test_tol_does_not_outlive_the_call(self, capsys):
+        cfg = ShellConfig(3, 0.4, 0.3)
+        before = rayleigh.steklov_bound(cfg).bound
+        for argv in (
+            ["bound", "--dim", "3", "--a", "0.4", "--d", "0.3"],
+            ["sweep", "--problem", "steklov", "--dim", "3", "--a", "0.4", "--d-steps", "2",
+             "--jobs", "1"],
+        ):
+            code, _, _ = run_cli(capsys, *argv, "--tol", "1e-2")
+            assert code == 0
+            assert rayleigh.steklov_bound(cfg).bound == before
+
+    @pytest.mark.parametrize("tol", ["0", "inf", "nan"])
+    def test_tolerance_must_be_positive_and_finite(self, capsys, tol):
+        code, _, err = run_cli(
+            capsys, "bound", "--dim", "3", "--a", "0.4", "--d", "0.3", "--tol", tol
+        )
+        assert code == 2
+        assert "--tol" in err
 
 
 class TestSolveCommand:
@@ -144,17 +166,18 @@ class TestSweepCommand:
         assert printed == rayleigh.steklov_bound(ShellConfig(2, 0.5, 0.3)).bound
 
     def test_out_file_and_byte_determinism(self, capsys, tmp_path):
-        paths = [tmp_path / "s1.csv", tmp_path / "s2.csv"]
-        for p in paths:
-            code, _, _ = run_cli(
-                capsys, "sweep", "--problem", "dirichlet-steklov", "--dim", "3",
-                "--a", "0.4", "--d-steps", "5", "--format", "csv", "--out", str(p),
-            )
-            assert code == 0
-        assert paths[0].read_bytes() == paths[1].read_bytes()
-        text = paths[0].read_text()
-        assert text.startswith("# manifest: command=sweep")
-        assert "d,bound,closed_form" in text
+        for problem, d_steps in (("dirichlet-steklov", "5"), ("steklov", "6")):
+            paths = [tmp_path / f"{problem}1.csv", tmp_path / f"{problem}2.csv"]
+            for p in paths:
+                code, _, _ = run_cli(
+                    capsys, "sweep", "--problem", problem, "--dim", "3",
+                    "--a", "0.4", "--d-steps", d_steps, "--format", "csv", "--out", str(p),
+                )
+                assert code == 0
+            assert paths[0].read_bytes() == paths[1].read_bytes()
+            text = paths[0].read_text()
+            assert text.startswith("# manifest: command=sweep")
+            assert "d,bound,closed_form" in text
 
     def test_jobs_do_not_change_bytes(self, capsys, tmp_path):
         out = []
@@ -186,6 +209,35 @@ class TestVerifyCommand:
     def test_fault_hook_direct(self):
         assert check_w2_vanishes(None).passed
         assert not check_w2_vanishes("w2-sign").passed
+
+    @pytest.mark.parametrize("pattern, name", [
+        ("finite_difference", "radius_deriv_finite_difference"),
+        ("solver_below", "solver_below_rayleigh_bound"),
+    ])
+    def test_checks_filter_on_report_names(self, capsys, pattern, name):
+        code, out, _ = run_cli(capsys, "verify", "--checks", pattern)
+        assert code == 0
+        lines = out.splitlines()
+        assert [line.split()[:2] for line in lines[:-1]] == [["PASS", name]]
+        assert lines[-1] == "checks=1 failures=0"
+
+    def test_checks_filter_matching_nothing_is_rejected(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--checks", "no_such_check")
+        assert code == 2
+        assert out == ""
+        assert "no_such_check" in err
+
+    def test_constant_bound_fails_strict_checks(self, capsys, monkeypatch):
+        # A tie is not a strict decrease.
+        monkeypatch.setattr(rayleigh, "steklov_bound", lambda cfg: SimpleNamespace(bound=0.5))
+        monkeypatch.setattr(rayleigh, "ds_bound", lambda cfg: 0.5)
+        code, out, _ = run_cli(capsys, "verify", "--checks", "bound_strictly_decreasing")
+        assert code == 1
+        assert out.splitlines() == [
+            "FAIL bound_strictly_decreasing measured=0 tolerance=0",
+            "FAIL ds_bound_strictly_decreasing measured=0 tolerance=0",
+            "checks=2 failures=2",
+        ]
 
 
 def test_version_flag(capsys):

@@ -159,6 +159,18 @@ class TestMixedProblem:
         )
         assert rayleigh.ds_bound(ShellConfig(3, 0.5, 0.0)) == pytest.approx(1.0, abs=1e-10)
 
+    def test_bound_concentric_maximum_above_the_plane(self):
+        for n in (3, 4, 5):
+            for a in (0.2, 0.5, 0.8):
+                base = rayleigh.ds_bound(ShellConfig(n, a, 0.0))
+                assert abs(base - sp.tau1_closed_form(n, a)) < 1e-9
+                for d in np.linspace(0.0, 0.95 * (1 - a), 20)[1:]:
+                    assert rayleigh.ds_bound(ShellConfig(n, a, float(d))) < base
+
+    def test_explicit_tol_is_used(self):
+        cfg = ShellConfig(3, 0.4, 0.3)
+        assert rayleigh.ds_bound(cfg, tol=1e-2) != rayleigh.ds_bound(cfg)
+
     def test_bound_decreasing(self):
         assert rayleigh.ds_bound(ShellConfig(2, 0.5, 0.3)) < 1.4426950408889634
         vals = [

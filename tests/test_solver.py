@@ -10,6 +10,16 @@ from steklov_shell import shell_spectrum as sp
 from steklov_shell.errors import IllConditionedError
 from steklov_shell.geometry import ShellConfig
 
+# problem -> (direct solve, principal eigenvalue of its result, concentric value)
+PROBLEMS = {
+    "steklov": (solver.solve_steklov, lambda res: res.first_nonzero(), sp.sigma1_closed_form),
+    "dirichlet-steklov": (
+        solver.solve_dirichlet_steklov,
+        lambda res: float(res.eigenvalues[0]),
+        sp.tau1_closed_form,
+    ),
+}
+
 
 class TestAssembly:
     def test_constant_row_is_zero(self):
@@ -113,16 +123,18 @@ class TestSteklovSolve:
         assert abs(s8 - s16) >= 10 * abs(s16 - s32)
 
     def test_ill_conditioned_order_raises(self):
-        with pytest.raises(IllConditionedError):
-            solver.solve_steklov(ShellConfig(2, 0.5, 0.3), N=200, m=1600)
+        for solve, _, _ in PROBLEMS.values():
+            with pytest.raises(IllConditionedError):
+                solve(ShellConfig(2, 0.5, 0.3), N=200, m=1600)
 
     def test_order_fallback_succeeds_when_direct_fails(self):
         cfg = ShellConfig(2, 0.2, 0.7)
-        with pytest.raises(IllConditionedError):
-            solver.solve_steklov(cfg, N=24, m=512)
-        res = solver.solve_with_order_fallback(cfg, N=24, m=512)
-        assert res.basis.max_order < 24
-        assert 0 < res.first_nonzero() < sp.sigma1_closed_form(2, 0.2)
+        for problem, (solve, principal, concentric) in PROBLEMS.items():
+            with pytest.raises(IllConditionedError):
+                solve(cfg, N=24, m=512)
+            res = solver.solve_with_order_fallback(cfg, N=24, m=512, problem=problem)
+            assert res.basis.max_order < 24
+            assert 0 < principal(res) < concentric(2, 0.2)
 
 
 class TestMixedSolve:

@@ -224,11 +224,12 @@ class TestScaleInvariant:
 
 class TestOptimalEps:
     def test_interior_maximizer(self):
-        for n in (2, 3):
+        for n in (2, 3, 4):
             eps_star, value = sp.optimal_eps(n)
             assert 0 < eps_star < 1
             assert value > sp.scale_invariant(n, 0.0)
             assert value > sp.scale_invariant(n, 0.999999)
+            assert value > sp.scale_invariant(n, 1 - 1e-9)
             assert value >= sp.scale_invariant(n, eps_star + 1e-6)
             assert value >= sp.scale_invariant(n, eps_star - 1e-6)
 
