@@ -234,14 +234,17 @@ def _ratio_point(task) -> tuple:
 
 
 def _run_pool(fn, tasks, jobs: int):
-    if jobs <= 1 or len(tasks) <= 1:
+    # jobs 0 means all cores.  The pool forks all its workers up front, so
+    # more than one per task or per core would only cost processes.
+    cpus = os.cpu_count() or 1
+    workers = min(jobs or cpus, len(tasks), cpus)
+    if workers <= 1:
         return [fn(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, tasks))
 
 
 def cmd_sweep(args) -> int:
-    jobs = args.jobs if args.jobs else (os.cpu_count() or 1)
     params = {"dim": args.dim, "problem": args.problem}
 
     if args.problem == "ratio":
@@ -249,7 +252,7 @@ def cmd_sweep(args) -> int:
             raise ValueError("eps sweep needs at least one grid point")
         eps_grid = np.linspace(0.0, 0.99, args.eps_steps)
         tasks = [(args.dim, float(e)) for e in eps_grid]
-        rows = _run_pool(_ratio_point, tasks, jobs)
+        rows = _run_pool(_ratio_point, tasks, args.jobs)
         eps_star, value = shell_spectrum.optimal_eps(args.dim)
         params["eps_steps"] = args.eps_steps
         manifest = RunManifest.create("sweep", params, _tolerances(args))
@@ -273,7 +276,7 @@ def cmd_sweep(args) -> int:
         (args.dim, a, float(d), use_solver, args.order, args.points, args.tol)
         for d in d_grid
     ]
-    rows = _run_pool(point, tasks, jobs)
+    rows = _run_pool(point, tasks, args.jobs)
     params.update({"a": a, "d_steps": args.d_steps, "d_max": d_max, "solver": use_solver})
     if use_solver:
         params.update({"order": args.order, "points": args.points})
@@ -373,6 +376,8 @@ def main(argv=None) -> int:
     try:
         if not 0.0 < args.tol < math.inf:
             raise ValueError("--tol must be positive and finite")
+        if args.jobs < 0:
+            raise ValueError("--jobs must be 0 (all cores) or a positive count")
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,6 +1,10 @@
 """Command-line interface: formats, exit codes, determinism."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -117,6 +121,19 @@ class TestSolveCommand:
         assert code == 3
         assert "numerical failure" in err
 
+    def test_bytes_do_not_depend_on_blas_threads(self):
+        # A threaded BLAS sums in an order set by its thread count, which is
+        # fixed when the library loads: only a fresh process can vary it.
+        src = str(Path(cli.__file__).resolve().parents[1])
+        argv = [sys.executable, "-m", "steklov_shell.cli", "solve", "--a", "0.5", "--d", "0.3",
+                "--format", "csv"]
+        out = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+            proc = subprocess.run(argv, env=env, capture_output=True, timeout=120, check=True)
+            out.append(proc.stdout)
+        assert out[0] == out[1]
+
 
 class TestSweepCommand:
     def test_monotone_bound_column(self, capsys):
@@ -180,16 +197,58 @@ class TestSweepCommand:
             assert "d,bound,closed_form" in text
 
     def test_jobs_do_not_change_bytes(self, capsys, tmp_path):
-        out = []
-        for jobs in ("1", "2"):
-            p = tmp_path / f"jobs{jobs}.csv"
-            code, _, _ = run_cli(
-                capsys, "sweep", "--problem", "steklov", "--dim", "4", "--a", "0.3",
-                "--d-steps", "4", "--format", "csv", "--jobs", jobs, "--out", str(p),
-            )
-            assert code == 0
-            out.append(p.read_bytes())
-        assert out[0] == out[1]
+        # A bound-only sweep, and a planar one with the solver column.
+        for dim, a in (("4", "0.3"), ("2", "0.5")):
+            out = []
+            for jobs in ("1", "2"):
+                p = tmp_path / f"dim{dim}_jobs{jobs}.csv"
+                code, _, _ = run_cli(
+                    capsys, "sweep", "--problem", "steklov", "--dim", dim, "--a", a,
+                    "--d-steps", "4", "--format", "csv", "--jobs", jobs, "--out", str(p),
+                )
+                assert code == 0
+                out.append(p.read_bytes())
+            assert out[0] == out[1]
+
+    @pytest.mark.parametrize("jobs, cores, workers", [
+        ("5000", 8, 4),  # at most one worker per task
+        ("3", 8, 3),
+        ("0", 2, 2),     # 0 means all cores
+        ("5000", 2, 2),  # at most one worker per core
+    ])
+    def test_pool_size_is_bounded(self, capsys, monkeypatch, jobs, cores, workers):
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cores)
+        code, _, _ = run_cli(
+            capsys, "sweep", "--problem", "steklov", "--dim", "4", "--a", "0.3",
+            "--d-steps", "4", "--format", "csv", "--jobs", jobs,
+        )
+        assert code == 0
+        assert sizes == [workers]
+
+    def test_negative_jobs_rejected(self, capsys):
+        code, out, err = run_cli(
+            capsys, "sweep", "--problem", "steklov", "--dim", "4", "--a", "0.3",
+            "--d-steps", "4", "--jobs", "-3",
+        )
+        assert code == 2
+        assert out == ""
+        assert "--jobs" in err
 
 
 class TestVerifyCommand:

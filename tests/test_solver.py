@@ -1,9 +1,13 @@
 """Planar boundary-Galerkin eigensolver."""
 
+import ctypes
 import math
+import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from steklov_shell import rayleigh, solver
 from steklov_shell import shell_spectrum as sp
@@ -188,3 +192,109 @@ class TestDiagnostics:
     def test_gram_condition_reported(self):
         res = solver.solve_steklov(ShellConfig(2, 0.5, 0.1), N=16, m=256)
         assert 1.0 <= res.gram_condition < 1e14
+
+
+def _blas_paths() -> list:
+    """Paths of the loaded OpenBLAS libraries, found without the solver's help."""
+    try:
+        with open("/proc/self/maps", "rb") as fh:
+            lines = fh.read().splitlines()
+    except OSError:
+        return []
+    fields = [line.split(maxsplit=5) for line in lines]
+    return sorted({os.fsdecode(f[5]) for f in fields if len(f) == 6 and b"openblas" in f[5].rsplit(b"/", 1)[-1]})
+
+
+def _blas_thread_getters() -> list:
+    """Thread-count getters of the loaded OpenBLAS libraries."""
+    getters = []
+    for path in _blas_paths():
+        lib = ctypes.CDLL(path)
+        for name in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+                     "openblas_get_num_threads64_", "openblas_get_num_threads"):
+            get = getattr(lib, name, None)
+            if get is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                getters.append(get)
+                break
+    return getters
+
+
+class TestBlasThreads:
+    def test_solve_runs_on_one_thread_and_restores_the_count(self, monkeypatch):
+        getters = _blas_thread_getters()
+        if not getters:
+            pytest.skip("no OpenBLAS loaded")
+        before = [get() for get in getters]
+        during = []
+        eigh = scipy.linalg.eigh
+
+        def recording_eigh(*args, **kwargs):
+            during.append([get() for get in getters])
+            return eigh(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "eigh", recording_eigh)
+        cfg = ShellConfig(2, 0.5, 0.3)
+        solver.solve_steklov(cfg, N=8, m=128)
+        assert [get() for get in getters] == before
+        solver.assemble_steklov(cfg, N=8, m=128)
+        assert [get() for get in getters] == before
+        for solve, _, _ in PROBLEMS.values():
+            with pytest.raises(IllConditionedError):
+                solve(ShellConfig(2, 0.2, 0.7), N=24, m=512)
+            assert [get() for get in getters] == before
+        assert during == [[1] * len(getters)]
+
+    def test_thread_setter_uses_get_set_pair(self):
+        count = [4]
+
+        def get():
+            return count[0]
+
+        def put(n):
+            count[0] = n
+
+        lib = SimpleNamespace(scipy_openblas_get_num_threads64_=get,
+                              scipy_openblas_set_num_threads64_=put)
+        swap = solver._thread_setter(lib)
+        assert swap(1) == 4 and count == [1]
+        assert swap(4) == 1 and count == [4]
+        assert solver._thread_setter(SimpleNamespace()) is None
+
+    def test_unusual_maps_lines_do_not_break_a_solve(self, monkeypatch, tmp_path):
+        # Library paths with a space, a " (deleted)" mark, a name that is not
+        # valid UTF-8, and a mapping with no path at all.
+        getters = _blas_thread_getters()
+        if not getters:
+            pytest.skip("no OpenBLAS loaded")
+        spaced = tmp_path / "My Projects"
+        spaced.mkdir()
+        links = []
+        for path in _blas_paths():
+            link = spaced / os.path.basename(path)
+            link.symlink_to(path)
+            links.append(str(link))
+        maps = b"".join(
+            b"7f0000000000-7f0000001000 r-xp 00000000 08:01 1    " + os.fsencode(link) + b"\n"
+            for link in links
+        ) + (
+            b"7f0000002000-7f0000003000 r-xp 00000000 08:01 2    /gone/libscipy_openblas-0.so (deleted)\n"
+            b"7f0000004000-7f0000005000 r--p 00000000 08:01 3    /data/caf\xe9/libopenblas.so\n"
+            b"7f0000006000-7f0000007000 rw-p 00000000 00:00 0\n"
+        )
+        assert solver._openblas_paths(maps) == sorted(
+            links + ["/gone/libscipy_openblas-0.so (deleted)", os.fsdecode(b"/data/caf\xe9/libopenblas.so")]
+        )
+        maps_file = tmp_path / "maps"
+        maps_file.write_bytes(maps)
+        monkeypatch.setattr(solver, "_MAPS", str(maps_file))
+        solver._openblas_thread_setters.cache_clear()
+        try:
+            # The links reopen the loaded libraries; the other two paths are skipped.
+            assert len(solver._openblas_thread_setters()) == len(links)
+            before = [get() for get in getters]
+            res = solver.solve_steklov(ShellConfig(2, 0.5, 0.3), N=8, m=128)
+            assert math.isfinite(res.eigenvalues[0])
+            assert [get() for get in getters] == before
+        finally:
+            solver._openblas_thread_setters.cache_clear()
