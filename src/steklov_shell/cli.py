@@ -185,16 +185,13 @@ def cmd_solve(args) -> int:
         _tolerances(args),
     )
     if args.problem == "steklov":
-        res = solver.solve_steklov(cfg, N=args.order, m=args.points)
-        principal = res.first_nonzero()
-        label = "sigma1"
+        solve, label = solver.solve_steklov, "sigma1"
     else:
-        res = solver.solve_dirichlet_steklov(cfg, N=args.order, m=args.points)
-        principal = float(res.eigenvalues[0])
-        label = "tau1"
+        solve, label = solver.solve_dirichlet_steklov, "tau1"
+    res = solve(cfg, N=args.order, m=args.points)
     groups = solver.group_eigenvalues(res.eigenvalues[:12])
     footer = [
-        f"# {label}={_fmt(principal)}",
+        f"# {label}={_fmt(res.principal)}",
         f"# residual={_fmt(res.residual)}",
         f"# gram_condition={_fmt(res.gram_condition)}",
     ]
@@ -203,34 +200,20 @@ def cmd_solve(args) -> int:
     return 0
 
 
-# Sweep workers are top-level so the process pool can pickle them.
-
-
-def _steklov_point(task) -> tuple:
-    n, a, d, use_solver, order, points, tol = task
+def _sweep_point(task) -> tuple:
+    """One offset-sweep row; top-level so the process pool can pickle it."""
+    problem, n, a, d, use_solver, order, points, tol = task
     cfg = ShellConfig(n, a, d)
-    bound = rayleigh.steklov_bound(cfg, tol=tol).bound
-    closed = shell_spectrum.sigma1_closed_form(n, a)
+    if problem == "steklov":
+        bound = rayleigh.steklov_bound(cfg, tol=tol).bound
+        closed = shell_spectrum.sigma1_closed_form(n, a)
+    else:
+        bound = rayleigh.ds_bound(cfg, tol=tol)
+        closed = shell_spectrum.tau1_closed_form(n, a)
     if use_solver:
-        res = solver.solve_with_order_fallback(cfg, N=order, m=points)
-        return (d, bound, res.first_nonzero(), closed)
+        res = solver.solve_with_order_fallback(cfg, N=order, m=points, problem=problem)
+        return (d, bound, res.principal, closed)
     return (d, bound, closed)
-
-
-def _ds_point(task) -> tuple:
-    n, a, d, use_solver, order, points, tol = task
-    cfg = ShellConfig(n, a, d)
-    bound = rayleigh.ds_bound(cfg, tol=tol)
-    closed = shell_spectrum.tau1_closed_form(n, a)
-    if use_solver:
-        res = solver.solve_with_order_fallback(cfg, N=order, m=points, problem="dirichlet-steklov")
-        return (d, bound, float(res.eigenvalues[0]), closed)
-    return (d, bound, closed)
-
-
-def _ratio_point(task) -> tuple:
-    n, eps = task
-    return (eps, shell_spectrum.scale_invariant(n, eps))
 
 
 def _run_pool(fn, tasks, jobs: int):
@@ -250,9 +233,8 @@ def cmd_sweep(args) -> int:
     if args.problem == "ratio":
         if args.eps_steps < 1:
             raise ValueError("eps sweep needs at least one grid point")
-        eps_grid = np.linspace(0.0, 0.99, args.eps_steps)
-        tasks = [(args.dim, float(e)) for e in eps_grid]
-        rows = _run_pool(_ratio_point, tasks, args.jobs)
+        eps_grid = np.linspace(0.0, 0.99, args.eps_steps).tolist()
+        rows = [(e, shell_spectrum.scale_invariant(args.dim, e)) for e in eps_grid]
         eps_star, value = shell_spectrum.optimal_eps(args.dim)
         params["eps_steps"] = args.eps_steps
         manifest = RunManifest.create("sweep", params, _tolerances(args))
@@ -271,12 +253,11 @@ def cmd_sweep(args) -> int:
     if use_solver:
         solver.validate_problem_size(cfg0, args.order, args.points)
     d_grid = np.linspace(0.0, d_max, args.d_steps)
-    point = _steklov_point if args.problem == "steklov" else _ds_point
     tasks = [
-        (args.dim, a, float(d), use_solver, args.order, args.points, args.tol)
+        (args.problem, args.dim, a, float(d), use_solver, args.order, args.points, args.tol)
         for d in d_grid
     ]
-    rows = _run_pool(point, tasks, args.jobs)
+    rows = _run_pool(_sweep_point, tasks, args.jobs)
     params.update({"a": a, "d_steps": args.d_steps, "d_max": d_max, "solver": use_solver})
     if use_solver:
         params.update({"order": args.order, "points": args.points})
@@ -292,12 +273,7 @@ def cmd_verify(args) -> int:
     results = verify.run_checks(
         args.level, inject_fault=args.inject_fault, name_filter=args.checks
     )
-    report = verify.format_report(results)
-    if args.out is None:
-        sys.stdout.write(report)
-    else:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(report)
+    _emit(verify.format_report(results).splitlines(), args.out)
     return 0 if all(r.passed for r in results) else 1
 
 
@@ -309,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=("table", "csv"), default="table")
     common.add_argument("--out", metavar="PATH", default=None)
     common.add_argument("--jobs", type=int, default=0, metavar="K",
-                        help="worker processes for sweeps (0 = all cores)")
+                        help="worker processes for offset sweeps (0 = all cores)")
     common.add_argument("--tol", type=float, default=rayleigh.QUAD_TOL,
                         help="quadrature tolerance per integral")
 

@@ -90,18 +90,18 @@ def integrate(
     low = gauss_legendre_rule(order // 2)
     span = hi - lo
 
-    # First pass with the global estimate seeds the relative tolerance.
-    rough = high.apply(f, lo, hi)
-    scale = max(abs_tol, rel_tol * abs(rough))
+    # The high-order estimate of the whole interval, the first panel, seeds
+    # the relative tolerance.  Each panel carries its high-order value on the
+    # stack, so the integrand is evaluated once per rule per panel.
+    whole = high.apply(f, lo, hi)
+    scale = max(abs_tol, rel_tol * abs(whole))
 
-    stack = [(lo, hi)]
+    stack = [(lo, hi, whole)]
     accepted: list[tuple[float, float, float]] = []  # (lo, value, err)
     count = 1
     while stack:
-        a, b = stack.pop()
-        v_high = high.apply(f, a, b)
-        v_low = low.apply(f, a, b)
-        err = abs(v_high - v_low)
+        a, b, v_high = stack.pop()
+        err = abs(v_high - low.apply(f, a, b))
         if err <= scale * (b - a) / span or (b - a) < 1e-14 * span:
             accepted.append((a, v_high, err))
         else:
@@ -112,8 +112,8 @@ def integrate(
                 )
             m = 0.5 * (a + b)
             # LIFO with right half pushed first: left-to-right processing.
-            stack.append((m, b))
-            stack.append((a, m))
+            stack.append((m, b, high.apply(f, m, b)))
+            stack.append((a, m, high.apply(f, a, m)))
             count += 2
 
     accepted.sort(key=lambda item: item[0])

@@ -243,27 +243,37 @@ class TrefftzBasis:
         return out / self.scales
 
 
+def _first_above(values: np.ndarray, zero_tol: float) -> int:
+    """Index of the first (smallest) eigenvalue above zero_tol."""
+    above = np.flatnonzero(values > zero_tol)
+    if not above.size:
+        raise NonConvergenceError("no eigenvalue above the zero-mode tolerance")
+    return int(above[0])
+
+
 @dataclass(frozen=True)
 class EigResult:
     """Solver output: ascending eigenvalues, basis weights, diagnostics.
 
-    residual is the normalized max pointwise boundary-condition defect of the
-    first nonzero mode (first mode for the mixed problem).
+    mode is the index of the principal mode and principal its eigenvalue:
+    sigma_1, the first eigenvalue above ZERO_MODE_TOL, for the Steklov problem
+    (the zero mode of the constants comes first), and tau_1, the first
+    eigenvalue, for the mixed problem.  residual is the normalized max
+    pointwise boundary-condition defect of that mode.
     """
 
     eigenvalues: np.ndarray
     coefficients: np.ndarray
     gram_condition: float
     residual: float
+    mode: int
+    principal: float
     basis: TrefftzBasis = field(repr=False, default=None)
     n_points: int = 0
 
     def first_nonzero(self, zero_tol: float = ZERO_MODE_TOL) -> float:
         """Smallest eigenvalue above zero_tol."""
-        for val in self.eigenvalues:
-            if val > zero_tol:
-                return float(val)
-        raise NonConvergenceError("no eigenvalue above the zero-mode tolerance")
+        return float(self.eigenvalues[_first_above(self.eigenvalues, zero_tol)])
 
 
 def boundary_points(cfg: ShellConfig, m: int):
@@ -337,21 +347,22 @@ def _assemble(cfg: ShellConfig, N: int, m: int, kind: str, symmetrize: bool = Tr
 def _solve(cfg: ShellConfig, N: int, m: int, kind: str) -> EigResult:
     """Solve K c = sigma M c by Cholesky reduction of M (LAPACK), with diagnostics.
 
-    The residual is that of the principal mode: the first nonzero one for
-    kind "steklov" (the zero mode of the constants comes first), the first
-    one for kind "dirichlet".
+    The principal mode, whose residual is reported, is the first nonzero one
+    for kind "steklov" and the first one for kind "dirichlet".
     """
     basis, K, M, cond = _assemble(cfg, N, m, kind)
     try:
         vals, vecs = scipy.linalg.eigh(K, M)
     except scipy.linalg.LinAlgError as exc:
         raise NonConvergenceError("generalized eigenvalue iteration failed") from exc
-    mode = int(np.searchsorted(vals, ZERO_MODE_TOL)) if kind == "steklov" else 0
+    mode = _first_above(vals, ZERO_MODE_TOL) if kind == "steklov" else 0
     return EigResult(
         eigenvalues=vals,
         coefficients=vecs,
         gram_condition=cond,
         residual=_mode_residual(basis, cfg, vals[mode], vecs[:, mode]),
+        mode=mode,
+        principal=float(vals[mode]),
         basis=basis,
         n_points=m,
     )

@@ -508,42 +508,51 @@ def check_energy_decomposition_2d() -> CheckResult:
 BOUND_ANCHOR_PAIRS = [(n, a) for n in (2, 3, 4, 5, 6) for a in (0.25, 0.5, 0.75)]
 
 
-def check_bound_anchor_concentric() -> CheckResult:
+def _bound(problem: str, cfg: ShellConfig) -> float:
+    if problem == "steklov":
+        return rayleigh.steklov_bound(cfg).bound
+    return rayleigh.ds_bound(cfg)
+
+
+def _closed_form(problem: str, n: int, a: float) -> float:
+    if problem == "steklov":
+        return shell_spectrum.sigma1_closed_form(n, a)
+    return shell_spectrum.tau1_closed_form(n, a)
+
+
+def _bound_anchor(name: str, problem: str, tol: float) -> CheckResult:
     worst = 0.0
     for n, a in BOUND_ANCHOR_PAIRS:
-        bound = rayleigh.steklov_bound(ShellConfig(n, a, 0.0)).bound
-        worst = max(worst, abs(bound - shell_spectrum.sigma1_closed_form(n, a)))
-    return _worst("bound_anchor_concentric", 1e-9, worst)
+        bound = _bound(problem, ShellConfig(n, a, 0.0))
+        worst = max(worst, abs(bound - _closed_form(problem, n, a)))
+    return _worst(name, tol, worst)
+
+
+def _bound_strictly_decreasing(name: str, problem: str, pairs) -> CheckResult:
+    worst = -1.0
+    for n, a in pairs:
+        vals = [_bound(problem, ShellConfig(n, a, float(d))) for d in _d_grid(a, 21)]
+        worst = max(worst, float(np.diff(vals).max()))
+    return _worst(name, 0.0, worst, strict=True)
+
+
+def check_bound_anchor_concentric() -> CheckResult:
+    return _bound_anchor("bound_anchor_concentric", "steklov", 1e-9)
 
 
 def check_bound_strictly_decreasing() -> CheckResult:
-    worst = -1.0
-    for n, a in [(2, 0.5), (3, 0.3), (4, 0.7)]:
-        vals = [
-            rayleigh.steklov_bound(ShellConfig(n, a, float(d))).bound
-            for d in np.linspace(0.0, 0.95 * (1.0 - a), 21)
-        ]
-        worst = max(worst, float(np.diff(vals).max()))
-    return _worst("bound_strictly_decreasing", 0.0, worst, strict=True)
+    return _bound_strictly_decreasing(
+        "bound_strictly_decreasing", "steklov", [(2, 0.5), (3, 0.3), (4, 0.7)]
+    )
 
 
 def check_ds_bound_anchor_concentric() -> CheckResult:
-    worst = 0.0
-    for n, a in BOUND_ANCHOR_PAIRS:
-        got = rayleigh.ds_bound(ShellConfig(n, a, 0.0))
-        worst = max(worst, abs(got - shell_spectrum.tau1_closed_form(n, a)))
-    return _worst("ds_bound_anchor_concentric", 1e-10, worst)
+    return _bound_anchor("ds_bound_anchor_concentric", "dirichlet-steklov", 1e-10)
 
 
 def check_ds_bound_strictly_decreasing() -> CheckResult:
-    worst = -1.0
-    for n, a in [(2, 0.5), (3, 0.5), (4, 0.3), (5, 0.5)]:
-        vals = [
-            rayleigh.ds_bound(ShellConfig(n, a, float(d)))
-            for d in np.linspace(0.0, 0.95 * (1.0 - a), 21)
-        ]
-        worst = max(worst, float(np.diff(vals).max()))
-    return _worst("ds_bound_strictly_decreasing", 0.0, worst, strict=True)
+    pairs = [(2, 0.5), (3, 0.5), (4, 0.3), (5, 0.5)]
+    return _bound_strictly_decreasing("ds_bound_strictly_decreasing", "dirichlet-steklov", pairs)
 
 
 def check_test_function_orthogonality() -> CheckResult:
@@ -571,12 +580,20 @@ def check_planar_log_integral_zero() -> CheckResult:
 # planar solver
 
 
-def check_solver_concentric_oracle() -> CheckResult:
+def _solver_concentric(name: str, problem: str) -> CheckResult:
     worst = 0.0
     for a in SOLVER_RADII:
-        res = solver.solve_steklov(ShellConfig(2, a, 0.0), N=24, m=512)
-        worst = max(worst, abs(res.first_nonzero() - shell_spectrum.sigma1_closed_form(2, a)))
-    return _worst("solver_concentric_oracle", 1e-8, worst)
+        cfg = ShellConfig(2, a, 0.0)
+        if problem == "steklov":
+            res = solver.solve_steklov(cfg, N=24, m=512)
+        else:
+            res = solver.solve_dirichlet_steklov(cfg, N=24, m=512)
+        worst = max(worst, abs(res.principal - _closed_form(problem, 2, a)))
+    return _worst(name, 1e-8, worst)
+
+
+def check_solver_concentric_oracle() -> CheckResult:
+    return _solver_concentric("solver_concentric_oracle", "steklov")
 
 
 def check_solver_spectrum_below_delta0() -> CheckResult:
@@ -601,7 +618,7 @@ def check_solver_first_mode_double() -> CheckResult:
     for a in SOLVER_RADII:
         res = solver.solve_steklov(ShellConfig(2, a, 0.0), N=24, m=512)
         vals = res.eigenvalues
-        first = res.first_nonzero()
+        first = res.principal
         close = [v for v in vals if abs(v - first) <= 1e-8 * max(1.0, abs(first))]
         worst = max(worst, abs(len(close) - 2))
     return _worst("solver_first_mode_double", 0.0, worst)
@@ -620,61 +637,43 @@ def check_assembly_symmetry_defect() -> CheckResult:
     return _worst("assembly_symmetry_defect", 1e-9, float(np.abs(K - K.T).max()))
 
 
-def _solver_grid(a: float, count: int = 20):
-    return np.linspace(0.0, 0.95 * (1.0 - a), count)
+def _solver_strictly_decreasing(name: str, problem: str) -> CheckResult:
+    worst = -1.0
+    for a in SOLVER_RADII:
+        cfgs = [ShellConfig(2, a, float(d)) for d in _d_grid(a, 20)]
+        vals = [solver.solve_with_order_fallback(cfg, problem=problem).principal for cfg in cfgs]
+        worst = max(worst, float(np.diff(vals).max()))
+    return _worst(name, 0.0, worst, strict=True)
+
+
+def _solver_below_bound(name: str, problem: str, count: int) -> CheckResult:
+    worst = -math.inf
+    for a in SOLVER_RADII:
+        for d in _d_grid(a, count):
+            cfg = ShellConfig(2, a, float(d))
+            res = solver.solve_with_order_fallback(cfg, problem=problem)
+            worst = max(worst, res.principal - _bound(problem, cfg))
+    return _worst(name, 1e-8, worst)
 
 
 def check_solver_sigma_strictly_decreasing() -> CheckResult:
-    worst = -1.0
-    for a in SOLVER_RADII:
-        vals = []
-        for d in _solver_grid(a):
-            res = solver.solve_with_order_fallback(ShellConfig(2, a, float(d)))
-            vals.append(res.first_nonzero())
-        worst = max(worst, float(np.diff(vals).max()))
-    return _worst("solver_sigma_strictly_decreasing", 0.0, worst, strict=True)
+    return _solver_strictly_decreasing("solver_sigma_strictly_decreasing", "steklov")
 
 
 def check_solver_below_rayleigh_bound() -> CheckResult:
-    worst = -math.inf
-    for a in SOLVER_RADII:
-        for d in _solver_grid(a):
-            cfg = ShellConfig(2, a, float(d))
-            res = solver.solve_with_order_fallback(cfg)
-            worst = max(worst, res.first_nonzero() - rayleigh.steklov_bound(cfg).bound)
-    return _worst("solver_below_rayleigh_bound", 1e-8, worst)
+    return _solver_below_bound("solver_below_rayleigh_bound", "steklov", 20)
 
 
 def check_solver_tau_concentric() -> CheckResult:
-    worst = 0.0
-    for a in SOLVER_RADII:
-        res = solver.solve_dirichlet_steklov(ShellConfig(2, a, 0.0), N=24, m=512)
-        tau = float(res.eigenvalues[0])
-        worst = max(worst, abs(tau - shell_spectrum.tau1_closed_form(2, a)))
-    return _worst("solver_tau_concentric", 1e-8, worst)
+    return _solver_concentric("solver_tau_concentric", "dirichlet-steklov")
 
 
 def check_solver_tau_strictly_decreasing() -> CheckResult:
-    worst = -1.0
-    for a in SOLVER_RADII:
-        vals = []
-        for d in _solver_grid(a):
-            res = solver.solve_with_order_fallback(
-                ShellConfig(2, a, float(d)), problem="dirichlet-steklov"
-            )
-            vals.append(float(res.eigenvalues[0]))
-        worst = max(worst, float(np.diff(vals).max()))
-    return _worst("solver_tau_strictly_decreasing", 0.0, worst, strict=True)
+    return _solver_strictly_decreasing("solver_tau_strictly_decreasing", "dirichlet-steklov")
 
 
 def check_tau_below_ds_bound() -> CheckResult:
-    worst = -math.inf
-    for a in SOLVER_RADII:
-        for d in _solver_grid(a, 10):
-            cfg = ShellConfig(2, a, float(d))
-            res = solver.solve_with_order_fallback(cfg, problem="dirichlet-steklov")
-            worst = max(worst, float(res.eigenvalues[0]) - rayleigh.ds_bound(cfg))
-    return _worst("tau_below_ds_bound", 1e-8, worst)
+    return _solver_below_bound("tau_below_ds_bound", "dirichlet-steklov", 10)
 
 
 def check_solver_residual_moderate_offset() -> CheckResult:
@@ -689,9 +688,9 @@ def check_solver_spectral_convergence() -> CheckResult:
     worst = 0.0
     for d in (0.1, 0.2):
         cfg = ShellConfig(2, 0.5, d)
-        s8 = solver.solve_steklov(cfg, N=8, m=128).first_nonzero()
-        s16 = solver.solve_steklov(cfg, N=16, m=256).first_nonzero()
-        s32 = solver.solve_steklov(cfg, N=32, m=512).first_nonzero()
+        s8 = solver.solve_steklov(cfg, N=8, m=128).principal
+        s16 = solver.solve_steklov(cfg, N=16, m=256).principal
+        s32 = solver.solve_steklov(cfg, N=32, m=512).principal
         e8, e16 = abs(s8 - s16), abs(s16 - s32)
         if e8 < 1e-12:
             continue  # already converged to rounding at the coarse order
@@ -703,8 +702,8 @@ def check_solver_points_invariance() -> CheckResult:
     worst = 0.0
     for d in (0.0, 0.2):
         cfg = ShellConfig(2, 0.5, d)
-        s1 = solver.solve_steklov(cfg, N=16, m=256).first_nonzero()
-        s2 = solver.solve_steklov(cfg, N=16, m=512).first_nonzero()
+        s1 = solver.solve_steklov(cfg, N=16, m=256).principal
+        s2 = solver.solve_steklov(cfg, N=16, m=512).principal
         worst = max(worst, abs(s1 - s2))
     return _worst("solver_points_invariance", 1e-8, worst)
 

@@ -197,13 +197,15 @@ class TestSweepCommand:
             assert "d,bound,closed_form" in text
 
     def test_jobs_do_not_change_bytes(self, capsys, tmp_path):
-        # A bound-only sweep, and a planar one with the solver column.
-        for dim, a in (("4", "0.3"), ("2", "0.5")):
+        # A bound-only sweep, and planar ones with the solver column for both problems.
+        for problem, dim, a in (
+            ("steklov", "4", "0.3"), ("steklov", "2", "0.5"), ("dirichlet-steklov", "2", "0.5"),
+        ):
             out = []
             for jobs in ("1", "2"):
-                p = tmp_path / f"dim{dim}_jobs{jobs}.csv"
+                p = tmp_path / f"{problem}_dim{dim}_jobs{jobs}.csv"
                 code, _, _ = run_cli(
-                    capsys, "sweep", "--problem", "steklov", "--dim", dim, "--a", a,
+                    capsys, "sweep", "--problem", problem, "--dim", dim, "--a", a,
                     "--d-steps", "4", "--format", "csv", "--jobs", jobs, "--out", str(p),
                 )
                 assert code == 0
@@ -241,6 +243,20 @@ class TestSweepCommand:
         assert code == 0
         assert sizes == [workers]
 
+    def test_ratio_sweep_runs_without_the_pool(self, capsys, monkeypatch):
+        class NoPool:
+            def __init__(self, *args, **kwargs):
+                raise AssertionError("the ratio sweep started a process pool")
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", NoPool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+        code, out, _ = run_cli(
+            capsys, "sweep", "--problem", "ratio", "--dim", "3", "--jobs", "2", "--format", "csv",
+        )
+        assert code == 0
+        rows = [l for l in out.splitlines() if not l.startswith("#")][1:]
+        assert len(rows) == 200
+
     def test_negative_jobs_rejected(self, capsys):
         code, out, err = run_cli(
             capsys, "sweep", "--problem", "steklov", "--dim", "4", "--a", "0.3",
@@ -256,6 +272,14 @@ class TestVerifyCommand:
         code, out, _ = run_cli(capsys, "verify", "--level", "fast", "--checks", "wallis")
         assert code == 0
         assert "PASS wallis_recursion_consistency" in out
+
+    def test_out_file_matches_stdout(self, capsys, tmp_path):
+        _, out, _ = run_cli(capsys, "verify", "--checks", "wallis")
+        path = tmp_path / "report.txt"
+        code, printed, _ = run_cli(capsys, "verify", "--checks", "wallis", "--out", str(path))
+        assert code == 0
+        assert printed == ""
+        assert path.read_bytes() == out.encode("utf-8")
 
     def test_fault_injection_fails_named_check(self, capsys):
         code, out, _ = run_cli(

@@ -78,6 +78,23 @@ class TestIntegrate:
         assert res.value == pytest.approx(2 / 1e-2 * math.atan(1 / 1e-2), rel=1e-10)
         assert res.subdivisions > 1
 
+    def test_integrand_calls_per_panel(self):
+        # Each panel is evaluated once by the 16-node and once by the 8-node rule.
+        calls = []
+
+        def one(x):
+            calls.append(len(x))
+            return np.ones_like(x)
+
+        res = quadrature.integrate(one, 0.0, 1.0)
+        assert res.subdivisions == 1
+        assert calls == [16, 8]
+
+        calls.clear()
+        res = quadrature.integrate(lambda t: one(t) / (1e-4 + t * t), -1, 1)
+        assert res.subdivisions > 1
+        assert len(calls) == 2 * (2 * res.subdivisions - 1)
+
     def test_rejects_bad_bounds_and_tols(self):
         with pytest.raises(ValueError):
             quadrature.integrate(np.sin, 1.0, 0.0)

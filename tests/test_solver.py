@@ -194,6 +194,39 @@ class TestDiagnostics:
         assert 1.0 <= res.gram_condition < 1e14
 
 
+class TestPrincipalMode:
+    @pytest.mark.parametrize("problem", list(PROBLEMS))
+    @pytest.mark.parametrize("a, d, fallback", [(0.5, 0.3, False), (0.2, 0.7, True)])
+    def test_principal_and_its_residual(self, problem, a, d, fallback):
+        cfg = ShellConfig(2, a, d)
+        solve, principal, _ = PROBLEMS[problem]
+        if fallback:
+            res = solver.solve_with_order_fallback(cfg, N=24, m=512, problem=problem)
+        else:
+            res = solve(cfg, N=24, m=512)
+        assert type(res.principal) is float
+        assert res.principal == principal(res)
+        assert res.principal == res.eigenvalues[res.mode]
+        assert res.mode == (1 if problem == "steklov" else 0)
+        assert res.residual == solver.boundary_residual(res, cfg, res.mode)
+
+    def test_eigenvalue_at_the_tolerance_is_not_principal(self, monkeypatch):
+        # The solve and first_nonzero() share one rule: strictly above ZERO_MODE_TOL.
+        eigh = scipy.linalg.eigh
+
+        def tied(K, M):
+            vals, vecs = eigh(K, M)
+            vals[1] = solver.ZERO_MODE_TOL
+            return vals, vecs
+
+        monkeypatch.setattr(scipy.linalg, "eigh", tied)
+        cfg = ShellConfig(2, 0.5, 0.3)
+        res = solver.solve_steklov(cfg, N=8, m=128)
+        assert res.mode == 2
+        assert res.principal == res.first_nonzero() == res.eigenvalues[2]
+        assert res.residual == solver.boundary_residual(res, cfg, 2)
+
+
 def _blas_paths() -> list:
     """Paths of the loaded OpenBLAS libraries, found without the solver's help."""
     try:
