@@ -8,7 +8,8 @@ output, so the manifest carries no wall-clock fields; the human-readable
 table format shows the timestamp instead.
 
 Exit codes: 0 success, 1 internal error or failed verification, 2 usage or
-validation error, 3 numerical failure (ill-conditioning, non-convergence).
+validation error, 3 numerical failure (ill-conditioning, non-convergence,
+floating-point overflow).
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import numpy as np
 from . import __version__, rayleigh, shell_spectrum, solver, verify
 from .errors import IllConditionedError, NonConvergenceError
 from .geometry import ShellConfig
+from .quadrature import QUAD_TOL
 
 
 def _fmt(x: float) -> str:
@@ -108,8 +110,8 @@ def _render(args, manifest, columns, rows, footer=()) -> list[str]:
     return _table_rows(manifest.table_header(), columns, rows, footer)
 
 
-def _tolerances(args) -> dict:
-    return {"quad_abs": args.tol, "quad_rel": args.tol}
+def _tolerances(tol: float = QUAD_TOL) -> dict:
+    return {"quad_abs": tol, "quad_rel": tol}
 
 
 # ----------------------------------------------------------------------
@@ -119,7 +121,7 @@ def _tolerances(args) -> dict:
 def cmd_spectrum(args) -> int:
     entries = shell_spectrum.spectrum(args.dim, args.a, args.kmax)
     manifest = RunManifest.create(
-        "spectrum", {"dim": args.dim, "a": args.a, "kmax": args.kmax}, _tolerances(args)
+        "spectrum", {"dim": args.dim, "a": args.a, "kmax": args.kmax}, _tolerances()
     )
     rows = [(e.value, e.k, e.branch, e.multiplicity) for e in entries]
     complete = shell_spectrum.spectrum_complete_below(args.dim, args.a, args.kmax)
@@ -133,7 +135,7 @@ def cmd_bound(args) -> int:
     manifest = RunManifest.create(
         "bound",
         {"dim": args.dim, "a": args.a, "d": args.d, "problem": args.problem},
-        _tolerances(args),
+        _tolerances(args.tol),
     )
     if args.problem == "steklov":
         b = rayleigh.steklov_bound(cfg, tol=args.tol)
@@ -173,17 +175,9 @@ def cmd_bound(args) -> int:
 
 def cmd_solve(args) -> int:
     cfg = ShellConfig(2, args.a, args.d)
-    manifest = RunManifest.create(
-        "solve",
-        {
-            "a": args.a,
-            "d": args.d,
-            "order": args.order,
-            "points": args.points,
-            "problem": args.problem,
-        },
-        _tolerances(args),
-    )
+    params = {"a": args.a, "d": args.d, "order": args.order, "points": args.points,
+              "problem": args.problem}
+    manifest = RunManifest.create("solve", params, _tolerances())
     if args.problem == "steklov":
         solve, label = solver.solve_steklov, "sigma1"
     else:
@@ -237,7 +231,7 @@ def cmd_sweep(args) -> int:
         rows = [(e, shell_spectrum.scale_invariant(args.dim, e)) for e in eps_grid]
         eps_star, value = shell_spectrum.optimal_eps(args.dim)
         params["eps_steps"] = args.eps_steps
-        manifest = RunManifest.create("sweep", params, _tolerances(args))
+        manifest = RunManifest.create("sweep", params, _tolerances(args.tol))
         footer = [f"# eps_star={_fmt(eps_star)}", f"# value_at_eps_star={_fmt(value)}"]
         _emit(_render(args, manifest, ["eps", "normalized_value"], rows, footer), args.out)
         return 0
@@ -264,7 +258,7 @@ def cmd_sweep(args) -> int:
         columns = ["d", "bound", "solver_value", "closed_form"]
     else:
         columns = ["d", "bound", "closed_form"]
-    manifest = RunManifest.create("sweep", params, _tolerances(args))
+    manifest = RunManifest.create("sweep", params, _tolerances(args.tol))
     _emit(_render(args, manifest, columns, rows), args.out)
     return 0
 
@@ -280,14 +274,20 @@ def cmd_verify(args) -> int:
 # ----------------------------------------------------------------------
 
 
+def _option(*flags, **kwargs) -> argparse.ArgumentParser:
+    """A parent parser holding one option, for the subcommands that read it."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(*flags, **kwargs)
+    return parent
+
+
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("table", "csv"), default="table")
-    common.add_argument("--out", metavar="PATH", default=None)
-    common.add_argument("--jobs", type=int, default=0, metavar="K",
-                        help="worker processes for offset sweeps (0 = all cores)")
-    common.add_argument("--tol", type=float, default=rayleigh.QUAD_TOL,
-                        help="quadrature tolerance per integral")
+    fmt = _option("--format", choices=("table", "csv"), default="table")
+    out = _option("--out", metavar="PATH", default=None)
+    jobs = _option("--jobs", type=int, default=0, metavar="K",
+                   help="worker processes for offset sweeps (0 = all cores)")
+    tol = _option("--tol", type=float, default=QUAD_TOL,
+                  help="quadrature tolerance per integral")
 
     parser = argparse.ArgumentParser(
         prog="steklov-shell",
@@ -296,14 +296,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("spectrum", parents=[common],
+    p = sub.add_parser("spectrum", parents=[fmt, out],
                        help="exact concentric-shell spectrum")
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--a", type=float, required=True)
     p.add_argument("--kmax", type=int, default=shell_spectrum.DEFAULT_K_MAX)
     p.set_defaults(func=cmd_spectrum)
 
-    p = sub.add_parser("bound", parents=[common],
+    p = sub.add_parser("bound", parents=[fmt, out, tol],
                        help="Rayleigh upper bound with its full breakdown")
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--a", type=float, required=True)
@@ -311,16 +311,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--problem", choices=("steklov", "dirichlet-steklov"), default="steklov")
     p.set_defaults(func=cmd_bound)
 
-    p = sub.add_parser("solve", parents=[common],
+    p = sub.add_parser("solve", parents=[fmt, out],
                        help="planar boundary-Galerkin eigensolver")
     p.add_argument("--a", type=float, required=True)
     p.add_argument("--d", type=float, required=True)
-    p.add_argument("--order", type=int, default=24)
-    p.add_argument("--points", type=int, default=512)
+    p.add_argument("--order", type=int, default=solver.DEFAULT_ORDER)
+    p.add_argument("--points", type=int, default=solver.DEFAULT_POINTS)
     p.add_argument("--problem", choices=("steklov", "dirichlet-steklov"), default="steklov")
     p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("sweep", parents=[common],
+    p = sub.add_parser("sweep", parents=[fmt, out, jobs, tol],
                        help="offset or hole-ratio sweeps to CSV")
     p.add_argument("--problem", choices=("steklov", "dirichlet-steklov", "ratio"),
                    required=True)
@@ -331,11 +331,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps-steps", type=int, default=200)
     p.add_argument("--no-solver", action="store_true",
                    help="skip the planar eigensolver column")
-    p.add_argument("--order", type=int, default=24)
-    p.add_argument("--points", type=int, default=512)
+    p.add_argument("--order", type=int, default=solver.DEFAULT_ORDER)
+    p.add_argument("--points", type=int, default=solver.DEFAULT_POINTS)
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("verify", parents=[common],
+    p = sub.add_parser("verify", parents=[out],
                        help="run the named invariant suite")
     p.add_argument("--level", choices=("fast", "full"), default="fast")
     p.add_argument("--inject-fault", choices=verify.FAULTS, default=None,
@@ -350,15 +350,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if not 0.0 < args.tol < math.inf:
+        if "tol" in args and not 0.0 < args.tol < math.inf:
             raise ValueError("--tol must be positive and finite")
-        if args.jobs < 0:
+        if "jobs" in args and args.jobs < 0:
             raise ValueError("--jobs must be 0 (all cores) or a positive count")
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (IllConditionedError, NonConvergenceError) as exc:
+    except (IllConditionedError, NonConvergenceError, OverflowError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except Exception as exc:  # pragma: no cover - defensive

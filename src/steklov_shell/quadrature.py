@@ -2,9 +2,11 @@
 
 One fixed high-order rule (16 nodes) is compared against an embedded
 lower-order evaluation (8 nodes) on every interval; intervals whose
-discrepancy exceeds their share of the tolerance are bisected.  All
-integrands here are analytic on the integration interval, so convergence is
-fast and the error estimate is sharply conservative.
+discrepancy exceeds their share of the tolerance are bisected.  One
+tolerance, ``tol`` (``QUAD_TOL`` by default), is both the absolute and the
+relative tolerance.  All integrands here are analytic on the integration
+interval, so convergence is fast and the error estimate is sharply
+conservative.
 
 Integrands must accept a numpy array of abscissae and return an array of
 values (scalar-only callables can be wrapped with ``np.vectorize``).
@@ -22,9 +24,7 @@ from scipy.special import roots_legendre
 from .errors import NonConvergenceError
 
 MAX_INTERVALS = 2**16
-
-DEFAULT_ABS_TOL = 1e-12
-DEFAULT_REL_TOL = 1e-12
+QUAD_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -62,39 +62,33 @@ def gauss_legendre_rule(order: int) -> QuadratureRule:
     return QuadratureRule(order=order, nodes=tuple(x), weights=tuple(w))
 
 
-def integrate(
-    f,
-    lo: float,
-    hi: float,
-    abs_tol: float = DEFAULT_ABS_TOL,
-    rel_tol: float = DEFAULT_REL_TOL,
-    order: int = 16,
-) -> QuadResult:
+def integrate(f, lo: float, hi: float, tol: float = QUAD_TOL) -> QuadResult:
     """Adaptive bisection integral of f over [lo, hi].
 
-    The accepted value satisfies |value - integral| <= max(abs_tol,
-    rel_tol*|value|) for integrands smooth on [lo, hi].  Deterministic:
-    identical inputs produce bit-identical results (intervals are processed
-    in a fixed order and summed left to right).
+    tol is both the absolute and the relative tolerance: the accepted value
+    satisfies |value - integral| <= max(tol, tol*|value|) for integrands
+    smooth on [lo, hi].  Deterministic: identical inputs produce
+    bit-identical results (intervals are processed in a fixed order and
+    summed left to right).
 
     Raises NonConvergenceError if more than 2^16 intervals are needed.
     """
     if hi < lo:
         raise ValueError("integration bounds must satisfy lo <= hi")
-    if not (0.0 < abs_tol < math.inf and 0.0 < rel_tol < math.inf):
-        raise ValueError("tolerances must be positive and finite")
+    if not 0.0 < tol < math.inf:
+        raise ValueError("tolerance must be positive and finite")
     if hi == lo:
         return QuadResult(0.0, 0.0, 0)
 
-    high = gauss_legendre_rule(order)
-    low = gauss_legendre_rule(order // 2)
+    high = gauss_legendre_rule(16)
+    low = gauss_legendre_rule(8)
     span = hi - lo
 
     # The high-order estimate of the whole interval, the first panel, seeds
     # the relative tolerance.  Each panel carries its high-order value on the
     # stack, so the integrand is evaluated once per rule per panel.
     whole = high.apply(f, lo, hi)
-    scale = max(abs_tol, rel_tol * abs(whole))
+    scale = max(tol, tol * abs(whole))
 
     stack = [(lo, hi, whole)]
     accepted: list[tuple[float, float, float]] = []  # (lo, value, err)

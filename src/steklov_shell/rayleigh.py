@@ -21,13 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import ShellConfig, arc_factor, phi_weight, psi_weight, radius
-from .quadrature import integrate
+from .quadrature import QUAD_TOL, integrate
 from .special import wallis
 from .shell_spectrum import mu_sigma
-
-# Absolute and relative tolerance of every 1D integral, unless a caller
-# passes its own as the ``tol`` keyword.
-QUAD_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -55,7 +51,7 @@ class RayleighBreakdown:
 
 
 def _quad(f, lo: float, hi: float, tol: float) -> float:
-    return integrate(f, lo, hi, abs_tol=tol, rel_tol=tol).value
+    return integrate(f, lo, hi, tol).value
 
 
 def steklov_angular_constant(n: int) -> float:

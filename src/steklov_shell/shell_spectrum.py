@@ -18,6 +18,7 @@ from .special import harmonic_dim, sphere_area
 BRANCHES = ("zero", "radial0", "lower", "upper")
 
 DEFAULT_K_MAX = 64
+OPTIMAL_EPS_TOL = 1e-10  # width of the final golden-section bracket
 
 
 @dataclass(frozen=True)
@@ -244,12 +245,12 @@ def scale_invariant(n: int, eps: float) -> float:
     return perim ** (1.0 / (n - 1)) * s1
 
 
-def optimal_eps(n: int, tol: float = 1e-10) -> tuple[float, float]:
+def optimal_eps(n: int) -> tuple[float, float]:
     """Maximize scale_invariant over (0, 1) by golden-section search.
 
     A coarse scan brackets the maximum first; the golden-section interval is
-    then shrunk below tol.  Raises NonConvergenceError if the scan does not
-    see the interior single-peak shape (rather than guessing).
+    then shrunk below OPTIMAL_EPS_TOL.  Raises NonConvergenceError if the
+    scan does not see the interior single-peak shape (rather than guessing).
     """
     if int(n) != n or n < 2:
         raise ValueError("dimension must be an integer >= 2")
@@ -268,7 +269,7 @@ def optimal_eps(n: int, tol: float = 1e-10) -> tuple[float, float]:
     x1 = hi - invphi * (hi - lo)
     x2 = lo + invphi * (hi - lo)
     f1, f2 = scale_invariant(n, x1), scale_invariant(n, x2)
-    while hi - lo > tol:
+    while hi - lo > OPTIMAL_EPS_TOL:
         if f1 < f2:
             lo, x1, f1 = x1, x2, f2
             x2 = lo + invphi * (hi - lo)

@@ -39,6 +39,11 @@ from .geometry import ShellConfig
 
 GRAM_CONDITION_CAP = 1e14
 ZERO_MODE_TOL = 1e-6
+DEFAULT_ORDER = 24  # basis order N of every solve
+DEFAULT_POINTS = 512  # trapezoid points m per circle
+MIN_ORDER = 4  # lowest basis order the fallback tries
+RESIDUAL_POINTS = 2048  # points per circle of the residual sample
+GROUP_RTOL = 1e-8  # relative gap below which eigenvalues form one group
 _MAPS = "/proc/self/maps"
 
 
@@ -131,14 +136,14 @@ class TrefftzBasis:
     kind "steklov": 1, log r, and r^(+-k) (cos, sin) for k = 1..max_order,
     4*max_order + 2 fields.  kind "dirichlet": the inner-trace-free
     combinations log(r/a) and r^k - a^(2k) r^-k (cos, sin), 2*max_order + 1
-    fields.  scales holds the per-field sup normalization.
+    fields.  scales (computed, not passed) holds the per-field sup normalization.
     """
 
     max_order: int
     a: float
     d: float
     kind: str
-    scales: np.ndarray = field(repr=False, default=None)
+    scales: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in ("steklov", "dirichlet"):
@@ -243,9 +248,9 @@ class TrefftzBasis:
         return out / self.scales
 
 
-def _first_above(values: np.ndarray, zero_tol: float) -> int:
-    """Index of the first (smallest) eigenvalue above zero_tol."""
-    above = np.flatnonzero(values > zero_tol)
+def _first_above(values: np.ndarray) -> int:
+    """Index of the first (smallest) eigenvalue above ZERO_MODE_TOL."""
+    above = np.flatnonzero(values > ZERO_MODE_TOL)
     if not above.size:
         raise NonConvergenceError("no eigenvalue above the zero-mode tolerance")
     return int(above[0])
@@ -271,9 +276,9 @@ class EigResult:
     basis: TrefftzBasis = field(repr=False, default=None)
     n_points: int = 0
 
-    def first_nonzero(self, zero_tol: float = ZERO_MODE_TOL) -> float:
-        """Smallest eigenvalue above zero_tol."""
-        return float(self.eigenvalues[_first_above(self.eigenvalues, zero_tol)])
+    def first_nonzero(self) -> float:
+        """Smallest eigenvalue above ZERO_MODE_TOL."""
+        return float(self.eigenvalues[_first_above(self.eigenvalues)])
 
 
 def boundary_points(cfg: ShellConfig, m: int):
@@ -355,7 +360,7 @@ def _solve(cfg: ShellConfig, N: int, m: int, kind: str) -> EigResult:
         vals, vecs = scipy.linalg.eigh(K, M)
     except scipy.linalg.LinAlgError as exc:
         raise NonConvergenceError("generalized eigenvalue iteration failed") from exc
-    mode = _first_above(vals, ZERO_MODE_TOL) if kind == "steklov" else 0
+    mode = _first_above(vals) if kind == "steklov" else 0
     return EigResult(
         eigenvalues=vals,
         coefficients=vecs,
@@ -377,7 +382,7 @@ def assemble_steklov(cfg: ShellConfig, N: int, m: int, symmetrize: bool = True):
     return _assemble(cfg, N, m, "steklov", symmetrize)[1:3]
 
 
-def solve_steklov(cfg: ShellConfig, N: int = 24, m: int = 512) -> EigResult:
+def solve_steklov(cfg: ShellConfig, N: int = DEFAULT_ORDER, m: int = DEFAULT_POINTS) -> EigResult:
     """Spectrum of the eccentric annulus with the spectral condition on both circles.
 
     The zero eigenvalue (constants) is present; the first eigenvalue above
@@ -386,7 +391,9 @@ def solve_steklov(cfg: ShellConfig, N: int = 24, m: int = 512) -> EigResult:
     return _solve(cfg, N, m, "steklov")
 
 
-def solve_dirichlet_steklov(cfg: ShellConfig, N: int = 24, m: int = 512) -> EigResult:
+def solve_dirichlet_steklov(
+    cfg: ShellConfig, N: int = DEFAULT_ORDER, m: int = DEFAULT_POINTS
+) -> EigResult:
     """Spectrum with zero trace on the inner circle, spectral condition outside.
 
     The basis combinations r^k - a^(2k) r^-k (and log(r/a) at order zero)
@@ -397,8 +404,8 @@ def solve_dirichlet_steklov(cfg: ShellConfig, N: int = 24, m: int = 512) -> EigR
 
 
 @_one_blas_thread()
-def _mode_residual(basis: TrefftzBasis, cfg: ShellConfig, sigma, coeff, n_sample: int = 2048):
-    pts, normals, _, is_outer = boundary_points(cfg, n_sample)
+def _mode_residual(basis: TrefftzBasis, cfg: ShellConfig, sigma, coeff):
+    pts, normals, _, is_outer = boundary_points(cfg, RESIDUAL_POINTS)
     u = basis.evaluate(pts) @ coeff
     dn = basis.normal_derivative(pts, normals) @ coeff
     sup = float(np.max(np.abs(u))) + 1e-30
@@ -410,10 +417,8 @@ def _mode_residual(basis: TrefftzBasis, cfg: ShellConfig, sigma, coeff, n_sample
     return float(np.max(defect)) / sup
 
 
-def boundary_residual(
-    result: EigResult, cfg: ShellConfig, mode: int, n_sample: int = 2048
-) -> float:
-    """Max pointwise spectral-condition defect of one mode on a dense sample.
+def boundary_residual(result: EigResult, cfg: ShellConfig, mode: int) -> float:
+    """Max pointwise spectral-condition defect of one mode, RESIDUAL_POINTS per circle.
 
     |du/dn - sigma u| over the spectral part of the boundary (both circles,
     or the outer circle only for the mixed problem, where the inner trace
@@ -421,19 +426,16 @@ def boundary_residual(
     """
     if not 0 <= mode < len(result.eigenvalues):
         raise ValueError("mode index out of range")
-    return _mode_residual(
-        result.basis, cfg, result.eigenvalues[mode], result.coefficients[:, mode], n_sample
-    )
+    return _mode_residual(result.basis, cfg, result.eigenvalues[mode], result.coefficients[:, mode])
 
 
 def solve_with_order_fallback(
     cfg: ShellConfig,
-    N: int = 24,
-    m: int = 512,
+    N: int = DEFAULT_ORDER,
+    m: int = DEFAULT_POINTS,
     problem: str = "steklov",
-    min_order: int = 4,
 ) -> EigResult:
-    """Solve, stepping the basis order down by 2 whenever conditioning fails.
+    """Solve, stepping the basis order down by 2, to MIN_ORDER, while conditioning fails.
 
     Large offsets shrink the feasible order (the mass matrix condition cap
     signals that); the first feasible order wins.  The order actually used is
@@ -443,21 +445,21 @@ def solve_with_order_fallback(
         raise ValueError("problem must be 'steklov' or 'dirichlet-steklov'")
     fn = solve_steklov if problem == "steklov" else solve_dirichlet_steklov
     last: IllConditionedError | None = None
-    for order in range(N, min_order - 1, -2):
+    for order in range(N, MIN_ORDER - 1, -2):
         try:
             return fn(cfg, N=order, m=max(m, 8 * order))
         except IllConditionedError as exc:
             last = exc
     raise IllConditionedError(
-        f"no basis order in [{min_order}, {N}] is well conditioned for this geometry"
+        f"no basis order in [{MIN_ORDER}, {N}] is well conditioned for this geometry"
     ) from last
 
 
-def group_eigenvalues(values, rtol: float = 1e-8) -> list[tuple[float, int]]:
+def group_eigenvalues(values) -> list[tuple[float, int]]:
     """Cluster an ascending eigenvalue list into (value, multiplicity) groups."""
     groups: list[list[float]] = []
     for v in values:
-        if groups and abs(v - groups[-1][-1]) <= rtol * max(1.0, abs(v)):
+        if groups and abs(v - groups[-1][-1]) <= GROUP_RTOL * max(1.0, abs(v)):
             groups[-1].append(v)
         else:
             groups.append([v])

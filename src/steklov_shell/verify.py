@@ -483,10 +483,10 @@ def energy_direct_2d(cfg: ShellConfig) -> float:
                     * (ca * (s * s * A * A + c * c * B * B) + cb * B * B)
                 )
 
-            out[i] = integrate(radial, a, R, abs_tol=1e-13, rel_tol=1e-13).value
+            out[i] = integrate(radial, a, R, tol=1e-13).value
         return out
 
-    return integrate(outer, 0.0, math.pi, abs_tol=1e-12, rel_tol=1e-12).value
+    return integrate(outer, 0.0, math.pi).value
 
 
 ENERGY_TRIPLES = [

@@ -1,9 +1,11 @@
 """Command-line interface: formats, exit codes, determinism."""
 
+import json
 import math
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -97,6 +99,17 @@ class TestBoundCommand:
         )
         assert code == 2
         assert "--tol" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["bound", "--dim", "2", "--a", "1e-300", "--d", "0.5"],
+        ["bound", "--dim", "2000", "--a", "0.5", "--d", "0.2"],
+    ], ids=["tiny_hole", "huge_dim"])
+    def test_overflow_is_a_numerical_failure(self, capsys, argv):
+        # a^(-n) in the w3 integrand overflows a float.
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert "numerical failure:" in err
 
 
 class TestSolveCommand:
@@ -321,6 +334,62 @@ class TestVerifyCommand:
             "FAIL ds_bound_strictly_decreasing measured=0 tolerance=0",
             "checks=2 failures=2",
         ]
+
+
+VALID_ARGV = {
+    "spectrum": ["spectrum", "--dim", "2", "--a", "0.5"],
+    "bound": ["bound", "--dim", "3", "--a", "0.4", "--d", "0.2"],
+    "solve": ["solve", "--a", "0.5", "--d", "0.3"],
+    "verify": ["verify", "--checks", "wallis"],
+}
+
+
+@pytest.mark.parametrize("command, option, value", [
+    ("spectrum", "--jobs", "1"),
+    ("spectrum", "--tol", "1e-3"),
+    ("bound", "--jobs", "1"),
+    ("solve", "--jobs", "1"),
+    ("solve", "--tol", "1e-3"),
+    ("verify", "--format", "csv"),
+    ("verify", "--jobs", "7"),
+    ("verify", "--tol", "1e-3"),
+])
+def test_options_a_subcommand_does_not_read_are_rejected(capsys, command, option, value):
+    # Each subcommand takes only the options it reads, so none is silently ignored.
+    with pytest.raises(SystemExit) as exc:
+        cli.main(VALID_ARGV[command] + [option, value])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert option in captured.err
+
+
+def test_benchmark_tracer_drives_the_cli():
+    # perfbench/run.py --trace 1 wraps the package's functions by name and runs
+    # the CLI through them; a rename or a changed signature breaks it here too.
+    root = Path(__file__).resolve().parents[1]
+    script = textwrap.dedent(f"""
+        import contextlib, io, json, sys
+        sys.path[:0] = [{str(root / "perfbench")!r}, {str(root / "src")!r}]
+        import tracer
+        from steklov_shell import cli
+
+        spans = tracer.Tracer()
+        spans.install()
+        with contextlib.redirect_stdout(io.StringIO()):
+            codes = [
+                cli.main(["sweep", "--problem", "steklov", "--dim", "2", "--a", "0.5",
+                          "--d-steps", "2", "--jobs", "1", "--format", "csv"]),
+                cli.main(["verify", "--checks", "solver_zero_mode"]),
+            ]
+        print(json.dumps({{"codes": codes, "solves": spans.metrics()["solver.solves"]}}))
+    """)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=300, cwd=root)
+    assert proc.returncode == 0, proc.stderr
+    record = json.loads(proc.stdout)
+    assert record["codes"] == [0, 0]
+    assert record["solves"] > 0
 
 
 def test_version_flag(capsys):

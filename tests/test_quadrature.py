@@ -100,9 +100,7 @@ class TestIntegrate:
             quadrature.integrate(np.sin, 1.0, 0.0)
         for tol in (0.0, math.inf, math.nan):
             with pytest.raises(ValueError):
-                quadrature.integrate(np.sin, 0.0, 1.0, abs_tol=tol)
-            with pytest.raises(ValueError):
-                quadrature.integrate(np.sin, 0.0, 1.0, rel_tol=tol)
+                quadrature.integrate(np.sin, 0.0, 1.0, tol=tol)
 
     def test_nonconvergence_on_unresolvable_oscillation(self):
         with pytest.raises(NonConvergenceError):

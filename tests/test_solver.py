@@ -193,6 +193,11 @@ class TestDiagnostics:
         res = solver.solve_steklov(ShellConfig(2, 0.5, 0.1), N=16, m=256)
         assert 1.0 <= res.gram_condition < 1e14
 
+    def test_basis_scales_are_not_a_constructor_argument(self):
+        # The sup normalization is computed from the other fields, never passed.
+        with pytest.raises(TypeError):
+            solver.TrefftzBasis(max_order=4, a=0.5, d=0.0, kind="steklov", scales=np.ones(18))
+
 
 class TestPrincipalMode:
     @pytest.mark.parametrize("problem", list(PROBLEMS))
