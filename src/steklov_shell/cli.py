@@ -27,7 +27,7 @@ import numpy as np
 from . import __version__, rayleigh, shell_spectrum, solver, verify
 from .errors import IllConditionedError, NonConvergenceError
 from .geometry import ShellConfig
-from .quadrature import QUAD_TOL
+from .quadrature import MIN_TOL, QUAD_TOL
 
 
 def _fmt(x: float) -> str:
@@ -225,13 +225,15 @@ def cmd_sweep(args) -> int:
     params = {"dim": args.dim, "problem": args.problem}
 
     if args.problem == "ratio":
+        if args.tol != QUAD_TOL:
+            raise ValueError("--tol does not apply: the ratio sweep integrates nothing")
         if args.eps_steps < 1:
             raise ValueError("eps sweep needs at least one grid point")
         eps_grid = np.linspace(0.0, 0.99, args.eps_steps).tolist()
         rows = [(e, shell_spectrum.scale_invariant(args.dim, e)) for e in eps_grid]
         eps_star, value = shell_spectrum.optimal_eps(args.dim)
         params["eps_steps"] = args.eps_steps
-        manifest = RunManifest.create("sweep", params, _tolerances(args.tol))
+        manifest = RunManifest.create("sweep", params, _tolerances())
         footer = [f"# eps_star={_fmt(eps_star)}", f"# value_at_eps_star={_fmt(value)}"]
         _emit(_render(args, manifest, ["eps", "normalized_value"], rows, footer), args.out)
         return 0
@@ -350,8 +352,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if "tol" in args and not 0.0 < args.tol < math.inf:
-            raise ValueError("--tol must be positive and finite")
+        if "tol" in args and not MIN_TOL <= args.tol < math.inf:
+            raise ValueError(f"--tol must be finite and at least machine epsilon {MIN_TOL:.17g}")
         if "jobs" in args and args.jobs < 0:
             raise ValueError("--jobs must be 0 (all cores) or a positive count")
         return args.func(args)

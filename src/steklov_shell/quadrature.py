@@ -25,6 +25,7 @@ from .errors import NonConvergenceError
 
 MAX_INTERVALS = 2**16
 QUAD_TOL = 1e-12
+MIN_TOL = float(np.finfo(float).eps)  # double precision meets no smaller tolerance
 
 
 @dataclass(frozen=True)
@@ -71,12 +72,13 @@ def integrate(f, lo: float, hi: float, tol: float = QUAD_TOL) -> QuadResult:
     bit-identical results (intervals are processed in a fixed order and
     summed left to right).
 
-    Raises NonConvergenceError if more than 2^16 intervals are needed.
+    Raises ValueError for tol below MIN_TOL, machine epsilon, and
+    NonConvergenceError if more than 2^16 intervals are needed.
     """
     if hi < lo:
         raise ValueError("integration bounds must satisfy lo <= hi")
-    if not 0.0 < tol < math.inf:
-        raise ValueError("tolerance must be positive and finite")
+    if not MIN_TOL <= tol < math.inf:
+        raise ValueError(f"tolerance must be finite and at least machine epsilon {MIN_TOL:.17g}")
     if hi == lo:
         return QuadResult(0.0, 0.0, 0)
 

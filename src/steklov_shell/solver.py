@@ -260,38 +260,44 @@ def _first_above(values: np.ndarray) -> int:
 class EigResult:
     """Solver output: ascending eigenvalues, basis weights, diagnostics.
 
-    mode is the index of the principal mode and principal its eigenvalue:
-    sigma_1, the first eigenvalue above ZERO_MODE_TOL, for the Steklov problem
-    (the zero mode of the constants comes first), and tau_1, the first
-    eigenvalue, for the mixed problem.  residual is the normalized max
-    pointwise boundary-condition defect of that mode.
+    mode is the index of the principal mode: sigma_1, the first eigenvalue
+    above ZERO_MODE_TOL, for the Steklov problem (the zero mode of the
+    constants comes first), and tau_1, the first eigenvalue, for the mixed
+    problem.  principal and residual are computed when read, from the fields.
     """
 
     eigenvalues: np.ndarray
     coefficients: np.ndarray
     gram_condition: float
-    residual: float
     mode: int
-    principal: float
-    basis: TrefftzBasis = field(repr=False, default=None)
-    n_points: int = 0
+    basis: TrefftzBasis = field(repr=False)
 
-    def first_nonzero(self) -> float:
-        """Smallest eigenvalue above ZERO_MODE_TOL."""
-        return float(self.eigenvalues[_first_above(self.eigenvalues)])
+    @property
+    def principal(self) -> float:
+        """Eigenvalue of the principal mode."""
+        return float(self.eigenvalues[self.mode])
+
+    @property
+    def residual(self) -> float:
+        """boundary_residual of the principal mode."""
+        return boundary_residual(self, self.mode)
 
 
-def boundary_points(cfg: ShellConfig, m: int):
-    """Trapezoid sample of both boundary circles: (pts, normals, weights, is_outer)."""
+def boundary_points(geom: ShellConfig | TrefftzBasis, m: int):
+    """Trapezoid sample of both boundary circles: (pts, normals, weights, is_outer).
+
+    The circles are placed by geom's a and d, read from the configuration of
+    a solve or from the basis of its result.
+    """
     t = 2.0 * math.pi * np.arange(m) / m
-    outer_pts = np.column_stack((cfg.d + np.cos(t), np.sin(t)))
+    outer_pts = np.column_stack((geom.d + np.cos(t), np.sin(t)))
     outer_nrm = np.column_stack((np.cos(t), np.sin(t)))
-    inner_pts = cfg.a * np.column_stack((np.cos(t), np.sin(t)))
+    inner_pts = geom.a * np.column_stack((np.cos(t), np.sin(t)))
     inner_nrm = -np.column_stack((np.cos(t), np.sin(t)))
     pts = np.vstack((outer_pts, inner_pts))
     normals = np.vstack((outer_nrm, inner_nrm))
     weights = np.concatenate(
-        (np.full(m, 2.0 * math.pi / m), np.full(m, 2.0 * math.pi * cfg.a / m))
+        (np.full(m, 2.0 * math.pi / m), np.full(m, 2.0 * math.pi * geom.a / m))
     )
     is_outer = np.concatenate((np.ones(m, dtype=bool), np.zeros(m, dtype=bool)))
     return pts, normals, weights, is_outer
@@ -352,8 +358,8 @@ def _assemble(cfg: ShellConfig, N: int, m: int, kind: str, symmetrize: bool = Tr
 def _solve(cfg: ShellConfig, N: int, m: int, kind: str) -> EigResult:
     """Solve K c = sigma M c by Cholesky reduction of M (LAPACK), with diagnostics.
 
-    The principal mode, whose residual is reported, is the first nonzero one
-    for kind "steklov" and the first one for kind "dirichlet".
+    The principal mode is the first nonzero one for kind "steklov" and the
+    first one for kind "dirichlet".
     """
     basis, K, M, cond = _assemble(cfg, N, m, kind)
     try:
@@ -361,16 +367,7 @@ def _solve(cfg: ShellConfig, N: int, m: int, kind: str) -> EigResult:
     except scipy.linalg.LinAlgError as exc:
         raise NonConvergenceError("generalized eigenvalue iteration failed") from exc
     mode = _first_above(vals) if kind == "steklov" else 0
-    return EigResult(
-        eigenvalues=vals,
-        coefficients=vecs,
-        gram_condition=cond,
-        residual=_mode_residual(basis, cfg, vals[mode], vecs[:, mode]),
-        mode=mode,
-        principal=float(vals[mode]),
-        basis=basis,
-        n_points=m,
-    )
+    return EigResult(eigenvalues=vals, coefficients=vecs, gram_condition=cond, mode=mode, basis=basis)
 
 
 def assemble_steklov(cfg: ShellConfig, N: int, m: int, symmetrize: bool = True):
@@ -404,8 +401,18 @@ def solve_dirichlet_steklov(
 
 
 @_one_blas_thread()
-def _mode_residual(basis: TrefftzBasis, cfg: ShellConfig, sigma, coeff):
-    pts, normals, _, is_outer = boundary_points(cfg, RESIDUAL_POINTS)
+def boundary_residual(result: EigResult, mode: int) -> float:
+    """Max pointwise spectral-condition defect of one mode, RESIDUAL_POINTS per circle.
+
+    |du/dn - sigma u| over the spectral part of the boundary (both circles,
+    or the outer circle only for the mixed problem, where the inner trace
+    defect |u| is folded in), normalized by the boundary sup of |u|.  The
+    circles are those of the result's basis.
+    """
+    if not 0 <= mode < len(result.eigenvalues):
+        raise ValueError("mode index out of range")
+    basis, sigma, coeff = result.basis, result.eigenvalues[mode], result.coefficients[:, mode]
+    pts, normals, _, is_outer = boundary_points(basis, RESIDUAL_POINTS)
     u = basis.evaluate(pts) @ coeff
     dn = basis.normal_derivative(pts, normals) @ coeff
     sup = float(np.max(np.abs(u))) + 1e-30
@@ -415,18 +422,6 @@ def _mode_residual(basis: TrefftzBasis, cfg: ShellConfig, sigma, coeff):
         defect = np.abs(dn[is_outer] - sigma * u[is_outer])
         defect = np.concatenate((defect, np.abs(u[~is_outer])))
     return float(np.max(defect)) / sup
-
-
-def boundary_residual(result: EigResult, cfg: ShellConfig, mode: int) -> float:
-    """Max pointwise spectral-condition defect of one mode, RESIDUAL_POINTS per circle.
-
-    |du/dn - sigma u| over the spectral part of the boundary (both circles,
-    or the outer circle only for the mixed problem, where the inner trace
-    defect |u| is folded in), normalized by the boundary sup of |u|.
-    """
-    if not 0 <= mode < len(result.eigenvalues):
-        raise ValueError("mode index out of range")
-    return _mode_residual(result.basis, cfg, result.eigenvalues[mode], result.coefficients[:, mode])
 
 
 def solve_with_order_fallback(
@@ -439,7 +434,8 @@ def solve_with_order_fallback(
 
     Large offsets shrink the feasible order (the mass matrix condition cap
     signals that); the first feasible order wins.  The order actually used is
-    recorded on the result's basis.
+    recorded on the result's basis.  Every order is solved on the same m
+    points, so m below 8N raises ValueError as a direct solve does.
     """
     if problem not in ("steklov", "dirichlet-steklov"):
         raise ValueError("problem must be 'steklov' or 'dirichlet-steklov'")
@@ -447,7 +443,7 @@ def solve_with_order_fallback(
     last: IllConditionedError | None = None
     for order in range(N, MIN_ORDER - 1, -2):
         try:
-            return fn(cfg, N=order, m=max(m, 8 * order))
+            return fn(cfg, N=order, m=m)
         except IllConditionedError as exc:
             last = exc
     raise IllConditionedError(

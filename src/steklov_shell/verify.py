@@ -367,67 +367,57 @@ def _w2_faulty(cfg: ShellConfig) -> float:
     )
 
 
-def check_w2_vanishes(inject_fault: str | None = None) -> CheckResult:
-    w2 = _w2_faulty if inject_fault == "w2-sign" else rayleigh.w2
+def _vanishes(name: str, integral) -> CheckResult:
     worst = 0.0
     for n, a in RAYLEIGH_GRID:
         for d in _d_grid(a):
-            worst = max(worst, abs(w2(ShellConfig(n, a, float(d)))))
-    return _worst("w2_vanishes", 1e-10, worst)
+            worst = max(worst, abs(integral(ShellConfig(n, a, float(d)))))
+    return _worst(name, 1e-10, worst)
+
+
+def _translation_invariant(name: str, integral) -> CheckResult:
+    worst = 0.0
+    for n, a in RAYLEIGH_GRID:
+        base = integral(ShellConfig(n, a, 0.0))
+        for d in _d_grid(a):
+            worst = max(worst, abs(integral(ShellConfig(n, a, float(d))) - base))
+    return _worst(name, 1e-10, worst)
+
+
+def _strictly_increasing(name: str, integral) -> CheckResult:
+    worst = math.inf
+    for n, a in RAYLEIGH_GRID:
+        ds = _d_grid(a)
+        inc = np.diff([integral(ShellConfig(n, a, float(d))) for d in ds])
+        if inc.min() <= 0:
+            return _worst(name, 1e-8, -1.0, larger_fails=False)
+        late = inc[ds[1:] > 0.1 * (1.0 - a)]
+        worst = min(worst, float(late.min()))
+    return _worst(name, 1e-8, worst, larger_fails=False)
+
+
+def check_w2_vanishes(inject_fault: str | None = None) -> CheckResult:
+    return _vanishes("w2_vanishes", _w2_faulty if inject_fault == "w2-sign" else rayleigh.w2)
 
 
 def check_v2_vanishes() -> CheckResult:
-    worst = 0.0
-    for n, a in RAYLEIGH_GRID:
-        for d in _d_grid(a):
-            worst = max(worst, abs(rayleigh.v2(ShellConfig(n, a, float(d)))))
-    return _worst("v2_vanishes", 1e-10, worst)
+    return _vanishes("v2_vanishes", rayleigh.v2)
 
 
 def check_w1_translation_invariant() -> CheckResult:
-    worst = 0.0
-    for n, a in RAYLEIGH_GRID:
-        base = rayleigh.w1(ShellConfig(n, a, 0.0))
-        for d in _d_grid(a):
-            worst = max(worst, abs(rayleigh.w1(ShellConfig(n, a, float(d))) - base))
-    return _worst("w1_translation_invariant", 1e-10, worst)
+    return _translation_invariant("w1_translation_invariant", rayleigh.w1)
 
 
 def check_v1_translation_invariant() -> CheckResult:
-    worst = 0.0
-    for n, a in RAYLEIGH_GRID:
-        base = rayleigh.v1(ShellConfig(n, a, 0.0))
-        for d in _d_grid(a):
-            worst = max(worst, abs(rayleigh.v1(ShellConfig(n, a, float(d))) - base))
-    return _worst("v1_translation_invariant", 1e-10, worst)
-
-
-def _monotone_increments(fn, n: int, a: float):
-    ds = _d_grid(a)
-    vals = [fn(ShellConfig(n, a, float(d))) for d in ds]
-    return ds, np.diff(vals)
+    return _translation_invariant("v1_translation_invariant", rayleigh.v1)
 
 
 def check_w3_strictly_increasing() -> CheckResult:
-    worst = math.inf
-    for n, a in RAYLEIGH_GRID:
-        ds, inc = _monotone_increments(rayleigh.w3, n, a)
-        if inc.min() <= 0:
-            return _worst("w3_strictly_increasing", 1e-8, -1.0, larger_fails=False)
-        late = inc[ds[1:] > 0.1 * (1.0 - a)]
-        worst = min(worst, float(late.min()))
-    return _worst("w3_strictly_increasing", 1e-8, worst, larger_fails=False)
+    return _strictly_increasing("w3_strictly_increasing", rayleigh.w3)
 
 
 def check_v3_strictly_increasing() -> CheckResult:
-    worst = math.inf
-    for n, a in RAYLEIGH_GRID:
-        ds, inc = _monotone_increments(rayleigh.v3, n, a)
-        if inc.min() <= 0:
-            return _worst("v3_strictly_increasing", 1e-8, -1.0, larger_fails=False)
-        late = inc[ds[1:] > 0.1 * (1.0 - a)]
-        worst = min(worst, float(late.min()))
-    return _worst("v3_strictly_increasing", 1e-8, worst, larger_fails=False)
+    return _strictly_increasing("v3_strictly_increasing", rayleigh.v3)
 
 
 def check_comparator_sandwich() -> CheckResult:
@@ -583,11 +573,8 @@ def check_planar_log_integral_zero() -> CheckResult:
 def _solver_concentric(name: str, problem: str) -> CheckResult:
     worst = 0.0
     for a in SOLVER_RADII:
-        cfg = ShellConfig(2, a, 0.0)
-        if problem == "steklov":
-            res = solver.solve_steklov(cfg, N=24, m=512)
-        else:
-            res = solver.solve_dirichlet_steklov(cfg, N=24, m=512)
+        solve = solver.solve_steklov if problem == "steklov" else solver.solve_dirichlet_steklov
+        res = solve(ShellConfig(2, a, 0.0))
         worst = max(worst, abs(res.principal - _closed_form(problem, 2, a)))
     return _worst(name, 1e-8, worst)
 
@@ -599,7 +586,7 @@ def check_solver_concentric_oracle() -> CheckResult:
 def check_solver_spectrum_below_delta0() -> CheckResult:
     worst = 0.0
     for a in SOLVER_RADII:
-        res = solver.solve_steklov(ShellConfig(2, a, 0.0), N=24, m=512)
+        res = solver.solve_steklov(ShellConfig(2, a, 0.0))
         d0 = shell_spectrum.delta0(2, a)
         exact = [e for e in shell_spectrum.spectrum(2, a, 24) if e.value < d0 - 1e-9]
         got = [v for v in res.eigenvalues if v < d0 - 1e-9]
@@ -616,7 +603,7 @@ def check_solver_spectrum_below_delta0() -> CheckResult:
 def check_solver_first_mode_double() -> CheckResult:
     worst = 0.0
     for a in SOLVER_RADII:
-        res = solver.solve_steklov(ShellConfig(2, a, 0.0), N=24, m=512)
+        res = solver.solve_steklov(ShellConfig(2, a, 0.0))
         vals = res.eigenvalues
         first = res.principal
         close = [v for v in vals if abs(v - first) <= 1e-8 * max(1.0, abs(first))]
@@ -627,7 +614,7 @@ def check_solver_first_mode_double() -> CheckResult:
 def check_solver_zero_mode() -> CheckResult:
     worst = 0.0
     for a in SOLVER_RADII:
-        res = solver.solve_steklov(ShellConfig(2, a, 0.0), N=24, m=512)
+        res = solver.solve_steklov(ShellConfig(2, a, 0.0))
         worst = max(worst, abs(float(res.eigenvalues[0])))
     return _worst("solver_zero_mode", 1e-9, worst)
 
@@ -677,7 +664,7 @@ def check_tau_below_ds_bound() -> CheckResult:
 
 
 def check_solver_residual_moderate_offset() -> CheckResult:
-    res = solver.solve_steklov(ShellConfig(2, 0.5, 0.3), N=24, m=512)
+    res = solver.solve_steklov(ShellConfig(2, 0.5, 0.3))
     return _worst("solver_residual_moderate_offset", 1e-6, res.residual)
 
 

@@ -92,8 +92,10 @@ class TestBoundCommand:
             assert code == 0
             assert rayleigh.steklov_bound(cfg).bound == before
 
-    @pytest.mark.parametrize("tol", ["0", "inf", "nan"])
+    @pytest.mark.parametrize("tol", ["0", "inf", "nan", "1e-16"])
     def test_tolerance_must_be_positive_and_finite(self, capsys, tol):
+        # Below machine epsilon no quadrature can meet the tolerance, so it is
+        # refused before the first integral instead of bisecting to the cap.
         code, _, err = run_cli(
             capsys, "bound", "--dim", "3", "--a", "0.4", "--d", "0.3", "--tol", tol
         )
@@ -270,6 +272,16 @@ class TestSweepCommand:
         rows = [l for l in out.splitlines() if not l.startswith("#")][1:]
         assert len(rows) == 200
 
+    def test_ratio_sweep_rejects_tol(self, capsys):
+        # The ratio sweep integrates nothing, so it reads no --tol.
+        code, out, err = run_cli(
+            capsys, "sweep", "--problem", "ratio", "--dim", "3", "--eps-steps", "2",
+            "--tol", "1e-3", "--format", "csv",
+        )
+        assert code == 2
+        assert out == ""
+        assert "--tol" in err
+
     def test_negative_jobs_rejected(self, capsys):
         code, out, err = run_cli(
             capsys, "sweep", "--problem", "steklov", "--dim", "4", "--a", "0.3",
@@ -382,14 +394,23 @@ def test_benchmark_tracer_drives_the_cli():
                           "--d-steps", "2", "--jobs", "1", "--format", "csv"]),
                 cli.main(["verify", "--checks", "solver_zero_mode"]),
             ]
-        print(json.dumps({{"codes": codes, "solves": spans.metrics()["solver.solves"]}}))
+            before_solve = spans.metrics()["solver.boundary_residual.s"]
+            codes.append(cli.main(["solve", "--a", "0.5", "--d", "0.3", "--format", "csv"]))
+        metrics = spans.metrics()
+        print(json.dumps({{"codes": codes, "solves": metrics["solver.solves"],
+                          "residual_s": [before_solve, metrics["solver.boundary_residual.s"]]}}))
     """)
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           timeout=300, cwd=root)
     assert proc.returncode == 0, proc.stderr
     record = json.loads(proc.stdout)
-    assert record["codes"] == [0, 0]
+    assert record["codes"] == [0, 0, 0]
     assert record["solves"] > 0
+    # Sweeps and checks that never read a residual do not pay for one; the
+    # residual that solve prints is timed under the tracer's residual span.
+    before_solve, after_solve = record["residual_s"]
+    assert before_solve == 0
+    assert after_solve > 0
 
 
 def test_version_flag(capsys):

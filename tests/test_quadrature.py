@@ -98,7 +98,7 @@ class TestIntegrate:
     def test_rejects_bad_bounds_and_tols(self):
         with pytest.raises(ValueError):
             quadrature.integrate(np.sin, 1.0, 0.0)
-        for tol in (0.0, math.inf, math.nan):
+        for tol in (0.0, math.inf, math.nan, 1e-17):
             with pytest.raises(ValueError):
                 quadrature.integrate(np.sin, 0.0, 1.0, tol=tol)
 

@@ -1,6 +1,7 @@
 """Planar boundary-Galerkin eigensolver."""
 
 import ctypes
+import dataclasses
 import math
 import os
 from types import SimpleNamespace
@@ -9,14 +10,19 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from steklov_shell import rayleigh, solver
+from steklov_shell import cli, rayleigh, solver
 from steklov_shell import shell_spectrum as sp
 from steklov_shell.errors import IllConditionedError
 from steklov_shell.geometry import ShellConfig
 
+def _first_above_zero_mode_tol(res) -> float:
+    """The first eigenvalue above ZERO_MODE_TOL, found without the solver's help."""
+    return float(next(v for v in res.eigenvalues if v > solver.ZERO_MODE_TOL))
+
+
 # problem -> (direct solve, principal eigenvalue of its result, concentric value)
 PROBLEMS = {
-    "steklov": (solver.solve_steklov, lambda res: res.first_nonzero(), sp.sigma1_closed_form),
+    "steklov": (solver.solve_steklov, _first_above_zero_mode_tol, sp.sigma1_closed_form),
     "dirichlet-steklov": (
         solver.solve_dirichlet_steklov,
         lambda res: float(res.eigenvalues[0]),
@@ -62,7 +68,7 @@ class TestSteklovSolve:
     @pytest.mark.parametrize("a", [0.2, 0.5, 0.8])
     def test_concentric_matches_closed_form(self, a):
         res = solver.solve_steklov(ShellConfig(2, a, 0.0), N=24, m=512)
-        assert res.first_nonzero() == pytest.approx(sp.sigma1_closed_form(2, a), abs=1e-8)
+        assert res.principal == pytest.approx(sp.sigma1_closed_form(2, a), abs=1e-8)
 
     def test_zero_mode_present(self):
         res = solver.solve_steklov(ShellConfig(2, 0.5, 0.0), N=24, m=512)
@@ -70,7 +76,7 @@ class TestSteklovSolve:
 
     def test_first_mode_numerically_double(self):
         res = solver.solve_steklov(ShellConfig(2, 0.5, 0.0), N=24, m=512)
-        first = res.first_nonzero()
+        first = res.principal
         close = [v for v in res.eigenvalues if abs(v - first) <= 1e-8]
         assert len(close) == 2
 
@@ -90,14 +96,14 @@ class TestSteklovSolve:
         vals = []
         for d in np.linspace(0.0, 0.4, 9):
             res = solver.solve_steklov(ShellConfig(2, 0.5, float(d)), N=24, m=512)
-            vals.append(res.first_nonzero())
+            vals.append(res.principal)
         assert np.all(np.diff(vals) < 0)
 
     def test_below_rayleigh_bound(self):
         for d in (0.1, 0.25, 0.4):
             cfg = ShellConfig(2, 0.5, d)
             res = solver.solve_steklov(cfg, N=24, m=512)
-            assert res.first_nonzero() <= rayleigh.steklov_bound(cfg).bound + 1e-8
+            assert res.principal <= rayleigh.steklov_bound(cfg).bound + 1e-8
 
     def test_residual_small_at_moderate_offset(self):
         res = solver.solve_steklov(ShellConfig(2, 0.5, 0.3), N=24, m=512)
@@ -115,21 +121,29 @@ class TestSteklovSolve:
 
     def test_points_invariance(self):
         cfg = ShellConfig(2, 0.5, 0.2)
-        s1 = solver.solve_steklov(cfg, N=16, m=256).first_nonzero()
-        s2 = solver.solve_steklov(cfg, N=16, m=512).first_nonzero()
+        s1 = solver.solve_steklov(cfg, N=16, m=256).principal
+        s2 = solver.solve_steklov(cfg, N=16, m=512).principal
         assert s1 == pytest.approx(s2, abs=1e-8)
 
     def test_spectral_convergence(self):
         cfg = ShellConfig(2, 0.5, 0.2)
-        s8 = solver.solve_steklov(cfg, N=8, m=128).first_nonzero()
-        s16 = solver.solve_steklov(cfg, N=16, m=256).first_nonzero()
-        s32 = solver.solve_steklov(cfg, N=32, m=512).first_nonzero()
+        s8 = solver.solve_steklov(cfg, N=8, m=128).principal
+        s16 = solver.solve_steklov(cfg, N=16, m=256).principal
+        s32 = solver.solve_steklov(cfg, N=32, m=512).principal
         assert abs(s8 - s16) >= 10 * abs(s16 - s32)
 
     def test_ill_conditioned_order_raises(self):
         for solve, _, _ in PROBLEMS.values():
             with pytest.raises(IllConditionedError):
                 solve(ShellConfig(2, 0.5, 0.3), N=200, m=1600)
+
+    def test_order_fallback_keeps_the_points(self):
+        # Every order is solved on the points asked for, so too few raise as
+        # they do for a direct solve.
+        cfg = ShellConfig(2, 0.5, 0.3)
+        for problem in PROBLEMS:
+            with pytest.raises(ValueError):
+                solver.solve_with_order_fallback(cfg, N=24, m=100, problem=problem)
 
     def test_order_fallback_succeeds_when_direct_fails(self):
         cfg = ShellConfig(2, 0.2, 0.7)
@@ -177,13 +191,13 @@ class TestDiagnostics:
     def test_boundary_residual_of_constant_mode(self):
         cfg = ShellConfig(2, 0.5, 0.0)
         res = solver.solve_steklov(cfg, N=12, m=256)
-        assert solver.boundary_residual(res, cfg, 0) < 1e-9
+        assert solver.boundary_residual(res, 0) < 1e-9
 
     def test_boundary_residual_rejects_bad_mode(self):
         cfg = ShellConfig(2, 0.5, 0.0)
         res = solver.solve_steklov(cfg, N=8, m=128)
         with pytest.raises(ValueError):
-            solver.boundary_residual(res, cfg, 99999)
+            solver.boundary_residual(res, 99999)
 
     def test_group_eigenvalues(self):
         groups = solver.group_eigenvalues([0.0, 1.0, 1.0 + 1e-10, 2.5])
@@ -213,10 +227,10 @@ class TestPrincipalMode:
         assert res.principal == principal(res)
         assert res.principal == res.eigenvalues[res.mode]
         assert res.mode == (1 if problem == "steklov" else 0)
-        assert res.residual == solver.boundary_residual(res, cfg, res.mode)
+        assert res.residual == solver.boundary_residual(res, res.mode)
 
     def test_eigenvalue_at_the_tolerance_is_not_principal(self, monkeypatch):
-        # The solve and first_nonzero() share one rule: strictly above ZERO_MODE_TOL.
+        # The principal mode is strictly above ZERO_MODE_TOL.
         eigh = scipy.linalg.eigh
 
         def tied(K, M):
@@ -228,8 +242,41 @@ class TestPrincipalMode:
         cfg = ShellConfig(2, 0.5, 0.3)
         res = solver.solve_steklov(cfg, N=8, m=128)
         assert res.mode == 2
-        assert res.principal == res.first_nonzero() == res.eigenvalues[2]
-        assert res.residual == solver.boundary_residual(res, cfg, 2)
+        assert res.principal == _first_above_zero_mode_tol(res) == res.eigenvalues[2]
+        assert res.residual == solver.boundary_residual(res, 2)
+
+
+class TestDerivedFields:
+    def test_result_holds_only_what_the_solve_produced(self):
+        names = [f.name for f in dataclasses.fields(solver.EigResult)]
+        assert names == ["eigenvalues", "coefficients", "gram_condition", "mode", "basis"]
+        assert not hasattr(solver.EigResult, "first_nonzero")
+        assert not hasattr(solver.EigResult, "n_points")
+        res = solver.solve_steklov(ShellConfig(2, 0.5, 0.3), N=8, m=128)
+        for name in ("principal", "residual"):
+            with pytest.raises(AttributeError):
+                setattr(res, name, 0.0)
+
+    def test_a_residual_is_computed_only_when_read(self, capsys, monkeypatch):
+        def unread(result, mode):
+            raise AssertionError("boundary_residual called")
+
+        monkeypatch.setattr(solver, "boundary_residual", unread)
+        cfg = ShellConfig(2, 0.5, 0.3)
+        res = solver.solve_steklov(cfg)
+        assert res.principal == res.eigenvalues[1]
+        for problem in PROBLEMS:
+            solver.solve_with_order_fallback(cfg, problem=problem)
+        code = cli.main(["sweep", "--problem", "steklov", "--dim", "2", "--a", "0.5",
+                         "--d-steps", "3", "--jobs", "1"])
+        assert code == 0
+        with pytest.raises(AssertionError, match="boundary_residual called"):
+            res.residual
+
+    def test_residual_takes_the_geometry_from_the_result(self):
+        res = solver.solve_steklov(ShellConfig(2, 0.5, 0.3), N=8, m=128)
+        with pytest.raises(TypeError):
+            solver.boundary_residual(res, ShellConfig(2, 0.5, 0.1), 1)
 
 
 def _blas_paths() -> list:
