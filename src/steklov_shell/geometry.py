@@ -4,6 +4,12 @@ The domain is the unit ball shifted by d along the polar axis, minus the
 closed concentric ball of radius a.  theta is the polar angle measured at the
 origin (the inner center) from the offset axis; the outer boundary is then
 the polar graph r = radius(d, theta).
+
+The public functions validate their arguments.  Each of radius, arc_factor,
+phi_weight and psi_weight evaluates an underscored formula with the same
+arithmetic and no checks, which the quadrature integrands of ``rayleigh``
+call directly: their nodes lie in [0, pi] by construction, and ShellConfig
+already bounds d.
 """
 
 from __future__ import annotations
@@ -47,14 +53,22 @@ def _check_d(d: float) -> float:
     return float(d)
 
 
+def _check_n(n: int) -> int:
+    if n < 2:
+        raise ValueError("dimension must be >= 2")
+    return n
+
+
 def radius(d: float, theta):
     """Distance from the origin to the shifted unit sphere in direction theta.
 
     R_d(theta) = d*cos(theta) + sqrt(1 - d^2 sin^2(theta)), the positive root
     of the law-of-cosines relation 1 = d^2 + R^2 - 2 d R cos(theta).
     """
-    d = _check_d(d)
-    t = _check_theta(theta)
+    return _radius(_check_d(d), _check_theta(theta))
+
+
+def _radius(d: float, t):
     return d * np.cos(t) + np.sqrt(1.0 - d * d * np.sin(t) ** 2)
 
 
@@ -72,8 +86,10 @@ def arc_factor(d: float, theta):
 
     Simplifies to R_d(theta) / sqrt(1 - d^2 sin^2(theta)).
     """
-    d = _check_d(d)
-    t = _check_theta(theta)
+    return _arc_factor(_check_d(d), _check_theta(theta))
+
+
+def _arc_factor(d: float, t):
     root = np.sqrt(1.0 - d * d * np.sin(t) ** 2)
     return (d * np.cos(t) + root) / root
 
@@ -84,17 +100,19 @@ def phi_weight(n: int, theta):
     Symmetric about pi/2 and integrates to zero over [0, pi].  The power
     sin^0 is taken as 1 everywhere, including the endpoints.
     """
-    if n < 2:
-        raise ValueError("dimension must be >= 2")
-    t = _check_theta(theta)
+    return _phi_weight(_check_n(n), _check_theta(theta))
+
+
+def _phi_weight(n: int, t):
     s = np.sin(t)
     return -n * s**n + (n - 1) * s ** (n - 2)
 
 
 def psi_weight(n: int, theta):
     """Angular weight n(n-2)*sin^n + (n-1)*sin^(n-2); non-negative on [0, pi]."""
-    if n < 2:
-        raise ValueError("dimension must be >= 2")
-    t = _check_theta(theta)
+    return _psi_weight(_check_n(n), _check_theta(theta))
+
+
+def _psi_weight(n: int, t):
     s = np.sin(t)
     return n * (n - 2) * s**n + (n - 1) * s ** (n - 2)

@@ -68,7 +68,11 @@ def integrate(f, lo: float, hi: float, tol: float = QUAD_TOL) -> QuadResult:
 
     tol is both the absolute and the relative tolerance: the accepted value
     satisfies |value - integral| <= max(tol, tol*|value|) for integrands
-    smooth on [lo, hi].  Deterministic: identical inputs produce
+    smooth on [lo, hi], up to rounding: a panel whose error estimate is
+    within 8 * MIN_TOL of its own value is accepted, since bisection does not
+    reduce rounding (the roundoff test of QUADPACK, Piessens et al., 1983).
+    So a tol just above machine epsilon is met instead of running to the
+    subdivision cap.  Deterministic: identical inputs produce
     bit-identical results (intervals are processed in a fixed order and
     summed left to right).
 
@@ -98,7 +102,12 @@ def integrate(f, lo: float, hi: float, tol: float = QUAD_TOL) -> QuadResult:
     while stack:
         a, b, v_high = stack.pop()
         err = abs(v_high - low.apply(f, a, b))
-        if err <= scale * (b - a) / span or (b - a) < 1e-14 * span:
+        # Accept a panel within its share of the tolerance or at its rounding level.
+        if (
+            err <= scale * (b - a) / span
+            or err <= 8.0 * MIN_TOL * abs(v_high)
+            or (b - a) < 1e-14 * span
+        ):
             accepted.append((a, v_high, err))
         else:
             if count + 2 > MAX_INTERVALS:

@@ -11,6 +11,11 @@ w3/v3 drives the bound strictly down as the hole moves off center.
 The analogous machinery for the mixed problem (zero trace on the inner
 sphere, spectral condition outside) uses the radial profile log(r/a) in the
 plane and a^(2-n) - r^(2-n) otherwise.
+
+The integrands call geometry's unchecked formulas (``_radius``,
+``_arc_factor``, ``_phi_weight``, ``_psi_weight``): every quadrature node lies
+in [0, pi] and ShellConfig bounds d, so the range checks stay at the public
+geometry functions.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import ShellConfig, arc_factor, phi_weight, psi_weight, radius
+from .geometry import ShellConfig, _arc_factor, _phi_weight, _psi_weight, _radius
 from .quadrature import QUAD_TOL, integrate
 from .special import wallis
 from .shell_spectrum import mu_sigma
@@ -73,25 +78,27 @@ def ds_angular_constant(n: int) -> float:
 def w1(cfg: ShellConfig, *, tol: float = QUAD_TOL) -> float:
     """Integral of sin^(n-2) * (R^n - a^n); translation-invariant in d."""
     n, a, d = cfg.n, cfg.a, cfg.d
-    return _quad(lambda t: np.sin(t) ** (n - 2) * (radius(d, t) ** n - a**n), 0.0, math.pi, tol)
+    return _quad(lambda t: np.sin(t) ** (n - 2) * (_radius(d, t) ** n - a**n), 0.0, math.pi, tol)
 
 
 def w2(cfg: ShellConfig, *, tol: float = QUAD_TOL) -> float:
     """Integral of phi_weight * log(R/a); vanishes identically."""
     n, a, d = cfg.n, cfg.a, cfg.d
-    return _quad(lambda t: phi_weight(n, t) * np.log(radius(d, t) / a), 0.0, math.pi, tol)
+    return _quad(lambda t: _phi_weight(n, t) * np.log(_radius(d, t) / a), 0.0, math.pi, tol)
 
 
 def w3(cfg: ShellConfig, *, tol: float = QUAD_TOL) -> float:
     """Integral of psi_weight * (R^-n - a^-n); nondecreasing in d."""
     n, a, d = cfg.n, cfg.a, cfg.d
     return _quad(
-        lambda t: psi_weight(n, t) * (radius(d, t) ** (-n) - a ** (-n)), 0.0, math.pi, tol
+        lambda t: _psi_weight(n, t) * (_radius(d, t) ** (-n) - a ** (-n)), 0.0, math.pi, tol
     )
 
 
 def _v1_m(m: int, d: float, tol: float) -> float:
-    return _quad(lambda t: np.sin(t) ** m * radius(d, t) ** m * arc_factor(d, t), 0.0, math.pi, tol)
+    return _quad(
+        lambda t: np.sin(t) ** m * _radius(d, t) ** m * _arc_factor(d, t), 0.0, math.pi, tol
+    )
 
 
 def _v2_m(m: int, d: float, tol: float) -> float:
@@ -106,7 +113,7 @@ def _v2_m(m: int, d: float, tol: float) -> float:
 def _v3_m(m: int, d: float, tol: float) -> float:
     return _quad(
         lambda t: np.sin(t) ** m
-        / (radius(d, t) ** (m - 1) * np.sqrt(1.0 - d * d * np.sin(t) ** 2)),
+        / (_radius(d, t) ** (m - 1) * np.sqrt(1.0 - d * d * np.sin(t) ** 2)),
         0.0,
         math.pi,
         tol,
@@ -135,7 +142,7 @@ def g_comparator(cfg: ShellConfig, *, tol: float = QUAD_TOL) -> float:
     """
     n, a, d = cfg.n, cfg.a, cfg.d
     return _quad(
-        lambda t: psi_weight(n, t) * ((1.0 + d * np.cos(t)) ** (-n) - a ** (-n)),
+        lambda t: _psi_weight(n, t) * ((1.0 + d * np.cos(t)) ** (-n) - a ** (-n)),
         0.0,
         math.pi,
         tol,
@@ -210,10 +217,10 @@ def ds_energy(cfg: ShellConfig, *, tol: float = QUAD_TOL) -> float:
     """
     n, a, d = cfg.n, cfg.a, cfg.d
     if n == 2:
-        return 2.0 * _quad(lambda t: np.log(radius(d, t) / a), 0.0, math.pi, tol)
+        return 2.0 * _quad(lambda t: np.log(_radius(d, t) / a), 0.0, math.pi, tol)
     const = (n - 2) * ds_angular_constant(n)
     return const * _quad(
-        lambda t: np.sin(t) ** (n - 2) * (a ** (2 - n) - radius(d, t) ** (2 - n)),
+        lambda t: np.sin(t) ** (n - 2) * (a ** (2 - n) - _radius(d, t) ** (2 - n)),
         0.0,
         math.pi,
         tol,
@@ -286,12 +293,12 @@ def test_function_orthogonality(cfg: ShellConfig, i: int, *, tol: float = QUAD_T
     s1 = factors[0]
 
     def outer_polar(t):
-        R = radius(d, t)
+        R = _radius(d, t)
         return (
             s1(t)
             * (R + mu * R ** (1 - n))
             * R ** (n - 2)
-            * arc_factor(d, t)
+            * _arc_factor(d, t)
             * np.sin(t) ** (n - 2)
         )
 

@@ -445,7 +445,12 @@ def solve_with_order_fallback(
         try:
             return fn(cfg, N=order, m=m)
         except IllConditionedError as exc:
-            last = exc
+            # Keep the rejection without its tracebacks: their frames reach
+            # back to this one, and the cycle would hold every rejected
+            # attempt's basis and matrices until the cyclic collector runs.
+            last = link = exc
+            while link is not None:
+                link = link.with_traceback(None).__context__
     raise IllConditionedError(
         f"no basis order in [{MIN_ORDER}, {N}] is well conditioned for this geometry"
     ) from last

@@ -9,10 +9,15 @@ of each invariant, and the test suite runs them as they are.
 
 The fault-injection hook deliberately mis-evaluates one integral so the
 harness itself can be shown to catch a broken identity.
+
+Within one run_checks call the planar-solver checks share their solves: each
+(solver function, problem, a, d) is solved once (see _solve).  A check
+called on its own solves everything itself.
 """
 
 from __future__ import annotations
 
+import contextvars
 import math
 from dataclasses import dataclass
 
@@ -569,12 +574,38 @@ def check_planar_log_integral_zero() -> CheckResult:
 # ----------------------------------------------------------------------
 # planar solver
 
+# Solver results shared by the checks of one run_checks call, keyed by
+# (solver function name, problem, a, d); None outside run_checks.
+_solves: contextvars.ContextVar[dict | None] = contextvars.ContextVar("solves", default=None)
+
+
+def _solve(problem: str, cfg: ShellConfig, fallback: bool = False) -> solver.EigResult:
+    """A default-order solve of cfg, shared by the checks of one run_checks call.
+
+    fallback selects solve_with_order_fallback over the direct solve of the
+    problem.  The function is looked up on ``solver`` at call time, so a
+    patched or traced solver sees every real solve, and its name is part of
+    the key, so a direct solve never receives a fallback result.  Outside
+    run_checks every call solves.
+    """
+    if fallback:
+        name, kwargs = "solve_with_order_fallback", {"problem": problem}
+    else:
+        name = "solve_steklov" if problem == "steklov" else "solve_dirichlet_steklov"
+        kwargs = {}
+    shared = _solves.get()
+    if shared is None:
+        return getattr(solver, name)(cfg, **kwargs)
+    key = (name, problem, cfg.a, cfg.d)
+    if key not in shared:
+        shared[key] = getattr(solver, name)(cfg, **kwargs)
+    return shared[key]
+
 
 def _solver_concentric(name: str, problem: str) -> CheckResult:
     worst = 0.0
     for a in SOLVER_RADII:
-        solve = solver.solve_steklov if problem == "steklov" else solver.solve_dirichlet_steklov
-        res = solve(ShellConfig(2, a, 0.0))
+        res = _solve(problem, ShellConfig(2, a, 0.0))
         worst = max(worst, abs(res.principal - _closed_form(problem, 2, a)))
     return _worst(name, 1e-8, worst)
 
@@ -586,7 +617,7 @@ def check_solver_concentric_oracle() -> CheckResult:
 def check_solver_spectrum_below_delta0() -> CheckResult:
     worst = 0.0
     for a in SOLVER_RADII:
-        res = solver.solve_steklov(ShellConfig(2, a, 0.0))
+        res = _solve("steklov", ShellConfig(2, a, 0.0))
         d0 = shell_spectrum.delta0(2, a)
         exact = [e for e in shell_spectrum.spectrum(2, a, 24) if e.value < d0 - 1e-9]
         got = [v for v in res.eigenvalues if v < d0 - 1e-9]
@@ -603,7 +634,7 @@ def check_solver_spectrum_below_delta0() -> CheckResult:
 def check_solver_first_mode_double() -> CheckResult:
     worst = 0.0
     for a in SOLVER_RADII:
-        res = solver.solve_steklov(ShellConfig(2, a, 0.0))
+        res = _solve("steklov", ShellConfig(2, a, 0.0))
         vals = res.eigenvalues
         first = res.principal
         close = [v for v in vals if abs(v - first) <= 1e-8 * max(1.0, abs(first))]
@@ -614,7 +645,7 @@ def check_solver_first_mode_double() -> CheckResult:
 def check_solver_zero_mode() -> CheckResult:
     worst = 0.0
     for a in SOLVER_RADII:
-        res = solver.solve_steklov(ShellConfig(2, a, 0.0))
+        res = _solve("steklov", ShellConfig(2, a, 0.0))
         worst = max(worst, abs(float(res.eigenvalues[0])))
     return _worst("solver_zero_mode", 1e-9, worst)
 
@@ -628,7 +659,7 @@ def _solver_strictly_decreasing(name: str, problem: str) -> CheckResult:
     worst = -1.0
     for a in SOLVER_RADII:
         cfgs = [ShellConfig(2, a, float(d)) for d in _d_grid(a, 20)]
-        vals = [solver.solve_with_order_fallback(cfg, problem=problem).principal for cfg in cfgs]
+        vals = [_solve(problem, cfg, fallback=True).principal for cfg in cfgs]
         worst = max(worst, float(np.diff(vals).max()))
     return _worst(name, 0.0, worst, strict=True)
 
@@ -638,7 +669,7 @@ def _solver_below_bound(name: str, problem: str, count: int) -> CheckResult:
     for a in SOLVER_RADII:
         for d in _d_grid(a, count):
             cfg = ShellConfig(2, a, float(d))
-            res = solver.solve_with_order_fallback(cfg, problem=problem)
+            res = _solve(problem, cfg, fallback=True)
             worst = max(worst, res.principal - _bound(problem, cfg))
     return _worst(name, 1e-8, worst)
 
@@ -664,7 +695,7 @@ def check_tau_below_ds_bound() -> CheckResult:
 
 
 def check_solver_residual_moderate_offset() -> CheckResult:
-    res = solver.solve_steklov(ShellConfig(2, 0.5, 0.3))
+    res = _solve("steklov", ShellConfig(2, 0.5, 0.3))
     return _worst("solver_residual_moderate_offset", 1e-6, res.residual)
 
 
@@ -780,7 +811,8 @@ def run_checks(
 
     name_filter keeps only checks whose report name contains the given
     substring (development aid; the default runs everything at the chosen
-    level).  A filter that matches no check is an error.
+    level).  A filter that matches no check is an error.  The checks share
+    their default-order solves for the duration of the call (see _solve).
     """
     if level not in ("fast", "full"):
         raise ValueError("level must be 'fast' or 'full'")
@@ -792,11 +824,15 @@ def run_checks(
         if not checks:
             raise ValueError(f"no {level} check name contains {name_filter!r}")
     results = []
-    for check in checks:
-        if check is check_w2_vanishes:
-            results.append(check(inject_fault))
-        else:
-            results.append(check())
+    token = _solves.set({})
+    try:
+        for check in checks:
+            if check is check_w2_vanishes:
+                results.append(check(inject_fault))
+            else:
+                results.append(check())
+    finally:
+        _solves.reset(token)
     return results
 
 

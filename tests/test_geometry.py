@@ -157,3 +157,44 @@ class TestAngularWeights:
             geometry.phi_weight(1, 0.5)
         with pytest.raises(ValueError):
             geometry.psi_weight(1, 0.5)
+
+
+
+class TestRangeChecks:
+    # The public functions validate their inputs; rayleigh's integrands call
+    # the unchecked formulas behind them, whose nodes lie in [0, pi].
+    THETA_IDS = ["radius", "radius_deriv", "arc_factor", "phi_weight", "psi_weight"]
+    THETA_FUNCTIONS = [
+        lambda t: geometry.radius(0.3, t),
+        lambda t: geometry.radius_deriv(0.3, t),
+        lambda t: geometry.arc_factor(0.3, t),
+        lambda t: geometry.phi_weight(3, t),
+        lambda t: geometry.psi_weight(3, t),
+    ]
+
+    @pytest.mark.parametrize(
+        "fn", [geometry.radius, geometry.radius_deriv, geometry.arc_factor], ids=THETA_IDS[:3]
+    )
+    @pytest.mark.parametrize("d", [-0.1, 1.0, 1.5])
+    def test_offset_outside_unit_interval(self, fn, d):
+        with pytest.raises(ValueError):
+            fn(d, 1.0)
+
+    @pytest.mark.parametrize("fn", THETA_FUNCTIONS, ids=THETA_IDS)
+    @pytest.mark.parametrize(
+        "theta", [-0.1, math.pi + 0.1, np.array([0.0, 1.0, math.pi + 1e-9])],
+        ids=["below", "above", "array"],
+    )
+    def test_theta_outside_zero_pi(self, fn, theta):
+        with pytest.raises(ValueError):
+            fn(theta)
+
+    @pytest.mark.parametrize("public, formula, first", [
+        (geometry.radius, geometry._radius, 0.3),
+        (geometry.arc_factor, geometry._arc_factor, 0.3),
+        (geometry.phi_weight, geometry._phi_weight, 3),
+        (geometry.psi_weight, geometry._psi_weight, 3),
+    ], ids=["radius", "arc_factor", "phi_weight", "psi_weight"])
+    def test_formula_is_the_checked_arithmetic(self, public, formula, first):
+        ts = np.linspace(0.0, math.pi, 101)
+        assert np.array_equal(public(first, ts), formula(first, ts))

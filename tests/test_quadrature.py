@@ -102,6 +102,15 @@ class TestIntegrate:
             with pytest.raises(ValueError):
                 quadrature.integrate(np.sin, 0.0, 1.0, tol=tol)
 
+    def test_tolerance_at_rounding_level_is_met(self):
+        # The integral vanishes, so tol acts as an absolute 1e-15, below the
+        # rounding of the two rules on an integrand of size 10.  Panels at
+        # their own rounding level are accepted instead of bisected to the cap.
+        f = lambda t: (3.0 * np.sin(t) ** 2 - 4.0 * np.sin(t) ** 4) * math.log(20.0)
+        res = quadrature.integrate(f, 0.0, math.pi, tol=1e-15)
+        assert abs(res.value) < 1e-14
+        assert res.subdivisions < 100
+
     def test_nonconvergence_on_unresolvable_oscillation(self):
         with pytest.raises(NonConvergenceError):
             quadrature.integrate(lambda t: np.sin(1e7 * t), 0, 2 * math.pi)

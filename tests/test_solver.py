@@ -2,6 +2,7 @@
 
 import ctypes
 import dataclasses
+import gc
 import math
 import os
 from types import SimpleNamespace
@@ -153,6 +154,24 @@ class TestSteklovSolve:
             res = solver.solve_with_order_fallback(cfg, N=24, m=512, problem=problem)
             assert res.basis.max_order < 24
             assert 0 < principal(res) < concentric(2, 0.2)
+
+    def test_order_fallback_leaves_no_reference_cycle(self):
+        # A rejected order's error is kept without its traceback, whose frames
+        # reach back to the fallback: that cycle held every rejected attempt's
+        # basis and matrices until the cyclic collector ran.
+        cfg = ShellConfig(2, 0.2, 0.7)
+        gc.collect()
+        gc.disable()
+        try:
+            orders = [
+                solver.solve_with_order_fallback(cfg, problem=problem).basis.max_order
+                for problem in PROBLEMS
+            ]
+            unreachable = gc.collect()
+        finally:
+            gc.enable()
+        assert orders == [18, 18]
+        assert unreachable == 0
 
 
 class TestMixedSolve:
