@@ -7,7 +7,7 @@ eigensolver, all cross-validating the fact that the first nonzero eigenvalue
 is maximized by the concentric placement.
 """
 
-from .errors import IllConditionedError, NonConvergenceError
+from .errors import NonConvergenceError
 from .geometry import ShellConfig, arc_factor, phi_weight, psi_weight, radius, radius_deriv
 from .quadrature import QuadratureRule, QuadResult, gauss_legendre_rule, integrate
 from .rayleigh import (
@@ -66,7 +66,6 @@ from .shell_spectrum import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "IllConditionedError",
     "NonConvergenceError",
     "ShellConfig",
     "arc_factor",

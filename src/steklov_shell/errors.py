@@ -1,9 +1,12 @@
-"""Error types shared across the package."""
+"""Error types shared across the package.
+
+NonConvergenceError is the one numerical failure the package raises itself;
+the command line exits 3 on it, as on a floating-point OverflowError.
+"""
 
 
 class NonConvergenceError(RuntimeError):
-    """An iterative numerical procedure failed to reach its tolerance."""
+    """An iterative numerical procedure failed to reach its tolerance.
 
-
-class IllConditionedError(RuntimeError):
-    """A matrix factorization failed or a condition number exceeded its cap."""
+    Adaptive quadrature, a series or root search, or a LAPACK eigensolve.
+    """

@@ -32,8 +32,7 @@ class ShellConfig:
     d: float = 0.0
 
     def __post_init__(self):
-        if int(self.n) != self.n or self.n < 2:
-            raise ValueError("dimension must be an integer >= 2")
+        _check_n(self.n)
         if not 0.0 < self.a < 1.0:
             raise ValueError("inner radius must lie in (0,1)")
         if not 0.0 <= self.d < 1.0 - self.a:
@@ -42,7 +41,8 @@ class ShellConfig:
 
 def _check_theta(theta):
     t = np.asarray(theta, dtype=float)
-    if np.any(t < 0.0) or np.any(t > np.pi):
+    # Written as "not inside" so that NaN, which compares false, is refused.
+    if not np.all((t >= 0.0) & (t <= np.pi)):
         raise ValueError("theta must lie in [0, pi]")
     return t
 
@@ -54,8 +54,8 @@ def _check_d(d: float) -> float:
 
 
 def _check_n(n: int) -> int:
-    if n < 2:
-        raise ValueError("dimension must be >= 2")
+    if int(n) != n or n < 2:
+        raise ValueError("dimension must be an integer >= 2")
     return n
 
 

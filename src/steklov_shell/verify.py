@@ -11,8 +11,8 @@ The fault-injection hook deliberately mis-evaluates one integral so the
 harness itself can be shown to catch a broken identity.
 
 Within one run_checks call the planar-solver checks share their solves: each
-(solver function, problem, a, d) is solved once (see _solve).  A check
-called on its own solves everything itself.
+(problem, a, d) is solved once (see _solve).  A check called on its own
+solves everything itself.
 """
 
 from __future__ import annotations
@@ -575,30 +575,23 @@ def check_planar_log_integral_zero() -> CheckResult:
 # planar solver
 
 # Solver results shared by the checks of one run_checks call, keyed by
-# (solver function name, problem, a, d); None outside run_checks.
+# (problem, a, d); None outside run_checks.
 _solves: contextvars.ContextVar[dict | None] = contextvars.ContextVar("solves", default=None)
 
 
-def _solve(problem: str, cfg: ShellConfig, fallback: bool = False) -> solver.EigResult:
+def _solve(problem: str, cfg: ShellConfig) -> solver.EigResult:
     """A default-order solve of cfg, shared by the checks of one run_checks call.
 
-    fallback selects solve_with_order_fallback over the direct solve of the
-    problem.  The function is looked up on ``solver`` at call time, so a
-    patched or traced solver sees every real solve, and its name is part of
-    the key, so a direct solve never receives a fallback result.  Outside
-    run_checks every call solves.
+    The solve is looked up on ``solver`` at call time, so a patched or traced
+    solver sees every real solve.  Outside run_checks every call solves.
     """
-    if fallback:
-        name, kwargs = "solve_with_order_fallback", {"problem": problem}
-    else:
-        name = "solve_steklov" if problem == "steklov" else "solve_dirichlet_steklov"
-        kwargs = {}
+    solve = solver.solve_steklov if problem == "steklov" else solver.solve_dirichlet_steklov
     shared = _solves.get()
     if shared is None:
-        return getattr(solver, name)(cfg, **kwargs)
-    key = (name, problem, cfg.a, cfg.d)
+        return solve(cfg)
+    key = (problem, cfg.a, cfg.d)
     if key not in shared:
-        shared[key] = getattr(solver, name)(cfg, **kwargs)
+        shared[key] = solve(cfg)
     return shared[key]
 
 
@@ -659,7 +652,7 @@ def _solver_strictly_decreasing(name: str, problem: str) -> CheckResult:
     worst = -1.0
     for a in SOLVER_RADII:
         cfgs = [ShellConfig(2, a, float(d)) for d in _d_grid(a, 20)]
-        vals = [_solve(problem, cfg, fallback=True).principal for cfg in cfgs]
+        vals = [_solve(problem, cfg).principal for cfg in cfgs]
         worst = max(worst, float(np.diff(vals).max()))
     return _worst(name, 0.0, worst, strict=True)
 
@@ -669,7 +662,7 @@ def _solver_below_bound(name: str, problem: str, count: int) -> CheckResult:
     for a in SOLVER_RADII:
         for d in _d_grid(a, count):
             cfg = ShellConfig(2, a, float(d))
-            res = _solve(problem, cfg, fallback=True)
+            res = _solve(problem, cfg)
             worst = max(worst, res.principal - _bound(problem, cfg))
     return _worst(name, 1e-8, worst)
 

@@ -10,6 +10,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+import scipy.linalg
 
 from steklov_shell import cli, rayleigh
 from steklov_shell import shell_spectrum as sp
@@ -21,6 +22,11 @@ def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _footer(out: str, name: str) -> float:
+    """The value of one ``# name=value`` footer line of solve's output."""
+    return float(next(l for l in out.splitlines() if l.startswith(f"# {name}=")).split("=")[1])
 
 
 class TestSpectrumCommand:
@@ -145,11 +151,35 @@ class TestSolveCommand:
         sigma1 = float(next(l for l in out.splitlines() if l.startswith("# sigma1=")).split("=")[1])
         assert sigma1 == pytest.approx(sp.sigma1_closed_form(2, 0.5), abs=1e-8)
 
-    def test_ill_conditioned_exit_code(self, capsys):
-        code, _, err = run_cli(
+    def test_high_order_solves_on_the_kept_rank(self, capsys):
+        # The dependent directions of an order-200 basis are dropped, not refused.
+        code, out, _ = run_cli(
             capsys, "solve", "--a", "0.5", "--d", "0.3", "--order", "200", "--points", "1600"
         )
+        assert code == 0
+        code, out24, _ = run_cli(capsys, "solve", "--a", "0.5", "--d", "0.3")
+        assert code == 0
+        assert _footer(out, "sigma1") == pytest.approx(_footer(out24, "sigma1"), abs=1e-10)
+
+    @pytest.mark.parametrize("problem, label", [("steklov", "sigma1"), ("dirichlet-steklov", "tau1")])
+    def test_small_hole_matches_the_sweep_row(self, capsys, problem, label):
+        code, out, _ = run_cli(capsys, "solve", "--a", "0.2", "--d", "0.7", "--problem", problem)
+        assert code == 0
+        code, sweep, _ = run_cli(capsys, "sweep", "--problem", problem, "--dim", "2", "--a", "0.2",
+                                 "--d-max", "0.7", "--d-steps", "2", "--jobs", "1", "--format", "csv")
+        assert code == 0
+        d, _, solver_value, _ = sweep.splitlines()[-1].split(",")
+        assert float(d) == 0.7
+        assert _footer(out, label) == float(solver_value)
+
+    def test_eigensolver_failure_exit_code(self, capsys, monkeypatch):
+        def failing(*args, **kwargs):
+            raise scipy.linalg.LinAlgError("no convergence")
+
+        monkeypatch.setattr(scipy.linalg, "eigh", failing)
+        code, out, err = run_cli(capsys, "solve", "--a", "0.5", "--d", "0.3")
         assert code == 3
+        assert out == ""
         assert "numerical failure" in err
 
     def test_bytes_do_not_depend_on_blas_threads(self):
@@ -405,15 +435,17 @@ def test_benchmark_tracer_drives_the_cli():
         spans = tracer.Tracer()
         spans.install()
         with contextlib.redirect_stdout(io.StringIO()):
-            codes = [cli.main(["sweep", "--problem", "steklov", "--dim", "2", "--a", "0.5",
-                               "--d-steps", "2", "--jobs", "1", "--format", "csv"])]
-            verify_solves = [spans.metrics()["solver.solves"]]
+            codes = [cli.main(["sweep", "--problem", "steklov", "--dim", "2", "--a", "0.2",
+                               "--d-max", "0.7", "--d-steps", "2", "--jobs", "1", "--format", "csv"])]
+            sweep = spans.metrics()
+            verify_solves = [sweep["solver.solves"]]
             codes.append(cli.main(["verify", "--checks", "solver_zero_mode"]))
             verify_solves.append(spans.metrics()["solver.solves"])
             before_solve = spans.metrics()["solver.boundary_residual.s"]
             codes.append(cli.main(["solve", "--a", "0.5", "--d", "0.3", "--format", "csv"]))
         metrics = spans.metrics()
         print(json.dumps({{"codes": codes, "solves": metrics["solver.solves"],
+                          "sweep_calls": [sweep["solver.attempts"], sweep["solver.solves"]],
                           "verify_solves": verify_solves,
                           "residual_s": [before_solve, metrics["solver.boundary_residual.s"]]}}))
     """)
@@ -423,6 +455,9 @@ def test_benchmark_tracer_drives_the_cli():
     record = json.loads(proc.stdout)
     assert record["codes"] == [0, 0, 0]
     assert record["solves"] > 0
+    # A sweep row is one solve, also at a small hole: no attempt is thrown away.
+    attempts, solves = record["sweep_calls"]
+    assert attempts == solves == 2
     # verify shares its solves through the solver module's names, looked up
     # when called, so the tracer's wrapped solver still counts them.
     before_verify, after_verify = record["verify_solves"]

@@ -182,12 +182,25 @@ class TestRangeChecks:
 
     @pytest.mark.parametrize("fn", THETA_FUNCTIONS, ids=THETA_IDS)
     @pytest.mark.parametrize(
-        "theta", [-0.1, math.pi + 0.1, np.array([0.0, 1.0, math.pi + 1e-9])],
-        ids=["below", "above", "array"],
+        "theta",
+        [-0.1, math.pi + 0.1, np.array([0.0, 1.0, math.pi + 1e-9]), math.nan,
+         np.array([0.0, math.nan, 1.0])],
+        ids=["below", "above", "array", "nan", "nan_array"],
     )
     def test_theta_outside_zero_pi(self, fn, theta):
         with pytest.raises(ValueError):
             fn(theta)
+
+    @pytest.mark.parametrize(
+        "fn", [geometry.phi_weight, geometry.psi_weight], ids=THETA_IDS[3:]
+    )
+    @pytest.mark.parametrize("n", [1, 2.5])
+    def test_dimension_is_an_integer_at_least_two(self, fn, n):
+        # The rule and message of ShellConfig.
+        with pytest.raises(ValueError, match="dimension must be an integer >= 2"):
+            fn(n, 0.3)
+        with pytest.raises(ValueError, match="dimension must be an integer >= 2"):
+            geometry.ShellConfig(n, 0.5)
 
     @pytest.mark.parametrize("public, formula, first", [
         (geometry.radius, geometry._radius, 0.3),
