@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import NonConvergenceError
+from .geometry import _check_n
 from .special import harmonic_dim, sphere_area
 
 BRANCHES = ("zero", "radial0", "lower", "upper")
@@ -53,8 +54,7 @@ class SpectrumEntry:
 
 
 def _check_na(n: int, a: float) -> None:
-    if int(n) != n or n < 2:
-        raise ValueError("dimension must be an integer >= 2")
+    _check_n(n)
     if not 0.0 < a < 1.0:
         raise ValueError("inner radius must lie in (0,1)")
 
@@ -236,8 +236,7 @@ def scale_invariant(n: int, eps: float) -> float:
     P = (area of the unit sphere in R^n) * (1 + eps^(n-1)).  eps = 0 gives
     the value for the solid ball, where sigma1 = 1.
     """
-    if int(n) != n or n < 2:
-        raise ValueError("dimension must be an integer >= 2")
+    _check_n(n)
     if not 0.0 <= eps < 1.0:
         raise ValueError("eps must lie in [0, 1)")
     perim = sphere_area(n) * (1.0 + eps ** (n - 1))
@@ -252,8 +251,7 @@ def optimal_eps(n: int) -> tuple[float, float]:
     then shrunk below OPTIMAL_EPS_TOL.  Raises NonConvergenceError if the
     scan does not see the interior single-peak shape (rather than guessing).
     """
-    if int(n) != n or n < 2:
-        raise ValueError("dimension must be an integer >= 2")
+    _check_n(n)
     grid_n = 256
     hi_cap = 1.0 - 1e-9
     xs = [i * hi_cap / (grid_n - 1) for i in range(grid_n)]

@@ -6,25 +6,37 @@ annulus, so the energy form reduces to boundary integrals by Green's
 identity and only boundary quadrature is needed.  Both circles are sampled
 with the periodic trapezoid rule, which is spectrally accurate here.
 
+The hole is offset along the x axis, so the annulus is symmetric under the
+mirror y -> -y.  The fields 1, log r and r^(+-k) cos k0 are even under it and
+r^(+-k) sin k0 are odd, so every even-odd product integrates to zero over the
+boundary and the stiffness and mass matrices are block diagonal: each solve
+is two independent problems, an even family of 2N+2 fields and an odd family
+of 2N (N+1 and N for the mixed problem), 50 and 48 wide at the default order
+instead of one problem 4N+2 = 98 wide.  Each family is assembled on the upper
+half of each circle, the trapezoid nodes 2 pi j / m for j = 0..m//2 with the
+weight halved on the nodes on the axis, and the sum doubled, which equals
+the full-circle rule exactly for the mirror-even products it integrates.
+
 Fields are rescaled so their sup over the whole boundary is 1; without that
 the r^(+-k) dynamic range between the two circles destroys the mass matrix
 long before the basis stops improving.  Even so, at large orders or small
 holes some combinations of the fields are numerically dependent on the
 boundary.  Each solve drops the eigen-directions of the mass matrix below
-1/GRAM_CONDITION_CAP of its largest eigenvalue and solves the reduced
-standard problem on the rest (Fix & Heiberger, SIAM J. Numer. Anal. 9,
-1972), so every order asked for is solved once, on the rank it supports.
+1/GRAM_CONDITION_CAP of its largest eigenvalue, taken over both families, and
+solves the reduced standard problem on the rest (Fix & Heiberger, SIAM J.
+Numer. Anal. 9, 1972), so every order asked for is solved once, on the rank
+it supports.
 
-Every dense BLAS/LAPACK call here (the assembly products, the two symmetric
-eigensolves and the residual products) runs on one BLAS thread, set for the
-duration of the solve and restored afterwards.  The matrices are at most
-4N+2 wide (98 at the default order), below the size where OpenBLAS gains
-from threading.  In a serial planar sweep on 2 vCPUs, where Python work
-separates the BLAS calls, one 98 x 98 generalized ``eigh`` averaged 8.3 ms
-on two threads and 1.4 ms on one; in the process pool each worker's BLAS
-threads also compete with the other workers for the cores.  The printed
-values no longer depend on the host's core count either, since a threaded
-BLAS sums in an order set by its thread count.
+Every dense BLAS/LAPACK call here (the assembly products, the four symmetric
+eigensolves -- each family's mass matrix and reduced problem -- and the
+residual products) runs on one BLAS thread, set for the duration of the
+solve and restored afterwards.  The family matrices are at most 2N+2 wide,
+far below the size where OpenBLAS gains from threading.  In a serial planar
+sweep on 2 vCPUs, where Python work separates the BLAS calls, one 98 x 98
+generalized ``eigh`` averaged 8.3 ms on two threads and 1.4 ms on one; in the
+process pool each worker's BLAS threads also compete with the other workers
+for the cores.  The printed values no longer depend on the host's core count
+either, since a threaded BLAS sums in an order set by its thread count.
 """
 
 from __future__ import annotations
@@ -160,6 +172,18 @@ class TrefftzBasis:
             return 4 * self.max_order + 2
         return 2 * self.max_order + 1
 
+    @property
+    def odd(self) -> np.ndarray:
+        """Mask of the fields odd under the mirror y -> -y (the sin k0 ones)."""
+        if self.kind == "steklov":
+            return np.array([False, False] + [False, True, False, True] * self.max_order)
+        return np.array([False] + [False, True] * self.max_order)
+
+    @property
+    def families(self) -> tuple[np.ndarray, np.ndarray]:
+        """Column indices of the even family, then of the odd family."""
+        return np.flatnonzero(~self.odd), np.flatnonzero(self.odd)
+
     def _sup_scales(self) -> np.ndarray:
         a, d, N = self.a, self.d, self.max_order
         scales = []
@@ -180,76 +204,75 @@ class TrefftzBasis:
     def evaluate(self, pts: np.ndarray) -> np.ndarray:
         """Field values at pts (npts x 2); returns (npts x size)."""
         z = pts[:, 0] + 1j * pts[:, 1]
-        npts = len(z)
-        out = np.empty((npts, self.size))
-        col = 0
+        N = self.max_order
+        zp = _power_rows(np.ones_like(z), z, N + 1, np.multiply)[1:]  # z^k
+        zm = _power_rows(np.ones_like(z), z, N + 1, np.divide)[1:]  # z^-k
+        out = np.empty((len(z), self.size))
         if self.kind == "steklov":
             out[:, 0] = 1.0
             out[:, 1] = np.log(np.abs(z))
-            col = 2
-            zp = np.ones_like(z)
-            zm = np.ones_like(z)
-            for k in range(1, self.max_order + 1):
-                zp = zp * z
-                zm = zm / z
-                out[:, col] = zp.real
-                out[:, col + 1] = zp.imag
-                out[:, col + 2] = zm.real
-                out[:, col + 3] = zm.imag
-                col += 4
+            out[:, 2::4] = zp.real.T
+            out[:, 3::4] = zp.imag.T
+            out[:, 4::4] = zm.real.T
+            out[:, 5::4] = zm.imag.T
         else:
+            # (r^k - a^2k r^-k) cos k0 = Re(z^k - a^2k z^-k), but the sin
+            # combination flips sign: Im(z^-k) = -r^-k sin k0.
+            zm *= self._inner_weights()  # a^2k z^-k
             out[:, 0] = np.log(np.abs(z)) - math.log(self.a)
-            col = 1
-            zp = np.ones_like(z)
-            zm = np.ones_like(z)
-            for k in range(1, self.max_order + 1):
-                zp = zp * z
-                zm = zm / z
-                # (r^k - a^2k r^-k) cos k0 = Re(z^k - a^2k z^-k), but the sin
-                # combination flips sign: Im(z^-k) = -r^-k sin k0.
-                ak = self.a ** (2 * k)
-                out[:, col] = (zp - ak * zm).real
-                out[:, col + 1] = (zp + ak * zm).imag
-                col += 2
-        return out / self.scales
+            out[:, 1::2] = (zp - zm).real.T
+            zp += zm
+            out[:, 2::2] = zp.imag.T
+        out /= self.scales
+        return out
 
     def normal_derivative(self, pts: np.ndarray, normals: np.ndarray) -> np.ndarray:
         """Outward normal derivatives at pts; returns (npts x size)."""
         z = pts[:, 0] + 1j * pts[:, 1]
         # For holomorphic f = u + iv: grad(u).n = Re(f' n_c), grad(v).n = Im(f' n_c)
         ncc = normals[:, 0] + 1j * normals[:, 1]
-        npts = len(z)
-        out = np.empty((npts, self.size))
-        col = 0
+        N = self.max_order
+        k = np.arange(1, N + 1)[:, None]
+        zp = _power_rows(np.ones_like(z), z, N, np.multiply)  # z^(k-1)
+        zm = _power_rows(1.0 / (z * z), z, N, np.divide)  # z^(-k-1)
+        out = np.empty((len(z), self.size))
+        # The products are formed in place to keep the temporaries to zp and zm.
         if self.kind == "steklov":
+            zp *= k
+            zp *= ncc  # (z^k)' n
+            zm *= -k
+            zm *= ncc  # (z^-k)' n
             out[:, 0] = 0.0
             out[:, 1] = ((1.0 / z) * ncc).real
-            col = 2
-            zp = np.ones_like(z)          # z^(k-1)
-            zm = 1.0 / (z * z)            # z^(-k-1)
-            for k in range(1, self.max_order + 1):
-                fp = k * zp * ncc
-                fm = -k * zm * ncc
-                out[:, col] = fp.real
-                out[:, col + 1] = fp.imag
-                out[:, col + 2] = fm.real
-                out[:, col + 3] = fm.imag
-                col += 4
-                zp = zp * z
-                zm = zm / z
+            out[:, 2::4] = zp.real.T
+            out[:, 3::4] = zp.imag.T
+            out[:, 4::4] = zm.real.T
+            out[:, 5::4] = zm.imag.T
         else:
+            zm *= self._inner_weights()
+            plus = zp + zm
+            zp -= zm
+            for f in (plus, zp):
+                f *= k
+                f *= ncc  # (z^k +- a^2k z^-k)' n
             out[:, 0] = ((1.0 / z) * ncc).real
-            col = 1
-            zp = np.ones_like(z)
-            zm = 1.0 / (z * z)
-            for k in range(1, self.max_order + 1):
-                ak = self.a ** (2 * k)
-                out[:, col] = (k * (zp + ak * zm) * ncc).real
-                out[:, col + 1] = (k * (zp - ak * zm) * ncc).imag
-                col += 2
-                zp = zp * z
-                zm = zm / z
-        return out / self.scales
+            out[:, 1::2] = plus.real.T
+            out[:, 2::2] = zp.imag.T
+        out /= self.scales
+        return out
+
+    def _inner_weights(self) -> np.ndarray:
+        """Column of a^(2k), k = 1..max_order, pairing r^k with r^-k in the mixed fields."""
+        return np.array([self.a ** (2 * k) for k in range(1, self.max_order + 1)])[:, None]
+
+
+def _power_rows(first: np.ndarray, z: np.ndarray, count: int, op) -> np.ndarray:
+    """Rows first, op(first, z), op(op(first, z), z), ...: count rows in all."""
+    rows = np.empty((count, len(z)), dtype=complex)
+    rows[0] = first
+    for k in range(1, count):
+        op(rows[k - 1], z, out=rows[k])
+    return rows
 
 
 def _first_above(values: np.ndarray) -> int:
@@ -269,7 +292,9 @@ class EigResult:
     constants comes first), and tau_1, the first eigenvalue, for the mixed
     problem.  principal and residual are computed when read, from the fields.
     The basis is the one asked for; len(eigenvalues) is the rank kept of it,
-    and gram_condition is the mass matrix's condition over that rank.
+    and gram_condition is the mass matrix's condition over that rank.  Each
+    eigenvector belongs to one mirror family: its coefficients are zero on
+    the other family's rows (see family_of).
     """
 
     eigenvalues: np.ndarray
@@ -288,24 +313,37 @@ class EigResult:
         """boundary_residual of the principal mode."""
         return boundary_residual(self, self.mode)
 
+    @property
+    def family(self) -> str:
+        """Mirror family of the principal mode, "even" or "odd"."""
+        return self.family_of(self.mode)
 
-def boundary_points(geom: ShellConfig | TrefftzBasis, m: int):
+    def family_of(self, mode: int) -> str:
+        """"odd" if the mode's coefficients are on the odd family's rows, else "even"."""
+        return "odd" if np.any(self.coefficients[self.basis.odd, mode]) else "even"
+
+
+def boundary_points(geom: ShellConfig | TrefftzBasis, m: int, half: bool = False):
     """Trapezoid sample of both boundary circles: (pts, normals, weights, is_outer).
 
     The circles are placed by geom's a and d, read from the configuration of
-    a solve or from the basis of its result.
+    a solve or from the basis of its result.  With half=True only the nodes
+    2 pi j / m with j = 0..m//2, on the upper half of each circle, are kept,
+    weighted so that the sum of a mirror-even integrand over them is its
+    full-circle trapezoid sum: double weight, single on the axis nodes
+    (j = 0, and j = m/2 for even m).
     """
-    t = 2.0 * math.pi * np.arange(m) / m
+    j = np.arange(m // 2 + 1 if half else m)
+    t = 2.0 * math.pi * j / m
+    share = np.where((j == 0) | (2 * j == m), 1.0, 2.0) if half else np.ones(m)
     outer_pts = np.column_stack((geom.d + np.cos(t), np.sin(t)))
     outer_nrm = np.column_stack((np.cos(t), np.sin(t)))
     inner_pts = geom.a * np.column_stack((np.cos(t), np.sin(t)))
     inner_nrm = -np.column_stack((np.cos(t), np.sin(t)))
     pts = np.vstack((outer_pts, inner_pts))
     normals = np.vstack((outer_nrm, inner_nrm))
-    weights = np.concatenate(
-        (np.full(m, 2.0 * math.pi / m), np.full(m, 2.0 * math.pi * geom.a / m))
-    )
-    is_outer = np.concatenate((np.ones(m, dtype=bool), np.zeros(m, dtype=bool)))
+    weights = np.concatenate((share * (2.0 * math.pi / m), share * (2.0 * math.pi * geom.a / m)))
+    is_outer = np.concatenate((np.ones(len(t), dtype=bool), np.zeros(len(t), dtype=bool)))
     return pts, normals, weights, is_outer
 
 
@@ -320,56 +358,90 @@ def validate_problem_size(cfg: ShellConfig, N: int, m: int) -> None:
 
 @_one_blas_thread()
 def _assemble(cfg: ShellConfig, N: int, m: int, kind: str, symmetrize: bool = True):
-    """Basis, stiffness K and mass M of one boundary problem.
+    """Basis and the (K, M) blocks of its even and odd families, in that order.
 
     K_ij = boundary integral of phi_i dphi_j/dn (equal to the volume energy
     form by harmonicity), M_ij = boundary integral of phi_i phi_j over the
     spectral part of the boundary: both circles for kind "steklov", the outer
     circle alone for kind "dirichlet", whose fields vanish on the inner one.
+    Both fields of an entry are in one family, so the integrand is
+    mirror-even and the half-circle sample integrates it.
     """
     validate_problem_size(cfg, N, m)
     basis = TrefftzBasis(max_order=N, a=cfg.a, d=cfg.d, kind=kind)
-    pts, normals, weights, is_outer = boundary_points(cfg, m)
+    pts, normals, weights, is_outer = boundary_points(cfg, m, half=True)
     if kind == "dirichlet":
         pts, normals, weights = pts[is_outer], normals[is_outer], weights[is_outer]
     B = basis.evaluate(pts)
-    WB = B * weights[:, None]
-    K = WB.T @ basis.normal_derivative(pts, normals)
-    M = WB.T @ B
-    if symmetrize:
-        K = 0.5 * (K + K.T)
-        M = 0.5 * (M + M.T)
-    return basis, K, M
+    D = basis.normal_derivative(pts, normals)
+    blocks = []
+    for cols in basis.families:
+        WB = B[:, cols] * weights[:, None]
+        K = WB.T @ D[:, cols]
+        M = WB.T @ B[:, cols]
+        if symmetrize:
+            K = 0.5 * (K + K.T)
+            M = 0.5 * (M + M.T)
+        blocks.append((K, M))
+    return basis, blocks
 
 
 @_one_blas_thread()
 def _solve(cfg: ShellConfig, N: int, m: int, kind: str) -> EigResult:
     """Solve K c = sigma M c on the directions of M that the basis resolves (LAPACK).
 
-    M = V diag(lam) V^T; the directions with lam above lam_max /
-    GRAM_CONDITION_CAP are kept, and with Q = V_keep lam_keep^(-1/2) the
-    standard problem Q^T K Q y = sigma y gives the eigenvalues and the
-    coefficients c = Q y.  The kept rank is len(eigenvalues) and the Gram
-    condition is lam_max / lam_min over the kept directions.  The principal
-    mode is the first nonzero one for kind "steklov" and the first one for
-    kind "dirichlet".  Raises NonConvergenceError when LAPACK fails.
+    Per family, M = V diag(lam) V^T.  The directions with lam above
+    lam_max / GRAM_CONDITION_CAP, lam_max taken over both families, are
+    kept, and with Q = V_keep lam_keep^(-1/2) the standard problem
+    Q^T K Q y = sigma y gives the family's eigenvalues and coefficients
+    c = Q y, placed on the family's rows.  The two spectra are merged in
+    ascending order (a stable sort, even family first on ties).  The kept
+    rank is len(eigenvalues) and the Gram condition is lam_max / lam_min over
+    the kept directions.  The principal mode is the first nonzero one for
+    kind "steklov" and the first one for kind "dirichlet".  Raises
+    NonConvergenceError when LAPACK fails.
     """
-    basis, K, M = _assemble(cfg, N, m, kind)
+    basis, blocks = _assemble(cfg, N, m, kind)
     try:
-        lam, V = scipy.linalg.eigh(M, driver="evd")
-        dropped = int(np.searchsorted(lam, lam[-1] / GRAM_CONDITION_CAP, side="right"))
-        Q = V[:, dropped:] / np.sqrt(lam[dropped:])
-        vals, Y = scipy.linalg.eigh(Q.T @ K @ Q, driver="evd")
+        spectra = [scipy.linalg.eigh(M, driver="evd") for _, M in blocks]
+        lam_max = max(lam[-1] for lam, _ in spectra)
+        floor = lam_max / GRAM_CONDITION_CAP
+        vals, coeffs, lam_min = [], [], lam_max
+        for rows, (K, _), (lam, V) in zip(basis.families, blocks, spectra):
+            dropped = int(np.searchsorted(lam, floor, side="right"))
+            Q = V[:, dropped:] / np.sqrt(lam[dropped:])
+            family_vals, Y = scipy.linalg.eigh(Q.T @ K @ Q, driver="evd")
+            family_coeffs = np.zeros((basis.size, len(family_vals)))
+            family_coeffs[rows] = Q @ Y
+            vals.append(family_vals)
+            coeffs.append(family_coeffs)
+            lam_min = min(lam_min, lam[dropped:].min(initial=lam_max))
     except scipy.linalg.LinAlgError as exc:
         raise NonConvergenceError("symmetric eigenvalue iteration failed") from exc
-    mode = _first_above(vals) if kind == "steklov" else 0
-    cond = float(lam[-1] / lam[dropped])
-    return EigResult(eigenvalues=vals, coefficients=Q @ Y, gram_condition=cond, mode=mode, basis=basis)
+    vals = np.concatenate(vals)
+    order = np.argsort(vals, kind="stable")
+    mode = _first_above(vals[order]) if kind == "steklov" else 0
+    return EigResult(
+        eigenvalues=vals[order],
+        coefficients=np.hstack(coeffs)[:, order],
+        gram_condition=float(lam_max / lam_min),
+        mode=mode,
+        basis=basis,
+    )
 
 
 def assemble_steklov(cfg: ShellConfig, N: int, m: int, symmetrize: bool = True):
-    """Stiffness and mass matrices of the full-boundary spectral problem."""
-    return _assemble(cfg, N, m, "steklov", symmetrize)[1:3]
+    """Stiffness and mass matrices of the full-boundary spectral problem.
+
+    The family blocks placed on their rows and columns of the basis; the
+    blocks between the two families are zero by the mirror symmetry.
+    """
+    basis, blocks = _assemble(cfg, N, m, "steklov", symmetrize)
+    K, M = np.zeros((basis.size, basis.size)), np.zeros((basis.size, basis.size))
+    for cols, (Kf, Mf) in zip(basis.families, blocks):
+        K[np.ix_(cols, cols)] = Kf
+        M[np.ix_(cols, cols)] = Mf
+    return K, M
 
 
 def solve_steklov(cfg: ShellConfig, N: int = DEFAULT_ORDER, m: int = DEFAULT_POINTS) -> EigResult:

@@ -719,6 +719,36 @@ def check_solver_points_invariance() -> CheckResult:
     return _worst("solver_points_invariance", 1e-8, worst)
 
 
+def _first_odd(res: solver.EigResult) -> float:
+    """The first eigenvalue above ZERO_MODE_TOL whose mode is in the odd family (inf if none)."""
+    return next(
+        (float(v) for i, v in enumerate(res.eigenvalues)
+         if v > solver.ZERO_MODE_TOL and res.family_of(i) == "odd"),
+        math.inf,
+    )
+
+
+def check_bound_dominates_odd_family() -> CheckResult:
+    """steklov_bound > the first odd-family eigenvalue for d > 0.
+
+    The bound is the Rayleigh quotient of a test function odd under the
+    mirror y -> -y, so it bounds the odd family's first eigenvalue, which is
+    sharper than solver_below_rayleigh_bound whenever sigma_1 is even.  At
+    d = 0 the two are the concentric sigma_1 and may differ only by the
+    solver tolerance 1e-8; a larger difference there fails the check.
+    """
+    worst = -math.inf
+    for a in SOLVER_RADII:
+        for d in _d_grid(a, 20):
+            cfg = ShellConfig(2, a, float(d))
+            gap = _first_odd(_solve("steklov", cfg)) - _bound("steklov", cfg)
+            if d > 0.0:
+                worst = max(worst, gap)
+            elif abs(gap) > 1e-8:
+                worst = math.inf
+    return _worst("bound_dominates_odd_family", 0.0, worst, strict=True)
+
+
 def check_solver_residual_improves() -> CheckResult:
     cfg = ShellConfig(2, 0.5, 0.3)
     r8 = solver.solve_steklov(cfg, N=8, m=128).residual
@@ -787,6 +817,7 @@ FULL_CHECKS = FAST_CHECKS + [
     check_solver_spectral_convergence,
     check_solver_points_invariance,
     check_solver_residual_improves,
+    check_bound_dominates_odd_family,
 ]
 
 

@@ -65,6 +65,101 @@ class TestAssembly:
             solver.assemble_steklov(ShellConfig(2, 0.5, 0.0), N=8, m=32)
 
 
+def _dense_full_circle(cfg, N, m, kind):
+    """Basis, mass B^T W B and stiffness B^T W dB/dn summed over the full circles."""
+    basis = solver.TrefftzBasis(max_order=N, a=cfg.a, d=cfg.d, kind=kind)
+    pts, normals, weights, is_outer = solver.boundary_points(cfg, m)
+    if kind == "dirichlet":
+        pts, normals, weights = pts[is_outer], normals[is_outer], weights[is_outer]
+    WB = basis.evaluate(pts) * weights[:, None]
+    return basis, WB.T @ basis.evaluate(pts), WB.T @ basis.normal_derivative(pts, normals)
+
+
+def _relative(A, B, scale):
+    return float(np.abs(A - B).max() / np.abs(scale).max())
+
+
+class TestMirrorFamilies:
+    @pytest.mark.parametrize("m", [128, 129])
+    @pytest.mark.parametrize("kind", ["steklov", "dirichlet"])
+    def test_cross_family_entries_vanish(self, kind, m):
+        basis, M, K = _dense_full_circle(ShellConfig(2, 0.5, 0.3), 8, m, kind)
+        even, odd = basis.families
+        assert np.abs(M[np.ix_(even, odd)]).max() < 1e-13 * np.abs(M).max()
+        assert np.abs(K[np.ix_(even, odd)]).max() < 1e-13 * np.abs(K).max()
+        assert np.abs(K[np.ix_(odd, even)]).max() < 1e-13 * np.abs(K).max()
+
+    @pytest.mark.parametrize("m", [128, 129])
+    @pytest.mark.parametrize("kind", ["steklov", "dirichlet"])
+    def test_half_circle_blocks_are_the_full_circle_blocks(self, kind, m):
+        cfg = ShellConfig(2, 0.5, 0.3)
+        basis, M, K = _dense_full_circle(cfg, 8, m, kind)
+        _, blocks = solver._assemble(cfg, 8, m, kind, symmetrize=False)
+        for cols, (Kf, Mf) in zip(basis.families, blocks):
+            assert _relative(M[np.ix_(cols, cols)], Mf, M) < 1e-12
+            assert _relative(K[np.ix_(cols, cols)], Kf, K) < 1e-12
+
+    @pytest.mark.parametrize("m", [128, 129])
+    def test_assemble_steklov_is_the_full_circle_assembly(self, m):
+        cfg = ShellConfig(2, 0.5, 0.3)
+        _, M, K = _dense_full_circle(cfg, 8, m, "steklov")
+        K_half, M_half = solver.assemble_steklov(cfg, N=8, m=m, symmetrize=False)
+        assert _relative(M, M_half, M) < 1e-12
+        assert _relative(K, K_half, K) < 1e-12
+
+    @pytest.mark.parametrize("a, d", [(0.2, 0.7), (0.15, 0.8075)])
+    def test_kept_rank_is_the_full_mass_matrix_rank(self, a, d):
+        # The drop threshold is taken over both families, so a truncated
+        # solve keeps the directions the full mass matrix would keep.
+        cfg = ShellConfig(2, a, d)
+        _, M = solver.assemble_steklov(cfg, N=24, m=512)
+        lam = np.linalg.eigvalsh(M)
+        kept = int(np.sum(lam > lam[-1] / solver.GRAM_CONDITION_CAP))
+        res = solver.solve_steklov(cfg)
+        assert kept < res.basis.size
+        assert len(res.eigenvalues) == kept
+
+    @pytest.mark.parametrize("m", [128, 129])
+    def test_half_sample_weights_sum_to_the_perimeters(self, m):
+        pts, _, weights, is_outer = solver.boundary_points(ShellConfig(2, 0.4, 0.3), m, half=True)
+        assert len(pts) == 2 * (m // 2 + 1)
+        assert np.all(pts[:, 1] >= 0.0)
+        assert weights[is_outer].sum() == pytest.approx(2 * math.pi, rel=1e-14)
+        assert weights[~is_outer].sum() == pytest.approx(2 * math.pi * 0.4, rel=1e-14)
+
+    def test_family_sizes(self):
+        for kind, sizes in (("steklov", (50, 48)), ("dirichlet", (25, 24))):
+            basis = solver.TrefftzBasis(max_order=24, a=0.5, d=0.3, kind=kind)
+            assert tuple(len(cols) for cols in basis.families) == sizes
+
+    def test_principal_family_and_the_first_odd_value(self):
+        # At (0.5, 0.25) sigma_1 is even; the first odd eigenvalue lies
+        # between it and the Rayleigh bound of the odd test function.
+        cfg = ShellConfig(2, 0.5, 0.25)
+        res = solver.solve_steklov(cfg)
+        assert res.family == "even"
+        assert res.principal == pytest.approx(0.40393, abs=1e-5)
+        odd = [v for i, v in enumerate(res.eigenvalues)
+               if v > solver.ZERO_MODE_TOL and res.family_of(i) == "odd"]
+        assert odd[0] == pytest.approx(0.41056, abs=1e-5)
+        bound = rayleigh.steklov_bound(cfg).bound
+        assert bound == pytest.approx(0.42924, abs=1e-5)
+        assert res.principal < odd[0] < bound
+
+    @pytest.mark.parametrize("problem", list(PROBLEMS))
+    def test_each_mode_lives_in_one_family(self, problem):
+        res = PROBLEMS[problem][0](ShellConfig(2, 0.5, 0.3))
+        odd = res.basis.odd
+        for i in range(len(res.eigenvalues)):
+            rows = odd if res.family_of(i) == "even" else ~odd
+            assert not np.any(res.coefficients[rows, i])
+        assert res.family_of(0) == "even"
+
+    def test_concentric_double_mode_splits_across_the_families(self):
+        res = solver.solve_steklov(ShellConfig(2, 0.5, 0.0))
+        assert {res.family_of(res.mode), res.family_of(res.mode + 1)} == {"even", "odd"}
+
+
 class TestSteklovSolve:
     @pytest.mark.parametrize("a", [0.2, 0.5, 0.8])
     def test_concentric_matches_closed_form(self, a):
@@ -275,14 +370,15 @@ class TestPrincipalMode:
         assert res.residual == solver.boundary_residual(res, res.mode)
 
     def test_eigenvalue_at_the_tolerance_is_not_principal(self, monkeypatch):
-        # The principal mode is strictly above ZERO_MODE_TOL.  The second
-        # eigh call is the reduced standard problem, the first the mass matrix.
+        # The principal mode is strictly above ZERO_MODE_TOL.  The eigh calls
+        # are the even and odd mass matrices, then the even and odd reduced
+        # standard problems; the third holds the zero mode and sigma_1.
         eigh, calls = scipy.linalg.eigh, []
 
         def tied(A, **kwargs):
             vals, vecs = eigh(A, **kwargs)
             calls.append(A)
-            if len(calls) == 2:
+            if len(calls) == 3:
                 vals[1] = solver.ZERO_MODE_TOL
             return vals, vecs
 
@@ -376,8 +472,9 @@ class TestBlasThreads:
             res = solve(ShellConfig(2, 0.2, 0.7), N=24, m=512)
             assert len(res.eigenvalues) < res.basis.size
             assert [get() for get in getters] == before
-        # Two eigh calls per solve: the mass matrix, then the reduced problem.
-        assert during == [[1] * len(getters)] * 6
+        # Four eigh calls per solve: the mass matrix, then the reduced
+        # problem, of each mirror family.
+        assert during == [[1] * len(getters)] * 12
 
     def test_thread_setter_uses_get_set_pair(self):
         count = [4]
