@@ -216,13 +216,16 @@ def _sweep_point(task) -> tuple:
 
 def _run_pool(fn, tasks, jobs: int):
     # jobs 0 means all cores.  The pool forks all its workers up front, so
-    # more than one per task or per core would only cost processes.
+    # more than one per task or per core would only cost processes.  They
+    # fork on one BLAS thread and inherit it, so they never start OpenBLAS's
+    # thread server (see the solver module's docstring).
     cpus = os.cpu_count() or 1
     workers = min(jobs or cpus, len(tasks), cpus)
-    if workers <= 1:
-        return [fn(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, tasks))
+    with solver._one_blas_thread():
+        if workers <= 1:
+            return [fn(t) for t in tasks]
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, tasks))
 
 
 def cmd_sweep(args) -> int:

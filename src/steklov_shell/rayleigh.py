@@ -95,44 +95,35 @@ def w3(cfg: ShellConfig, *, tol: float = QUAD_TOL) -> float:
     )
 
 
-def _v1_m(m: int, d: float, tol: float) -> float:
-    return _quad(
-        lambda t: np.sin(t) ** m * _radius(d, t) ** m * _arc_factor(d, t), 0.0, math.pi, tol
-    )
-
-
-def _v2_m(m: int, d: float, tol: float) -> float:
-    return _quad(
-        lambda t: np.sin(t) ** m * d * np.cos(t) / np.sqrt(1.0 - d * d * np.sin(t) ** 2),
-        0.0,
-        math.pi,
-        tol,
-    )
-
-
-def _v3_m(m: int, d: float, tol: float) -> float:
-    return _quad(
-        lambda t: np.sin(t) ** m
-        / (_radius(d, t) ** (m - 1) * np.sqrt(1.0 - d * d * np.sin(t) ** 2)),
-        0.0,
-        math.pi,
-        tol,
-    )
-
-
 def v1(cfg: ShellConfig, *, tol: float = QUAD_TOL) -> float:
     """Integral of sin^n * R^n * arc factor; translation-invariant in d."""
-    return _v1_m(cfg.n, cfg.d, tol)
+    n, d = cfg.n, cfg.d
+    return _quad(
+        lambda t: np.sin(t) ** n * _radius(d, t) ** n * _arc_factor(d, t), 0.0, math.pi, tol
+    )
 
 
 def v2(cfg: ShellConfig, *, tol: float = QUAD_TOL) -> float:
     """Integral of sin^n * d cos / sqrt(1 - d^2 sin^2); vanishes identically."""
-    return _v2_m(cfg.n, cfg.d, tol)
+    n, d = cfg.n, cfg.d
+    return _quad(
+        lambda t: np.sin(t) ** n * d * np.cos(t) / np.sqrt(1.0 - d * d * np.sin(t) ** 2),
+        0.0,
+        math.pi,
+        tol,
+    )
 
 
 def v3(cfg: ShellConfig, *, tol: float = QUAD_TOL) -> float:
     """Integral of sin^n / (R^(n-1) sqrt(1 - d^2 sin^2)); nondecreasing in d."""
-    return _v3_m(cfg.n, cfg.d, tol)
+    n, d = cfg.n, cfg.d
+    return _quad(
+        lambda t: np.sin(t) ** n
+        / (_radius(d, t) ** (n - 1) * np.sqrt(1.0 - d * d * np.sin(t) ** 2)),
+        0.0,
+        math.pi,
+        tol,
+    )
 
 
 def g_comparator(cfg: ShellConfig, *, tol: float = QUAD_TOL) -> float:
@@ -232,8 +223,9 @@ def ds_boundary_mass(cfg: ShellConfig, *, tol: float = QUAD_TOL) -> float:
 
     Minimal at d = 0.  In the plane the outer circle is parameterized by its
     own angle t, where |point|^2 = 1 + d^2 + 2 d cos t and the cross term
-    integrates to zero; for n >= 3 the polar-graph assembly applies with the
-    v-integrals taken at superscript n - 2.
+    integrates to zero.  For n >= 3 the squared profile is integrated over
+    the polar graph as one integrand: expanded into the v-integrals at
+    superscript n - 2, its three terms nearly cancel when a is close to 1.
     """
     n, a, d = cfg.n, cfg.a, cfg.d
     if n == 2:
@@ -244,13 +236,13 @@ def ds_boundary_mass(cfg: ShellConfig, *, tol: float = QUAD_TOL) -> float:
             math.pi,
             tol,
         )
-    const = ds_angular_constant(n)
     m = n - 2
-    return const * (
-        a ** (4 - 2 * n) * _v1_m(m, d, tol)
-        - 2.0 * a ** (2 - n) * (wallis(m) + _v2_m(m, d, tol))
-        + _v3_m(m, d, tol)
-    )
+
+    def mass(t):
+        R = _radius(d, t)
+        return np.sin(t) ** m * R**m * _arc_factor(d, t) * (a ** (-m) - R ** (-m)) ** 2
+
+    return ds_angular_constant(n) * _quad(mass, 0.0, math.pi, tol)
 
 
 def ds_bound(cfg: ShellConfig, *, tol: float = QUAD_TOL) -> float:

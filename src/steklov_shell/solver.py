@@ -37,6 +37,20 @@ generalized ``eigh`` averaged 8.3 ms on two threads and 1.4 ms on one; in the
 process pool each worker's BLAS threads also compete with the other workers
 for the cores.  The printed values no longer depend on the host's core count
 either, since a threaded BLAS sums in an order set by its thread count.
+
+The count is set only when it is not already 1, because OpenBLAS's setter
+starts the library's thread server whenever that server is down, whatever
+count it is given.  In a freshly forked process the server is down, and one
+set_num_threads(1) per library (numpy and scipy each bundle one) started a
+server thread that spun for 0.06-0.13 s of CPU before sleeping: 0.18 s per
+worker on 2 vCPUs, more than that worker's share of a default 21-row sweep
+cost in solves.  The sweep's process pool therefore forks its workers inside
+one single-thread scope (``cli._run_pool``), so they inherit a count of 1,
+every per-solve scope in them is a no-op, and they never start a BLAS
+thread.  That relies on the ``fork`` start method, the default on Linux
+through Python 3.13; a worker started any other way imports its BLAS afresh
+at the host's count, and a test in ``tests/test_cli.py`` counts a pool
+worker's threads to catch it.
 """
 
 from __future__ import annotations
@@ -67,7 +81,9 @@ def _thread_setter(lib):
     """lib's thread-count setter, returning the previous count; None if lib has none.
 
     OpenBLAS exports a get/set pair, named with numpy's and scipy's symbol
-    prefix and suffix.
+    prefix and suffix.  The setter calls set only when the count changes:
+    set starts OpenBLAS's thread server when it is down, as it is after a
+    fork, even when asked for the count the library already has.
     """
     for prefix in ("scipy_openblas", "openblas"):
         for suffix in ("64_", ""):
@@ -79,7 +95,8 @@ def _thread_setter(lib):
 
                 def swap(count, get=get, put=put):
                     previous = get()
-                    put(count)
+                    if previous != count:
+                        put(count)
                     return previous
 
                 return swap
@@ -132,9 +149,11 @@ def _openblas_thread_setters() -> tuple:
 def _one_blas_thread():
     """Run the block on one BLAS thread, restoring each library's count on exit.
 
-    The count is process-wide in OpenBLAS's pthreads builds, so solves run at
-    once from several threads of one process can interleave their saves and
-    restores and leave the process-wide count at 1.
+    A library already at 1 is left alone, so a nested scope, or any scope in
+    a process forked inside one, calls no setter at all.  The count is
+    process-wide in OpenBLAS's pthreads builds, so solves run at once from
+    several threads of one process can interleave their saves and restores
+    and leave the process-wide count at 1.
     """
     setters = _openblas_thread_setters()
     previous = [set_threads(1) for set_threads in setters]

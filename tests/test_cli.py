@@ -12,10 +12,17 @@ from types import SimpleNamespace
 import pytest
 import scipy.linalg
 
-from steklov_shell import cli, rayleigh
+from steklov_shell import cli, rayleigh, solver
 from steklov_shell import shell_spectrum as sp
 from steklov_shell.geometry import ShellConfig
+from steklov_shell.quadrature import QUAD_TOL
 from steklov_shell.verify import check_w2_vanishes
+
+
+def _pooled_row_threads(task) -> int:
+    """Run one sweep row, then count this process's threads; top-level so the pool can pickle it."""
+    cli._sweep_point(task)
+    return len(os.listdir("/proc/self/task"))
 
 
 def run_cli(capsys, *argv):
@@ -303,6 +310,15 @@ class TestSweepCommand:
         )
         assert code == 0
         assert sizes == [workers]
+
+    def test_pooled_solver_rows_start_no_blas_threads(self, monkeypatch):
+        # A pool worker forked at the host's BLAS count set it to 1 on its
+        # first solve, which started a spinning server thread per OpenBLAS.
+        if not os.path.isdir("/proc/self/task") or not solver._openblas_thread_setters():
+            pytest.skip("needs /proc/self/task and a loaded OpenBLAS")
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        tasks = [("steklov", 2, 0.5, d, True, 8, 128, QUAD_TOL) for d in (0.0, 0.2)]
+        assert cli._run_pool(_pooled_row_threads, tasks, 2) == [1, 1]
 
     def test_ratio_sweep_runs_without_the_pool(self, capsys, monkeypatch):
         class NoPool:

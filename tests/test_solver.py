@@ -492,6 +492,42 @@ class TestBlasThreads:
         assert swap(4) == 1 and count == [4]
         assert solver._thread_setter(SimpleNamespace()) is None
 
+    @staticmethod
+    def _fake_setter(monkeypatch, start: int):
+        """Route the solver's scopes to one fake library at count start; returns (count, sets)."""
+        count, sets = [start], []
+
+        def get():
+            return count[0]
+
+        def put(n):
+            sets.append(n)
+            count[0] = n
+
+        lib = SimpleNamespace(openblas_get_num_threads=get, openblas_set_num_threads=put)
+        swap = solver._thread_setter(lib)
+        monkeypatch.setattr(solver, "_openblas_thread_setters", lambda: (swap,))
+        return count, sets
+
+    def test_scope_at_one_thread_calls_no_setter(self, monkeypatch):
+        # Setting even an unchanged count restarts OpenBLAS's thread server,
+        # so a process already at 1, like a forked pool worker, must not set.
+        count, sets = self._fake_setter(monkeypatch, 1)
+        with solver._one_blas_thread():
+            assert count == [1]
+        res = solver.solve_steklov(ShellConfig(2, 0.5, 0.3), N=8, m=128)
+        assert math.isfinite(res.residual)
+        assert sets == [] and count == [1]
+
+    def test_nested_scopes_restore_the_outer_count(self, monkeypatch):
+        count, sets = self._fake_setter(monkeypatch, 4)
+        with solver._one_blas_thread():
+            with solver._one_blas_thread():
+                assert count == [1]
+            assert count == [1]
+        assert count == [4]
+        assert sets == [1, 4]
+
     def test_unusual_maps_lines_do_not_break_a_solve(self, monkeypatch, tmp_path):
         # Library paths with a space, a " (deleted)" mark, a name that is not
         # valid UTF-8, and a mapping with no path at all.
