@@ -19,8 +19,9 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import pickle
+import signal
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
@@ -200,7 +201,7 @@ def _solve(problem: str, cfg: ShellConfig, order: int, points: int) -> solver.Ei
 
 
 def _sweep_point(task) -> tuple:
-    """One offset-sweep row; top-level so the process pool can pickle it."""
+    """One offset-sweep row: the offset, the bound, [the solver value,] the concentric value."""
     problem, n, a, d, use_solver, order, points, tol = task
     cfg = ShellConfig(n, a, d)
     if problem == "steklov":
@@ -214,18 +215,97 @@ def _sweep_point(task) -> tuple:
     return (d, bound, closed)
 
 
-def _run_pool(fn, tasks, jobs: int):
-    # jobs 0 means all cores.  The pool forks all its workers up front, so
-    # more than one per task or per core would only cost processes.  They
-    # fork on one BLAS thread and inherit it, so they never start OpenBLAS's
-    # thread server (see the solver module's docstring).
+def _run_share(fn, tasks, share: int, workers: int) -> tuple[list, tuple | None]:
+    """fn over tasks share, share + workers, ..., stopping at the first row that raises.
+
+    Returns the rows and, for a row that raised, its task index and exception
+    (else None), so the caller can re-raise the earliest failure of all shares.
+    """
+    rows = []
+    for i in range(share, len(tasks), workers):
+        try:
+            rows.append(fn(tasks[i]))
+        except Exception as exc:  # handed to the caller, which re-raises the earliest
+            return rows, (i, exc)
+    return rows, None
+
+
+def _fork_share(fn, tasks, share: int, workers: int):
+    """Fork a child that runs one share and pickles its result to a pipe.
+
+    Returns the child's pid and the read end of its pipe.  The child always
+    ends in os._exit, so it never returns into the caller or flushes the
+    parent's stdio buffers; it exits 0 only once its record is written.
+    """
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read_fd)
+            with open(write_fd, "wb") as fh:
+                fh.write(pickle.dumps(_run_share(fn, tasks, share, workers)))
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_fd)
+    return pid, open(read_fd, "rb")
+
+
+def _run_pool(fn, tasks, jobs: int) -> list:
+    """fn over tasks, in task order, on up to jobs processes (0 = all cores).
+
+    Task i runs in share i % workers, so each share gets offsets from the
+    whole grid and the bounds' cost, which grows with the offset, evens out.
+    This process forks one child per share after the first and runs the
+    first share itself; each child pickles its rows to its own pipe.  More
+    processes than tasks or cores would only cost forks.  Everything runs
+    on one BLAS thread, and the children inherit it, so they never start
+    OpenBLAS's thread server (see the solver module's docstring).  Off Linux,
+    where fork is not the platform's safe default, every row runs in process.
+
+    The earliest failing row's exception is raised, as a serial run would
+    raise it.  A child that exits without its record raises RuntimeError.
+    If this process's own share is interrupted, every child is killed and
+    reaped before the interruption propagates.
+    """
     cpus = os.cpu_count() or 1
-    workers = min(jobs or cpus, len(tasks), cpus)
+    workers = min(jobs or cpus, len(tasks), cpus) if sys.platform == "linux" else 1
+    pids, readers = [], []  # of the children; a pid leaves pids once reaped
     with solver._one_blas_thread():
-        if workers <= 1:
-            return [fn(t) for t in tasks]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, tasks))
+        try:
+            for share in range(1, workers):
+                pid, reader = _fork_share(fn, tasks, share, workers)
+                pids.append(pid)
+                readers.append(reader)
+            shares = [_run_share(fn, tasks, 0, workers)]
+            for reader in readers:
+                record = reader.read()
+                pid = pids.pop(0)
+                _, status = os.waitpid(pid, 0)
+                if status != 0:  # a child exits 0 only once its record is written
+                    raise RuntimeError(
+                        f"sweep worker {pid} exited with wait status {status} without its rows"
+                    )
+                shares.append(pickle.loads(record))
+        finally:
+            for pid in pids:  # left only when something raised
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+            for reader in readers:
+                reader.close()
+    failures = [failure for _, failure in shares if failure is not None]
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    rows = [None] * len(tasks)
+    for share, (share_rows, _) in enumerate(shares):
+        rows[share::workers] = share_rows
+    return rows
 
 
 def cmd_sweep(args) -> int:
@@ -294,7 +374,8 @@ def build_parser() -> argparse.ArgumentParser:
     fmt = _option("--format", choices=("table", "csv"), default="table")
     out = _option("--out", metavar="PATH", default=None)
     jobs = _option("--jobs", type=int, default=0, metavar="K",
-                   help="worker processes for offset sweeps (0 = all cores)")
+                   help="processes computing offset-sweep rows, this one included "
+                        "(0 = all cores)")
     tol = _option("--tol", type=float, default=QUAD_TOL,
                   help="quadrature tolerance per integral")
 

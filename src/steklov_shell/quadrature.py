@@ -15,7 +15,7 @@ values (scalar-only callables can be wrapped with ``np.vectorize``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -33,18 +33,28 @@ class QuadratureRule:
     """Gauss-Legendre nodes and weights on (-1, 1).
 
     Exact for polynomials of degree <= 2*order - 1; weights sum to 2 and
-    nodes are symmetric about 0.
+    nodes are symmetric about 0.  node_array and weight_array (computed, not
+    passed) are read-only array copies of the tuples, built once so that
+    apply, which runs on every panel, converts nothing.
     """
 
     order: int
     nodes: tuple[float, ...]
     weights: tuple[float, ...]
+    node_array: np.ndarray = field(init=False, repr=False, compare=False)
+    weight_array: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        for name, values in (("node_array", self.nodes), ("weight_array", self.weights)):
+            array = np.array(values, dtype=float)
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
 
     def apply(self, f, lo: float, hi: float) -> float:
         half = 0.5 * (hi - lo)
         mid = 0.5 * (hi + lo)
-        x = mid + half * np.asarray(self.nodes)
-        return half * float(np.dot(self.weights, f(x)))
+        x = mid + half * self.node_array
+        return half * float(np.dot(self.weight_array, f(x)))
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,7 @@ solve and restored afterwards.  The family matrices are at most 2N+2 wide,
 far below the size where OpenBLAS gains from threading.  In a serial planar
 sweep on 2 vCPUs, where Python work separates the BLAS calls, one 98 x 98
 generalized ``eigh`` averaged 8.3 ms on two threads and 1.4 ms on one; in the
-process pool each worker's BLAS threads also compete with the other workers
+fanned-out sweep each process's BLAS threads also compete with the others
 for the cores.  The printed values no longer depend on the host's core count
 either, since a threaded BLAS sums in an order set by its thread count.
 
@@ -43,14 +43,13 @@ starts the library's thread server whenever that server is down, whatever
 count it is given.  In a freshly forked process the server is down, and one
 set_num_threads(1) per library (numpy and scipy each bundle one) started a
 server thread that spun for 0.06-0.13 s of CPU before sleeping: 0.18 s per
-worker on 2 vCPUs, more than that worker's share of a default 21-row sweep
-cost in solves.  The sweep's process pool therefore forks its workers inside
-one single-thread scope (``cli._run_pool``), so they inherit a count of 1,
-every per-solve scope in them is a no-op, and they never start a BLAS
-thread.  That relies on the ``fork`` start method, the default on Linux
-through Python 3.13; a worker started any other way imports its BLAS afresh
-at the host's count, and a test in ``tests/test_cli.py`` counts a pool
-worker's threads to catch it.
+forked process on 2 vCPUs, more than that process's share of a default
+21-row sweep cost in solves.  An offset sweep therefore forks its child processes with
+``os.fork`` inside one single-thread scope (``cli._run_pool``), so they
+inherit a count of 1, every per-solve scope in them is a no-op, and they
+never start a BLAS thread; a test in ``tests/test_cli.py`` counts a forked
+child's threads to catch a regression.  The sweep forks only on Linux, and
+elsewhere runs its rows in process.
 """
 
 from __future__ import annotations

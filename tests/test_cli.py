@@ -3,9 +3,11 @@
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 import textwrap
+import time
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -14,15 +16,14 @@ import scipy.linalg
 
 from steklov_shell import cli, rayleigh, solver
 from steklov_shell import shell_spectrum as sp
+from steklov_shell.errors import NonConvergenceError
 from steklov_shell.geometry import ShellConfig
 from steklov_shell.quadrature import QUAD_TOL
 from steklov_shell.verify import check_w2_vanishes
 
-
-def _pooled_row_threads(task) -> int:
-    """Run one sweep row, then count this process's threads; top-level so the pool can pickle it."""
-    cli._sweep_point(task)
-    return len(os.listdir("/proc/self/task"))
+# A bound-only sweep whose four offsets are 0, 0.1, 0.2 and 0.3.
+FOUR_ROW_SWEEP = ("sweep", "--problem", "steklov", "--dim", "4", "--a", "0.3",
+                  "--d-max", "0.3", "--d-steps", "4", "--format", "csv")
 
 
 def run_cli(capsys, *argv):
@@ -34,6 +35,52 @@ def run_cli(capsys, *argv):
 def _footer(out: str, name: str) -> float:
     """The value of one ``# name=value`` footer line of solve's output."""
     return float(next(l for l in out.splitlines() if l.startswith(f"# {name}=")).split("=")[1])
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the children the sweep forks, recorded around the real os.fork.
+
+    An alarm fails a test that hangs instead of letting it stall the run.
+    """
+    pids = []
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    def hung(signum, frame):
+        pytest.fail("the sweep hung")
+
+    monkeypatch.setattr(cli.os, "fork", fork)
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(120)
+    try:
+        yield pids
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def assert_no_children():
+    """Every forked child was reaped: none is left as a zombie or still running."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def rows_failing_at(failing, exc_type):
+    """A FOUR_ROW_SWEEP row that raises exc_type at the row indices in failing."""
+    def row(task):
+        d = task[3]
+        i = round(d / 0.1)
+        if i in failing:
+            raise exc_type(f"row {i} failed")
+        return (d, 1.0, 1.0)
+
+    return row
 
 
 class TestSpectrumCommand:
@@ -281,51 +328,114 @@ class TestSweepCommand:
             assert out[0] == out[1]
 
     @pytest.mark.parametrize("jobs, cores, workers", [
-        ("5000", 8, 4),  # at most one worker per task
+        ("5000", 8, 4),  # at most one process per task
         ("3", 8, 3),
         ("0", 2, 2),     # 0 means all cores
-        ("5000", 2, 2),  # at most one worker per core
+        ("5000", 2, 2),  # at most one process per core
     ])
-    def test_pool_size_is_bounded(self, capsys, monkeypatch, jobs, cores, workers):
-        sizes = []
-
-        class RecordingPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks):
-                return map(fn, tasks)
-
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    def test_pool_size_is_bounded(self, capsys, monkeypatch, forks, jobs, cores, workers):
+        # The processes computing rows are this one and its forked children.
         monkeypatch.setattr(cli.os, "cpu_count", lambda: cores)
         code, _, _ = run_cli(
             capsys, "sweep", "--problem", "steklov", "--dim", "4", "--a", "0.3",
             "--d-steps", "4", "--format", "csv", "--jobs", jobs,
         )
         assert code == 0
-        assert sizes == [workers]
+        assert len(forks) + 1 == workers
+        assert_no_children()
 
     def test_pooled_solver_rows_start_no_blas_threads(self, monkeypatch):
-        # A pool worker forked at the host's BLAS count set it to 1 on its
-        # first solve, which started a spinning server thread per OpenBLAS.
+        # A child forked at the host's BLAS count set it to 1 on its first
+        # solve, which started a spinning server thread per OpenBLAS.
         if not os.path.isdir("/proc/self/task") or not solver._openblas_thread_setters():
             pytest.skip("needs /proc/self/task and a loaded OpenBLAS")
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        parent = os.getpid()
+
+        def row_threads(task):
+            cli._sweep_point(task)
+            return os.getpid(), len(os.listdir("/proc/self/task"))
+
         tasks = [("steklov", 2, 0.5, d, True, 8, 128, QUAD_TOL) for d in (0.0, 0.2)]
-        assert cli._run_pool(_pooled_row_threads, tasks, 2) == [1, 1]
+        (pid0, _), (pid1, child_threads) = cli._run_pool(row_threads, tasks, 2)
+        assert pid0 == parent and pid1 != parent
+        assert child_threads == 1
 
-    def test_ratio_sweep_runs_without_the_pool(self, capsys, monkeypatch):
-        class NoPool:
-            def __init__(self, *args, **kwargs):
-                raise AssertionError("the ratio sweep started a process pool")
+    def test_rows_come_back_in_task_order(self, monkeypatch, forks):
+        # Task i runs in share i % 3; the rows are put back in task order.
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+        parent = os.getpid()
+        rows = cli._run_pool(lambda i: (i, os.getpid()), list(range(7)), 0)
+        assert [i for i, _ in rows] == list(range(7))
+        pids = [pid for _, pid in rows]
+        assert pids[0::3] == [parent] * 3
+        assert set(pids[1::3]) == {forks[0]} and set(pids[2::3]) == {forks[1]}
+        assert_no_children()
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", NoPool)
+    def test_off_linux_the_rows_run_in_process(self, capsys, monkeypatch, forks):
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(cli.sys, "platform", "darwin")
+        code, out, _ = run_cli(capsys, *FOUR_ROW_SWEEP, "--jobs", "4")
+        assert code == 0
+        assert len([l for l in out.splitlines() if not l.startswith("#")]) == 5
+        assert forks == []
+
+    @pytest.mark.parametrize("exc_type, exit_code", [(NonConvergenceError, 3), (ValueError, 2)])
+    @pytest.mark.parametrize("failing, first", [
+        ({2}, 2),     # in this process's share (rows 0 and 2)
+        ({1}, 1),     # in the child's share (rows 1 and 3)
+        ({1, 2}, 1),  # the child's failure comes first
+        ({2, 3}, 2),  # this process's failure comes first
+    ])
+    def test_failures_match_the_serial_run(self, capsys, monkeypatch, forks, exc_type, exit_code,
+                                           failing, first):
+        monkeypatch.setattr(cli, "_sweep_point", rows_failing_at(failing, exc_type))
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        serial = run_cli(capsys, *FOUR_ROW_SWEEP, "--jobs", "1")
+        assert forks == []
+        fanned = run_cli(capsys, *FOUR_ROW_SWEEP, "--jobs", "2")
+        assert len(forks) == 1
+        assert fanned == serial
+        code, out, err = serial
+        assert code == exit_code
+        assert out == ""
+        assert f"row {first} failed" in err
+        assert_no_children()
+
+    def test_a_child_that_dies_without_its_rows_exits_1(self, capsys, monkeypatch, forks):
+        parent = os.getpid()
+
+        def row(task):
+            if os.getpid() != parent:
+                os._exit(1)
+            return (task[3], 1.0, 1.0)
+
+        monkeypatch.setattr(cli, "_sweep_point", row)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        code, out, err = run_cli(capsys, *FOUR_ROW_SWEEP, "--jobs", "2")
+        assert code == 1
+        assert out == ""
+        assert "internal error" in err and "without its rows" in err
+        assert len(forks) == 1
+        assert_no_children()
+
+    def test_an_interrupt_of_this_process_kills_the_children(self, monkeypatch, forks):
+        parent = os.getpid()
+
+        def row(i):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            time.sleep(60)
+
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        started = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            cli._run_pool(row, [0, 1], 2)
+        assert time.monotonic() - started < 30
+        assert len(forks) == 1
+        assert_no_children()
+
+    def test_ratio_sweep_runs_without_the_pool(self, capsys, monkeypatch, forks):
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
         code, out, _ = run_cli(
             capsys, "sweep", "--problem", "ratio", "--dim", "3", "--jobs", "2", "--format", "csv",
@@ -333,6 +443,7 @@ class TestSweepCommand:
         assert code == 0
         rows = [l for l in out.splitlines() if not l.startswith("#")][1:]
         assert len(rows) == 200
+        assert forks == []
 
     def test_ratio_sweep_rejects_tol(self, capsys):
         # The ratio sweep integrates nothing, so it reads no --tol.

@@ -30,6 +30,26 @@ class TestRule:
             exact = 0.0 if j % 2 else 2.0 / (j + 1)
             assert rule.apply(lambda x, j=j: x**j, -1, 1) == pytest.approx(exact, abs=1e-13)
 
+    def test_arrays_are_read_only_copies_outside_eq_and_repr(self):
+        rule = quadrature.gauss_legendre_rule(16)
+        assert rule.node_array.tolist() == list(rule.nodes)
+        assert rule.weight_array.tolist() == list(rule.weights)
+        for array in (rule.node_array, rule.weight_array):
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+        twin = quadrature.QuadratureRule(rule.order, rule.nodes, rule.weights)
+        assert twin == rule and hash(twin) == hash(rule)
+        assert "array" not in repr(rule)
+
+    def test_apply_matches_the_tuple_formula(self):
+        # The cached arrays change no bit of a panel's value.
+        rule = quadrature.gauss_legendre_rule(16)
+        f = lambda x: np.exp(np.cos(3 * x))
+        for lo, hi in ((0.0, 1.0), (0.3, 1.7), (-2.5, 0.125)):
+            half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
+            expected = half * float(np.dot(rule.weights, f(mid + half * np.asarray(rule.nodes))))
+            assert rule.apply(f, lo, hi) == expected
+
     def test_cached_instance(self):
         assert quadrature.gauss_legendre_rule(16) is quadrature.gauss_legendre_rule(16)
 
