@@ -1,17 +1,15 @@
 """Command-line front end: spectra, bounds, solver runs, sweeps, verification.
 
-Output contract: CSV is UTF-8 with LF line endings, a ``# manifest:`` comment
-header carrying everything needed to reproduce the run (command, parameters,
-tool version, tolerances), lowercase snake_case column names, and 17
-significant digits.  Repeated identical invocations produce byte-identical
-output, so the manifest carries no wall-clock fields; the human-readable
-table format shows the timestamp instead.
+Every command but ``verify`` prints through one writer, ``_write``, which
+holds the output contract.  The problems offered by ``--problem`` come from
+``problems.PROBLEMS``.
 
 Exit codes: 0 success, 1 internal error or failed verification, 2 usage or
-validation error, 3 numerical failure (non-convergence, including a failed
-eigensolve, and floating-point overflow).  ``solve`` and the sweep's solver
-column run the same direct solve, which never refuses a basis order for its
-conditioning: the printed residual is the convergence diagnostic.
+validation error (an ``--out`` path that cannot be written included), 3
+numerical failure (non-convergence, including a failed eigensolve, and
+floating-point overflow).  ``solve`` and the sweep's solver column run the
+same direct solve, which never refuses a basis order for its conditioning:
+the printed residual is the convergence diagnostic.
 """
 
 from __future__ import annotations
@@ -22,7 +20,6 @@ import os
 import pickle
 import signal
 import sys
-from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
 import numpy as np
@@ -30,6 +27,7 @@ import numpy as np
 from . import __version__, rayleigh, shell_spectrum, solver, verify
 from .errors import NonConvergenceError
 from .geometry import ShellConfig
+from .problems import PROBLEMS
 from .quadrature import MIN_TOL, QUAD_TOL
 
 
@@ -37,84 +35,48 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """Reproducibility header for one invocation."""
-
-    command: str
-    parameters: dict
-    tool_version: str = __version__
-    tolerances: dict = field(default_factory=dict)
-    timestamp: str = ""
-
-    @classmethod
-    def create(cls, command: str, parameters: dict, tolerances: dict) -> "RunManifest":
-        return cls(
-            command=command,
-            parameters=dict(parameters),
-            tolerances=dict(tolerances),
-            timestamp=datetime.now(timezone.utc).isoformat(timespec="seconds"),
-        )
-
-    def _kv(self, mapping: dict) -> str:
-        return " ".join(f"{k}={mapping[k]}" for k in sorted(mapping))
-
-    def csv_header(self) -> list[str]:
-        # Deterministic fields only: repeated identical runs must be
-        # byte-identical, so the timestamp stays out of machine output.
-        return [
-            f"# manifest: command={self.command}",
-            f"# manifest: parameters: {self._kv(self.parameters)}",
-            f"# manifest: tool_version={self.tool_version}",
-            f"# manifest: tolerances: {self._kv(self.tolerances)}",
-        ]
-
-    def table_header(self) -> list[str]:
-        return self.csv_header() + [f"# manifest: timestamp={self.timestamp}"]
-
-
 def _emit(lines: list[str], out_path: str | None) -> None:
     text = "\n".join(lines) + "\n"
     if out_path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write --out {out_path}: {exc.strerror or exc}") from None
 
 
-def _csv_rows(header: list[str], columns: list[str], rows, footer: list[str] = ()) -> list[str]:
-    lines = list(header)
-    lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row))
-    lines.extend(footer)
-    return lines
+def _write(args, command: str, parameters: dict, columns: list[str], rows, footer=(),
+           tol: float = QUAD_TOL) -> None:
+    """Print one command's output, or write it to ``--out``.
 
-
-def _table_rows(header: list[str], columns: list[str], rows, footer: list[str] = ()) -> list[str]:
-    str_rows = [
-        [_fmt(v) if isinstance(v, float) else str(v) for v in row] for row in rows
+    Output contract: UTF-8 with LF line endings; a ``# manifest:`` comment
+    header carrying everything needed to reproduce the run (command, sorted
+    parameters, tool version, tolerances); lowercase snake_case column
+    names; floats to 17 significant digits; then the footer lines.  CSV
+    joins cells with commas.  The human-readable table left-justifies every
+    column to its widest cell, joins columns with two spaces, and adds the
+    UTC time of writing as a fifth manifest line.  CSV carries no wall-clock
+    field, so repeated identical invocations are byte-identical.
+    """
+    kv = " ".join(f"{k}={parameters[k]}" for k in sorted(parameters))
+    lines = [
+        f"# manifest: command={command}",
+        f"# manifest: parameters: {kv}",
+        f"# manifest: tool_version={__version__}",
+        f"# manifest: tolerances: quad_abs={tol} quad_rel={tol}",
     ]
-    widths = [
-        max(len(columns[j]), max((len(r[j]) for r in str_rows), default=0))
-        for j in range(len(columns))
-    ]
-    lines = list(header)
-    lines.append("  ".join(c.ljust(w) for c, w in zip(columns, widths)))
-    for r in str_rows:
-        lines.append("  ".join(v.ljust(w) for v, w in zip(r, widths)))
-    lines.extend(footer)
-    return lines
-
-
-def _render(args, manifest, columns, rows, footer=()) -> list[str]:
+    table = [columns] + [[_fmt(v) if isinstance(v, float) else str(v) for v in row] for row in rows]
     if args.format == "csv":
-        return _csv_rows(manifest.csv_header(), columns, rows, footer)
-    return _table_rows(manifest.table_header(), columns, rows, footer)
-
-
-def _tolerances(tol: float = QUAD_TOL) -> dict:
-    return {"quad_abs": tol, "quad_rel": tol}
+        lines += [",".join(row) for row in table]
+    else:
+        now = datetime.now(timezone.utc).isoformat(timespec="seconds")
+        lines.append(f"# manifest: timestamp={now}")
+        widths = [max(map(len, column)) for column in zip(*table)]
+        lines += ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)) for row in table]
+    lines.extend(footer)
+    _emit(lines, args.out)
 
 
 # ----------------------------------------------------------------------
@@ -123,23 +85,17 @@ def _tolerances(tol: float = QUAD_TOL) -> dict:
 
 def cmd_spectrum(args) -> int:
     entries = shell_spectrum.spectrum(args.dim, args.a, args.kmax)
-    manifest = RunManifest.create(
-        "spectrum", {"dim": args.dim, "a": args.a, "kmax": args.kmax}, _tolerances()
-    )
     rows = [(e.value, e.k, e.branch, e.multiplicity) for e in entries]
     complete = shell_spectrum.spectrum_complete_below(args.dim, args.a, args.kmax)
-    footer = [f"# complete_below={_fmt(complete)}"]
-    _emit(_render(args, manifest, ["value", "k", "branch", "multiplicity"], rows, footer), args.out)
+    _write(args, "spectrum", {"dim": args.dim, "a": args.a, "kmax": args.kmax},
+           ["value", "k", "branch", "multiplicity"], rows, [f"# complete_below={_fmt(complete)}"])
     return 0
 
 
 def cmd_bound(args) -> int:
     cfg = ShellConfig(args.dim, args.a, args.d)
-    manifest = RunManifest.create(
-        "bound",
-        {"dim": args.dim, "a": args.a, "d": args.d, "problem": args.problem},
-        _tolerances(args.tol),
-    )
+    problem = PROBLEMS[args.problem]
+    # The two bounds break down into different terms.
     if args.problem == "steklov":
         b = rayleigh.steklov_bound(cfg, tol=args.tol)
         fields = [
@@ -155,63 +111,45 @@ def cmd_bound(args) -> int:
             ("energy", b.energy),
             ("boundary_mass", b.boundary_mass),
             ("bound", b.bound),
-            ("sigma1_concentric", shell_spectrum.sigma1_closed_form(cfg.n, cfg.a)),
         ]
     else:
         energy = rayleigh.ds_energy(cfg, tol=args.tol)
         mass = rayleigh.ds_boundary_mass(cfg, tol=args.tol)
-        fields = [
-            ("energy", energy),
-            ("boundary_mass", mass),
-            ("bound", energy / mass),
-            ("tau1_concentric", shell_spectrum.tau1_closed_form(cfg.n, cfg.a)),
-        ]
+        fields = [("energy", energy), ("boundary_mass", mass), ("bound", energy / mass)]
+    fields.append((f"{problem.label}_concentric", problem.closed_form(cfg.n, cfg.a)))
     if args.format == "csv":
-        columns = [name for name, _ in fields]
-        rows = [tuple(val for _, val in fields)]
-        _emit(_csv_rows(manifest.csv_header(), columns, rows), args.out)
+        columns, rows = [name for name, _ in fields], [[val for _, val in fields]]
     else:
-        rows = [(name, val) for name, val in fields]
-        _emit(_table_rows(manifest.table_header(), ["field", "value"], rows), args.out)
+        columns, rows = ["field", "value"], fields
+    params = {"dim": args.dim, "a": args.a, "d": args.d, "problem": args.problem}
+    _write(args, "bound", params, columns, rows, tol=args.tol)
     return 0
 
 
 def cmd_solve(args) -> int:
-    cfg = ShellConfig(2, args.a, args.d)
-    params = {"a": args.a, "d": args.d, "order": args.order, "points": args.points,
-              "problem": args.problem}
-    manifest = RunManifest.create("solve", params, _tolerances())
-    res = _solve(args.problem, cfg, args.order, args.points)
-    label = "sigma1" if args.problem == "steklov" else "tau1"
-    groups = solver.group_eigenvalues(res.eigenvalues[:12])
+    problem = PROBLEMS[args.problem]
+    res = problem.solve(ShellConfig(2, args.a, args.d), N=args.order, m=args.points)
     footer = [
-        f"# {label}={_fmt(res.principal)}",
+        f"# {problem.label}={_fmt(res.principal)}",
         f"# residual={_fmt(res.residual)}",
         f"# gram_condition={_fmt(res.gram_condition)}",
     ]
-    rows = [(val, mult) for val, mult in groups]
-    _emit(_render(args, manifest, ["eigenvalue", "multiplicity"], rows, footer), args.out)
+    params = {"a": args.a, "d": args.d, "order": args.order, "points": args.points,
+              "problem": args.problem}
+    _write(args, "solve", params, ["eigenvalue", "multiplicity"],
+           solver.group_eigenvalues(res.eigenvalues[:12]), footer)
     return 0
-
-
-def _solve(problem: str, cfg: ShellConfig, order: int, points: int) -> solver.EigResult:
-    """The direct solve of problem, looked up on ``solver`` when called."""
-    solve = solver.solve_steklov if problem == "steklov" else solver.solve_dirichlet_steklov
-    return solve(cfg, N=order, m=points)
 
 
 def _sweep_point(task) -> tuple:
     """One offset-sweep row: the offset, the bound, [the solver value,] the concentric value."""
-    problem, n, a, d, use_solver, order, points, tol = task
+    name, n, a, d, use_solver, order, points, tol = task
+    problem = PROBLEMS[name]
     cfg = ShellConfig(n, a, d)
-    if problem == "steklov":
-        bound = rayleigh.steklov_bound(cfg, tol=tol).bound
-        closed = shell_spectrum.sigma1_closed_form(n, a)
-    else:
-        bound = rayleigh.ds_bound(cfg, tol=tol)
-        closed = shell_spectrum.tau1_closed_form(n, a)
+    bound = problem.bound(cfg, tol=tol)
+    closed = problem.closed_form(n, a)
     if use_solver:
-        return (d, bound, _solve(problem, cfg, order, points).principal, closed)
+        return (d, bound, problem.solve(cfg, N=order, m=points).principal, closed)
     return (d, bound, closed)
 
 
@@ -320,9 +258,8 @@ def cmd_sweep(args) -> int:
         rows = [(e, shell_spectrum.scale_invariant(args.dim, e)) for e in eps_grid]
         eps_star, value = shell_spectrum.optimal_eps(args.dim)
         params["eps_steps"] = args.eps_steps
-        manifest = RunManifest.create("sweep", params, _tolerances())
         footer = [f"# eps_star={_fmt(eps_star)}", f"# value_at_eps_star={_fmt(value)}"]
-        _emit(_render(args, manifest, ["eps", "normalized_value"], rows, footer), args.out)
+        _write(args, "sweep", params, ["eps", "normalized_value"], rows, footer)
         return 0
 
     if args.d_steps < 1:
@@ -347,8 +284,7 @@ def cmd_sweep(args) -> int:
         columns = ["d", "bound", "solver_value", "closed_form"]
     else:
         columns = ["d", "bound", "closed_form"]
-    manifest = RunManifest.create("sweep", params, _tolerances(args.tol))
-    _emit(_render(args, manifest, columns, rows), args.out)
+    _write(args, "sweep", params, columns, rows, tol=args.tol)
     return 0
 
 
@@ -398,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--a", type=float, required=True)
     p.add_argument("--d", type=float, required=True)
-    p.add_argument("--problem", choices=("steklov", "dirichlet-steklov"), default="steklov")
+    p.add_argument("--problem", choices=tuple(PROBLEMS), default="steklov")
     p.set_defaults(func=cmd_bound)
 
     p = sub.add_parser("solve", parents=[fmt, out],
@@ -407,13 +343,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=float, required=True)
     p.add_argument("--order", type=int, default=solver.DEFAULT_ORDER)
     p.add_argument("--points", type=int, default=solver.DEFAULT_POINTS)
-    p.add_argument("--problem", choices=("steklov", "dirichlet-steklov"), default="steklov")
+    p.add_argument("--problem", choices=tuple(PROBLEMS), default="steklov")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("sweep", parents=[fmt, out, jobs, tol],
                        help="offset or hole-ratio sweeps to CSV")
-    p.add_argument("--problem", choices=("steklov", "dirichlet-steklov", "ratio"),
-                   required=True)
+    p.add_argument("--problem", choices=(*PROBLEMS, "ratio"), required=True)
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--a", type=float, default=0.5)
     p.add_argument("--d-steps", type=int, default=21)

@@ -86,11 +86,13 @@ def integrate(f, lo: float, hi: float, tol: float = QUAD_TOL) -> QuadResult:
     bit-identical results (intervals are processed in a fixed order and
     summed left to right).
 
-    Raises ValueError for tol below MIN_TOL, machine epsilon, and
-    NonConvergenceError if more than 2^16 intervals are needed.
+    Raises ValueError for a NaN or infinite bound, for hi < lo and for tol
+    below MIN_TOL, machine epsilon, and NonConvergenceError if more than
+    2^16 intervals are needed.
     """
-    if hi < lo:
-        raise ValueError("integration bounds must satisfy lo <= hi")
+    # Written as "not inside" so that NaN, which compares false, is refused.
+    if not -math.inf < lo <= hi < math.inf:
+        raise ValueError("integration bounds must be finite and satisfy lo <= hi")
     if not MIN_TOL <= tol < math.inf:
         raise ValueError(f"tolerance must be finite and at least machine epsilon {MIN_TOL:.17g}")
     if hi == lo:

@@ -25,6 +25,7 @@ import numpy as np
 
 from . import geometry, rayleigh, shell_spectrum, solver, special
 from .geometry import ShellConfig
+from .problems import PROBLEMS
 from .quadrature import gauss_legendre_rule, integrate
 
 FAULTS = ("w2-sign",)
@@ -508,30 +509,18 @@ DS_BOUND_ANCHOR_PAIRS = BOUND_ANCHOR_PAIRS + [
 ]
 
 
-def _bound(problem: str, cfg: ShellConfig) -> float:
-    if problem == "steklov":
-        return rayleigh.steklov_bound(cfg).bound
-    return rayleigh.ds_bound(cfg)
-
-
-def _closed_form(problem: str, n: int, a: float) -> float:
-    if problem == "steklov":
-        return shell_spectrum.sigma1_closed_form(n, a)
-    return shell_spectrum.tau1_closed_form(n, a)
-
-
 def _bound_anchor(name: str, problem: str, tol: float, pairs) -> CheckResult:
     worst = 0.0
     for n, a in pairs:
-        bound = _bound(problem, ShellConfig(n, a, 0.0))
-        worst = max(worst, abs(bound - _closed_form(problem, n, a)))
+        bound = PROBLEMS[problem].bound(ShellConfig(n, a, 0.0))
+        worst = max(worst, abs(bound - PROBLEMS[problem].closed_form(n, a)))
     return _worst(name, tol, worst)
 
 
 def _bound_strictly_decreasing(name: str, problem: str, pairs) -> CheckResult:
     worst = -1.0
     for n, a in pairs:
-        vals = [_bound(problem, ShellConfig(n, a, float(d))) for d in _d_grid(a, 21)]
+        vals = [PROBLEMS[problem].bound(ShellConfig(n, a, float(d))) for d in _d_grid(a, 21)]
         worst = max(worst, float(np.diff(vals).max()))
     return _worst(name, 0.0, worst, strict=True)
 
@@ -589,10 +578,11 @@ _solves: contextvars.ContextVar[dict | None] = contextvars.ContextVar("solves", 
 def _solve(problem: str, cfg: ShellConfig) -> solver.EigResult:
     """A default-order solve of cfg, shared by the checks of one run_checks call.
 
-    The solve is looked up on ``solver`` at call time, so a patched or traced
-    solver sees every real solve.  Outside run_checks every call solves.
+    The problem table looks the solve up on ``solver`` at call time, so a
+    patched or traced solver sees every real solve.  Outside run_checks
+    every call solves.
     """
-    solve = solver.solve_steklov if problem == "steklov" else solver.solve_dirichlet_steklov
+    solve = PROBLEMS[problem].solve
     shared = _solves.get()
     if shared is None:
         return solve(cfg)
@@ -606,7 +596,7 @@ def _solver_concentric(name: str, problem: str) -> CheckResult:
     worst = 0.0
     for a in SOLVER_RADII:
         res = _solve(problem, ShellConfig(2, a, 0.0))
-        worst = max(worst, abs(res.principal - _closed_form(problem, 2, a)))
+        worst = max(worst, abs(res.principal - PROBLEMS[problem].closed_form(2, a)))
     return _worst(name, 1e-8, worst)
 
 
@@ -670,7 +660,7 @@ def _solver_below_bound(name: str, problem: str, count: int) -> CheckResult:
         for d in _d_grid(a, count):
             cfg = ShellConfig(2, a, float(d))
             res = _solve(problem, cfg)
-            worst = max(worst, res.principal - _bound(problem, cfg))
+            worst = max(worst, res.principal - PROBLEMS[problem].bound(cfg))
     return _worst(name, 1e-8, worst)
 
 
@@ -748,7 +738,7 @@ def check_bound_dominates_odd_family() -> CheckResult:
     for a in SOLVER_RADII:
         for d in _d_grid(a, 20):
             cfg = ShellConfig(2, a, float(d))
-            gap = _first_odd(_solve("steklov", cfg)) - _bound("steklov", cfg)
+            gap = _first_odd(_solve("steklov", cfg)) - PROBLEMS["steklov"].bound(cfg)
             if d > 0.0:
                 worst = max(worst, gap)
             elif abs(gap) > 1e-8:

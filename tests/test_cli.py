@@ -8,13 +8,14 @@ import subprocess
 import sys
 import textwrap
 import time
+from datetime import datetime, timezone
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 import scipy.linalg
 
-from steklov_shell import cli, rayleigh, solver
+from steklov_shell import __version__, cli, rayleigh, solver
 from steklov_shell import shell_spectrum as sp
 from steklov_shell.errors import NonConvergenceError
 from steklov_shell.geometry import ShellConfig
@@ -188,6 +189,101 @@ class TestBoundCommand:
         assert code == 3
         assert out == ""
         assert "numerical failure:" in err
+
+
+def _g(x: float) -> str:
+    return f"{x:.17g}"
+
+
+def _padded(rows) -> list[str]:
+    """rows as the table format lays them out: each column left-justified to its
+    widest cell, the last one included, and columns joined by two spaces."""
+    widths = [max(len(r[j]) for r in rows) for j in range(len(rows[0]))]
+    return ["  ".join(cell.ljust(w) for cell, w in zip(r, widths)) for r in rows]
+
+
+def _bound_fields(problem: str, cfg: ShellConfig, tol: float) -> list[tuple[str, str]]:
+    """bound's fields, in order, computed in process and formatted to 17 digits."""
+    if problem == "steklov":
+        b = rayleigh.steklov_bound(cfg, tol=tol)
+        values = [("mu", b.mu), ("w1", b.W1), ("w2", b.W2), ("w3", b.W3), ("v1", b.V1),
+                  ("v2", b.V2), ("v3", b.V3), ("i_n", b.In), ("inner_mass", b.inner_mass),
+                  ("energy", b.energy), ("boundary_mass", b.boundary_mass), ("bound", b.bound),
+                  ("sigma1_concentric", sp.sigma1_closed_form(cfg.n, cfg.a))]
+    else:
+        energy = rayleigh.ds_energy(cfg, tol=tol)
+        mass = rayleigh.ds_boundary_mass(cfg, tol=tol)
+        values = [("energy", energy), ("boundary_mass", mass), ("bound", energy / mass),
+                  ("tau1_concentric", sp.tau1_closed_form(cfg.n, cfg.a))]
+    return [(name, _g(value)) for name, value in values]
+
+
+class TestOutputLayout:
+    """The manifest header and both layouts, byte for byte.
+
+    Every expected number is computed in process and formatted with .17g,
+    not written as a literal, so the test does not pin one CPU's last digits.
+    """
+
+    @pytest.mark.parametrize("problem", ["steklov", "dirichlet-steklov"])
+    @pytest.mark.parametrize("tol, tol_text", [(None, "1e-12"), ("1e-10", "1e-10")])
+    def test_bound_csv_is_one_row_of_field_names(self, capsys, problem, tol, tol_text):
+        argv = ["bound", "--problem", problem, "--dim", "3", "--a", "0.4", "--d", "0.2",
+                "--format", "csv"] + (["--tol", tol] if tol else [])
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        fields = _bound_fields(problem, ShellConfig(3, 0.4, 0.2), float(tol_text))
+        assert out.splitlines() == [
+            "# manifest: command=bound",
+            f"# manifest: parameters: a=0.4 d=0.2 dim=3 problem={problem}",
+            f"# manifest: tool_version={__version__}",
+            f"# manifest: tolerances: quad_abs={tol_text} quad_rel={tol_text}",
+            ",".join(name for name, _ in fields),
+            ",".join(value for _, value in fields),
+        ]
+        assert out.endswith("\n") and not out.endswith("\n\n")
+
+    @pytest.mark.parametrize("problem", ["steklov", "dirichlet-steklov"])
+    def test_bound_table_is_field_value_rows_after_a_timestamp(self, capsys, problem):
+        before = datetime.now(timezone.utc).replace(microsecond=0)
+        code, out, err = run_cli(capsys, "bound", "--problem", problem, "--dim", "2",
+                                 "--a", "0.5", "--d", "0.3")
+        after = datetime.now(timezone.utc)
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        assert lines[:4] == [
+            "# manifest: command=bound",
+            f"# manifest: parameters: a=0.5 d=0.3 dim=2 problem={problem}",
+            f"# manifest: tool_version={__version__}",
+            "# manifest: tolerances: quad_abs=1e-12 quad_rel=1e-12",
+        ]
+        # The fifth line is the timestamp: ISO 8601 to the second, in UTC.
+        prefix = "# manifest: timestamp="
+        assert lines[4].startswith(prefix)
+        stamp = lines[4][len(prefix):]
+        assert len(stamp) == len("2000-01-01T00:00:00+00:00") and stamp.endswith("+00:00")
+        assert before <= datetime.fromisoformat(stamp) <= after
+        fields = _bound_fields(problem, ShellConfig(2, 0.5, 0.3), QUAD_TOL)
+        assert lines[5:] == _padded([("field", "value")] + fields)
+
+    def test_spectrum_table_pads_every_column(self, capsys):
+        code, out, _ = run_cli(capsys, "spectrum", "--dim", "3", "--a", "0.3", "--kmax", "4")
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[1] == "# manifest: parameters: a=0.3 dim=3 kmax=4"
+        assert lines[4].startswith("# manifest: timestamp=")
+        rows = [(_g(e.value), str(e.k), e.branch, str(e.multiplicity))
+                for e in sp.spectrum(3, 0.3, 4)]
+        footer = f"# complete_below={_g(sp.spectrum_complete_below(3, 0.3, 4))}"
+        assert lines[5:] == _padded([("value", "k", "branch", "multiplicity")] + rows) + [footer]
+
+    def test_csv_carries_no_timestamp(self, capsys):
+        code, out, _ = run_cli(capsys, "spectrum", "--dim", "3", "--a", "0.3", "--kmax", "4",
+                               "--format", "csv")
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[4] == "value,k,branch,multiplicity"
+        assert not any("timestamp" in line for line in lines)
 
 
 class TestSolveCommand:
@@ -549,6 +645,19 @@ def test_options_a_subcommand_does_not_read_are_rejected(capsys, command, option
     assert option in captured.err
 
 
+def test_unwritable_out_is_a_usage_error(capsys, tmp_path):
+    # The path is user input: exit 2 naming it, not an internal error or
+    # the exit 1 of a failed check.
+    path = tmp_path / "missing" / "x.csv"
+    for argv in (["bound", "--dim", "2", "--a", "0.5", "--d", "0.1"],
+                 ["verify", "--checks", "wallis"]):
+        code, out, err = run_cli(capsys, *argv, "--out", str(path))
+        assert code == 2
+        assert out == ""
+        assert str(path) in err and "internal error" not in err
+    assert not path.parent.exists()
+
+
 def test_benchmark_tracer_drives_the_cli():
     # perfbench/run.py --trace 1 wraps the package's functions by name and runs
     # the CLI through them; a rename or a changed signature breaks it here too.
@@ -570,17 +679,23 @@ def test_benchmark_tracer_drives_the_cli():
             verify_solves.append(spans.metrics()["solver.solves"])
             before_solve = spans.metrics()["solver.boundary_residual.s"]
             codes.append(cli.main(["solve", "--a", "0.5", "--d", "0.3", "--format", "csv"]))
+            before_mixed = spans.metrics()
+            codes.append(cli.main(["sweep", "--problem", "dirichlet-steklov", "--dim", "2",
+                                   "--a", "0.5", "--d-steps", "2", "--jobs", "1"]))
         metrics = spans.metrics()
         print(json.dumps({{"codes": codes, "solves": metrics["solver.solves"],
                           "sweep_calls": [sweep["solver.attempts"], sweep["solver.solves"]],
                           "verify_solves": verify_solves,
-                          "residual_s": [before_solve, metrics["solver.boundary_residual.s"]]}}))
+                          "residual_s": [before_solve, metrics["solver.boundary_residual.s"]],
+                          "mixed_solves": [before_mixed["solver.solves"], metrics["solver.solves"]],
+                          "ds_bound_ms": [before_mixed["rayleigh.ds_bound.ms_per_call"],
+                                          metrics["rayleigh.ds_bound.ms_per_call"]]}}))
     """)
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           timeout=300, cwd=root)
     assert proc.returncode == 0, proc.stderr
     record = json.loads(proc.stdout)
-    assert record["codes"] == [0, 0, 0]
+    assert record["codes"] == [0, 0, 0, 0]
     assert record["solves"] > 0
     # A sweep row is one solve, also at a small hole: no attempt is thrown away.
     attempts, solves = record["sweep_calls"]
@@ -594,6 +709,12 @@ def test_benchmark_tracer_drives_the_cli():
     before_solve, after_solve = record["residual_s"]
     assert before_solve == 0
     assert after_solve > 0
+    # The mixed sweep reaches the traced bound and solve through the problem
+    # table, which looks them up when called: two rows, two solves.
+    before_mixed, after_mixed = record["mixed_solves"]
+    assert after_mixed == before_mixed + 2
+    assert record["ds_bound_ms"][0] == 0
+    assert record["ds_bound_ms"][1] > 0
 
 
 def test_version_flag(capsys):

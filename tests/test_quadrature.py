@@ -122,6 +122,14 @@ class TestIntegrate:
             with pytest.raises(ValueError):
                 quadrature.integrate(np.sin, 0.0, 1.0, tol=tol)
 
+    @pytest.mark.parametrize("lo, hi", [
+        (0.0, math.nan), (math.nan, 1.0), (0.0, math.inf), (-math.inf, 0.0),
+    ])
+    def test_rejects_non_finite_bounds(self, lo, hi):
+        # Refused up front, not bisected to the subdivision cap.
+        with pytest.raises(ValueError, match="finite"):
+            quadrature.integrate(np.sin, lo, hi)
+
     def test_tolerance_at_rounding_level_is_met(self):
         # The integral vanishes, so tol acts as an absolute 1e-15, below the
         # rounding of the two rules on an integrand of size 10.  Panels at
