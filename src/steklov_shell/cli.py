@@ -141,18 +141,6 @@ def cmd_solve(args) -> int:
     return 0
 
 
-def _sweep_point(task) -> tuple:
-    """One offset-sweep row: the offset, the bound, [the solver value,] the concentric value."""
-    name, n, a, d, use_solver, order, points, tol = task
-    problem = PROBLEMS[name]
-    cfg = ShellConfig(n, a, d)
-    bound = problem.bound(cfg, tol=tol)
-    closed = problem.closed_form(n, a)
-    if use_solver:
-        return (d, bound, problem.solve(cfg, N=order, m=points).principal, closed)
-    return (d, bound, closed)
-
-
 def _run_share(fn, tasks, share: int, workers: int) -> tuple[list, tuple | None]:
     """fn over tasks share, share + workers, ..., stopping at the first row that raises.
 
@@ -195,7 +183,7 @@ def _fork_share(fn, tasks, share: int, workers: int):
     return pid, open(read_fd, "rb")
 
 
-def _run_pool(fn, tasks, jobs: int) -> list:
+def _fan_out(fn, tasks, jobs: int) -> list:
     """fn over tasks, in task order, on up to jobs processes (0 = all cores).
 
     Task i runs in share i % workers, so each share gets offsets from the
@@ -272,12 +260,18 @@ def cmd_sweep(args) -> int:
         raise ValueError("sweep offset cap must lie in [0, 1 - a)")
     if use_solver:
         solver.validate_problem_size(cfg0, args.order, args.points)
-    d_grid = np.linspace(0.0, d_max, args.d_steps)
-    tasks = [
-        (args.problem, args.dim, a, float(d), use_solver, args.order, args.points, args.tol)
-        for d in d_grid
-    ]
-    rows = _run_pool(_sweep_point, tasks, args.jobs)
+    problem = PROBLEMS[args.problem]
+    closed = problem.closed_form(args.dim, a)
+
+    def row(d: float) -> tuple:
+        """One offset-sweep row: the offset, the bound, [the solver value,] the concentric value."""
+        cfg = ShellConfig(args.dim, a, d)
+        bound = problem.bound(cfg, tol=args.tol)
+        if use_solver:
+            return (d, bound, problem.solve(cfg, N=args.order, m=args.points).principal, closed)
+        return (d, bound, closed)
+
+    rows = _fan_out(row, np.linspace(0.0, d_max, args.d_steps).tolist(), args.jobs)
     params.update({"a": a, "d_steps": args.d_steps, "d_max": d_max, "solver": use_solver})
     if use_solver:
         params.update({"order": args.order, "points": args.points})
@@ -383,8 +377,13 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (NonConvergenceError, OverflowError) as exc:
+    except NonConvergenceError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return 3
+    except OverflowError as exc:
+        # A float ** raises OverflowError(errno, text), which prints as the bare tuple.
+        detail = exc.args[-1] if exc.args else exc
+        print(f"numerical failure: floating-point overflow: {detail}", file=sys.stderr)
         return 3
     except Exception as exc:  # pragma: no cover - defensive
         print(f"internal error: {exc}", file=sys.stderr)

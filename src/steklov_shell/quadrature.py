@@ -1,8 +1,9 @@
 """Deterministic adaptive Gauss-Legendre quadrature.
 
-One fixed high-order rule (16 nodes) is compared against an embedded
-lower-order evaluation (8 nodes) on every interval; intervals whose
-discrepancy exceeds their share of the tolerance are bisected.  One
+On every interval a 16-node Gauss-Legendre rule is compared against a
+separate 8-node one; intervals whose discrepancy exceeds their share of the
+tolerance are bisected.  Gauss-Legendre rules are not nested, so the two
+share no node and each interval costs 24 integrand evaluations.  One
 tolerance, ``tol`` (``QUAD_TOL`` by default), is both the absolute and the
 relative tolerance.  All integrands here are analytic on the integration
 interval, so convergence is fast and the error estimate is sharply
@@ -109,7 +110,7 @@ def integrate(f, lo: float, hi: float, tol: float = QUAD_TOL) -> QuadResult:
     scale = max(tol, tol * abs(whole))
 
     stack = [(lo, hi, whole)]
-    accepted: list[tuple[float, float, float]] = []  # (lo, value, err)
+    accepted: list[tuple[float, float]] = []  # (value, err), left to right
     count = 1
     while stack:
         a, b, v_high = stack.pop()
@@ -120,7 +121,7 @@ def integrate(f, lo: float, hi: float, tol: float = QUAD_TOL) -> QuadResult:
             or err <= 8.0 * MIN_TOL * abs(v_high)
             or (b - a) < 1e-14 * span
         ):
-            accepted.append((a, v_high, err))
+            accepted.append((v_high, err))
         else:
             if count + 2 > MAX_INTERVALS:
                 raise NonConvergenceError(
@@ -128,15 +129,15 @@ def integrate(f, lo: float, hi: float, tol: float = QUAD_TOL) -> QuadResult:
                     f"({MAX_INTERVALS} intervals) before reaching tolerance"
                 )
             m = 0.5 * (a + b)
-            # LIFO with right half pushed first: left-to-right processing.
+            # LIFO with right half pushed first: panels are processed, and
+            # accepted, left to right, so the sum needs no sort.
             stack.append((m, b, high.apply(f, m, b)))
             stack.append((a, m, high.apply(f, a, m)))
             count += 2
 
-    accepted.sort(key=lambda item: item[0])
     value = 0.0
     err_total = 0.0
-    for _, v, e in accepted:
+    for v, e in accepted:
         value += v
         err_total += e
     return QuadResult(value=value, error_estimate=err_total, subdivisions=len(accepted))

@@ -40,7 +40,6 @@ class RayleighBreakdown:
     d-independent contribution of the inner sphere to boundary_mass.
     """
 
-    cfg: ShellConfig
     mu: float
     W1: float
     W2: float
@@ -184,7 +183,6 @@ def steklov_bound(cfg: ShellConfig, *, tol: float = QUAD_TOL) -> RayleighBreakdo
     inner = inner_boundary_mass(cfg)
     boundary_mass = const * (V1 + 2.0 * mu * (In + V2) + mu * mu * V3) + inner
     return RayleighBreakdown(
-        cfg=cfg,
         mu=mu,
         W1=W1,
         W2=W2,

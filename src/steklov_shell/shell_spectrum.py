@@ -38,19 +38,12 @@ class QuadraticCoeffs:
 
 @dataclass(frozen=True)
 class SpectrumEntry:
-    """One eigenvalue branch of the concentric shell.
-
-    radial_coeff is the coefficient of the second radial solution when the
-    first has unit coefficient: (k - delta)/(n + delta + k - 2) on r^-(k+n-2)
-    for the lower/upper branches, the log/r^-(n-2) coefficient for radial0,
-    and 0 for the constant branch.
-    """
+    """One eigenvalue branch of the concentric shell."""
 
     k: int
     branch: str
     value: float
     multiplicity: int
-    radial_coeff: float
 
 
 def _check_na(n: int, a: float) -> None:
@@ -119,8 +112,8 @@ def tau1_closed_form(n: int, a: float) -> float:
 def mu_sigma(n: int, a: float) -> float:
     """Radial mixing coefficient (1 - sigma1) / (n + sigma1 - 1) of the first mode.
 
-    Lies in (0, 1/(n-1)) since 0 < sigma1 < 1; equals the radial_coeff of the
-    (k=1, lower) spectrum entry.
+    Lies in (0, 1/(n-1)) since 0 < sigma1 < 1; equals
+    radial_coefficient(n, a, 1, "lower").
     """
     s1 = sigma1_closed_form(n, a)
     return (1.0 - s1) / (n + s1 - 1.0)
@@ -170,26 +163,15 @@ def spectrum(n: int, a: float, k_max: int = DEFAULT_K_MAX) -> list[SpectrumEntry
     _check_na(n, a)
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    d0 = delta0(n, a)
-    if n == 2:
-        rc0 = d0  # coefficient of log r in 1 + delta0*log r
-    else:
-        rc0 = d0 / (2.0 - n - d0)
     entries = [
-        SpectrumEntry(k=0, branch="zero", value=0.0, multiplicity=1, radial_coeff=0.0),
-        SpectrumEntry(k=0, branch="radial0", value=d0, multiplicity=1, radial_coeff=rc0),
+        SpectrumEntry(k=0, branch="zero", value=0.0, multiplicity=1),
+        SpectrumEntry(k=0, branch="radial0", value=delta0(n, a), multiplicity=1),
     ]
     for k in range(1, k_max + 1):
         lower, upper = delta_pair(n, a, k)
         mult = harmonic_dim(n, k)
-        entries.append(
-            SpectrumEntry(k=k, branch="lower", value=lower, multiplicity=mult,
-                          radial_coeff=radial_coefficient(n, a, k, "lower"))
-        )
-        entries.append(
-            SpectrumEntry(k=k, branch="upper", value=upper, multiplicity=mult,
-                          radial_coeff=radial_coefficient(n, a, k, "upper"))
-        )
+        entries.append(SpectrumEntry(k=k, branch="lower", value=lower, multiplicity=mult))
+        entries.append(SpectrumEntry(k=k, branch="upper", value=upper, multiplicity=mult))
     branch_rank = {"lower": 0, "upper": 1, "radial0": 2, "zero": 3}
     entries.sort(key=lambda e: (e.value, e.k, branch_rank[e.branch]))
     return entries

@@ -32,10 +32,11 @@ eigensolves -- each family's mass matrix and reduced problem -- and the
 residual products) runs on one BLAS thread, set for the duration of the
 solve and restored afterwards.  The family matrices are at most 2N+2 wide,
 far below the size where OpenBLAS gains from threading.  In a serial planar
-sweep on 2 vCPUs, where Python work separates the BLAS calls, one 98 x 98
-generalized ``eigh`` averaged 8.3 ms on two threads and 1.4 ms on one; in the
-fanned-out sweep each process's BLAS threads also compete with the others
-for the cores.  The printed values no longer depend on the host's core count
+sweep on 2 vCPUs (a = 0.3, 21 offsets, OpenBLAS 0.3.31), the four standard
+``eigh`` calls of a solve, on matrices at most 50 wide, took 2.0-2.3 ms per
+solve on one thread and 2.2-2.5 ms on two (medians of five runs each); in
+the fanned-out sweep each process's BLAS threads would also compete with the
+others for the cores.  The printed values no longer depend on the host's core count
 either, since a threaded BLAS sums in an order set by its thread count.
 
 The count is set only when it is not already 1, because OpenBLAS's setter
@@ -45,7 +46,7 @@ set_num_threads(1) per library (numpy and scipy each bundle one) started a
 server thread that spun for 0.06-0.13 s of CPU before sleeping: 0.18 s per
 forked process on 2 vCPUs, more than that process's share of a default
 21-row sweep cost in solves.  An offset sweep therefore forks its child processes with
-``os.fork`` inside one single-thread scope (``cli._run_pool``), so they
+``os.fork`` inside one single-thread scope (``cli._fan_out``), so they
 inherit a count of 1, every per-solve scope in them is a no-op, and they
 never start a BLAS thread; a test in ``tests/test_cli.py`` counts a forked
 child's threads to catch a regression.  The sweep forks only on Linux, and

@@ -26,7 +26,6 @@ class WallisTable:
     """
 
     values: tuple[float, ...]
-    max_p: int
 
 
 def wallis_table(max_p: int) -> WallisTable:
@@ -36,7 +35,7 @@ def wallis_table(max_p: int) -> WallisTable:
     vals = [math.pi, 2.0]
     for p in range(max_p - 1):
         vals.append((p + 1) / (p + 2) * vals[p])
-    return WallisTable(values=tuple(vals[: max_p + 1]), max_p=max_p)
+    return WallisTable(values=tuple(vals[: max_p + 1]))
 
 
 def wallis(p: int) -> float:

@@ -5,7 +5,11 @@ fixed tolerance; the report is one line per check and is byte-identical
 across runs (no timings, no timestamps).  The "full" level adds the solver
 convergence studies on top of the "fast" set.  Each check is a function named
 ``check_<report name>``; FAST_CHECKS and FULL_CHECKS are the only definition
-of each invariant, and the test suite runs them as they are.
+of each invariant, and the test suite runs them as they are and asserts that
+every check function is registered exactly once.  The fast set is pinned to
+the 52 checks whose timings the benchmark (BENCHMARK.json) names, and its
+output check expects 52 report lines, so a new check goes in at the full
+level unless a benchmark change comes with it.
 
 The fault-injection hook deliberately mis-evaluates one integral so the
 harness itself can be shown to catch a broken identity.

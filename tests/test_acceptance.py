@@ -13,6 +13,7 @@ solves no problem twice, and that nothing outlives the call.
 """
 
 import gc
+import inspect
 import weakref
 
 import pytest
@@ -26,6 +27,14 @@ def test_check(check):
     assert first.name == verify.check_name(check)
     assert first.passed, first.line()
     assert first.line() == second.line()
+
+
+def test_every_check_is_registered_once():
+    # A check_ function missing from the registry would never run, here or in verify.
+    defined = [name for name, _ in inspect.getmembers(verify, inspect.isfunction)
+               if name.startswith("check_") and name != "check_name"]
+    assert sorted(check.__name__ for check in verify.FULL_CHECKS) == defined
+    assert verify.FULL_CHECKS[:len(verify.FAST_CHECKS)] == verify.FAST_CHECKS
 
 
 def test_criterion_12_determinism(tmp_path):

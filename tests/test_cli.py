@@ -1,5 +1,6 @@
 """Command-line interface: formats, exit codes, determinism."""
 
+import errno
 import json
 import math
 import os
@@ -73,15 +74,14 @@ def assert_no_children():
 
 
 def rows_failing_at(failing, exc_type):
-    """A FOUR_ROW_SWEEP row that raises exc_type at the row indices in failing."""
-    def row(task):
-        d = task[3]
-        i = round(d / 0.1)
+    """A steklov_bound for FOUR_ROW_SWEEP that raises exc_type at the row indices in failing."""
+    def bound(cfg, **tol):
+        i = round(cfg.d / 0.1)
         if i in failing:
             raise exc_type(f"row {i} failed")
-        return (d, 1.0, 1.0)
+        return SimpleNamespace(bound=1.0)
 
-    return row
+    return bound
 
 
 class TestSpectrumCommand:
@@ -184,11 +184,12 @@ class TestBoundCommand:
         ["bound", "--dim", "2000", "--a", "0.5", "--d", "0.2"],
     ], ids=["tiny_hole", "huge_dim"])
     def test_overflow_is_a_numerical_failure(self, capsys, argv):
-        # a^(-n) in the w3 integrand overflows a float.
+        # a^(-n) in the w3 integrand overflows a float, which raises
+        # OverflowError(ERANGE, text); the message gives the text, not the tuple.
         code, out, err = run_cli(capsys, *argv)
         assert code == 3
         assert out == ""
-        assert "numerical failure:" in err
+        assert err == f"numerical failure: floating-point overflow: {os.strerror(errno.ERANGE)}\n"
 
 
 def _g(x: float) -> str:
@@ -448,12 +449,11 @@ class TestSweepCommand:
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
         parent = os.getpid()
 
-        def row_threads(task):
-            cli._sweep_point(task)
+        def row_threads(d):
+            solver.solve_steklov(ShellConfig(2, 0.5, d), N=8, m=128)
             return os.getpid(), len(os.listdir("/proc/self/task"))
 
-        tasks = [("steklov", 2, 0.5, d, True, 8, 128, QUAD_TOL) for d in (0.0, 0.2)]
-        (pid0, _), (pid1, child_threads) = cli._run_pool(row_threads, tasks, 2)
+        (pid0, _), (pid1, child_threads) = cli._fan_out(row_threads, [0.0, 0.2], 2)
         assert pid0 == parent and pid1 != parent
         assert child_threads == 1
 
@@ -461,7 +461,7 @@ class TestSweepCommand:
         # Task i runs in share i % 3; the rows are put back in task order.
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
         parent = os.getpid()
-        rows = cli._run_pool(lambda i: (i, os.getpid()), list(range(7)), 0)
+        rows = cli._fan_out(lambda i: (i, os.getpid()), list(range(7)), 0)
         assert [i for i, _ in rows] == list(range(7))
         pids = [pid for _, pid in rows]
         assert pids[0::3] == [parent] * 3
@@ -485,7 +485,7 @@ class TestSweepCommand:
     ])
     def test_failures_match_the_serial_run(self, capsys, monkeypatch, forks, exc_type, exit_code,
                                            failing, first):
-        monkeypatch.setattr(cli, "_sweep_point", rows_failing_at(failing, exc_type))
+        monkeypatch.setattr(rayleigh, "steklov_bound", rows_failing_at(failing, exc_type))
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
         serial = run_cli(capsys, *FOUR_ROW_SWEEP, "--jobs", "1")
         assert forks == []
@@ -501,12 +501,12 @@ class TestSweepCommand:
     def test_a_child_that_dies_without_its_rows_exits_1(self, capsys, monkeypatch, forks):
         parent = os.getpid()
 
-        def row(task):
+        def bound(cfg, **tol):
             if os.getpid() != parent:
                 os._exit(1)
-            return (task[3], 1.0, 1.0)
+            return SimpleNamespace(bound=1.0)
 
-        monkeypatch.setattr(cli, "_sweep_point", row)
+        monkeypatch.setattr(rayleigh, "steklov_bound", bound)
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
         code, out, err = run_cli(capsys, *FOUR_ROW_SWEEP, "--jobs", "2")
         assert code == 1
@@ -526,7 +526,7 @@ class TestSweepCommand:
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
         started = time.monotonic()
         with pytest.raises(KeyboardInterrupt):
-            cli._run_pool(row, [0, 1], 2)
+            cli._fan_out(row, [0, 1], 2)
         assert time.monotonic() - started < 30
         assert len(forks) == 1
         assert_no_children()
