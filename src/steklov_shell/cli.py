@@ -365,6 +365,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _at(args) -> str:
+    """The geometry arguments a command takes, as " at dim=2 a=0.5 d=0.2", or "" if none."""
+    given = " ".join(f"{name}={getattr(args, name)}" for name in ("dim", "a", "d") if name in args)
+    return f" at {given}" if given else ""
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -383,7 +389,7 @@ def main(argv=None) -> int:
     except OverflowError as exc:
         # A float ** raises OverflowError(errno, text), which prints as the bare tuple.
         detail = exc.args[-1] if exc.args else exc
-        print(f"numerical failure: floating-point overflow: {detail}", file=sys.stderr)
+        print(f"numerical failure: floating-point overflow{_at(args)}: {detail}", file=sys.stderr)
         return 3
     except Exception as exc:  # pragma: no cover - defensive
         print(f"internal error: {exc}", file=sys.stderr)

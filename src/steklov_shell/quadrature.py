@@ -9,8 +9,13 @@ relative tolerance.  All integrands here are analytic on the integration
 interval, so convergence is fast and the error estimate is sharply
 conservative.
 
-Integrands must accept a numpy array of abscissae and return an array of
-values (scalar-only callables can be wrapped with ``np.vectorize``).
+The intervals are bisected one level at a time: the integrand is called
+once per level, on a flat 1-D array holding every pending interval's 24
+nodes, so it must accept an array of any length and act elementwise,
+returning one value per abscissa (scalar-only callables can be wrapped with
+``np.vectorize``).  Each interval's two rule values are dot products over
+its own nodes, not one matrix-vector product over the level, which would
+sum in another order and change the last bits of the result.
 """
 
 from __future__ import annotations
@@ -83,9 +88,16 @@ def integrate(f, lo: float, hi: float, tol: float = QUAD_TOL) -> QuadResult:
     within 8 * MIN_TOL of its own value is accepted, since bisection does not
     reduce rounding (the roundoff test of QUADPACK, Piessens et al., 1983).
     So a tol just above machine epsilon is met instead of running to the
-    subdivision cap.  Deterministic: identical inputs produce
-    bit-identical results (intervals are processed in a fixed order and
-    summed left to right).
+    subdivision cap.
+
+    The panels are bisected one level at a time (Gander & Gautschi, BIT 40,
+    2000): f is called once per level, on one flat 1-D array of any length
+    holding each pending panel's 16 high-rule nodes then its 8 low-rule
+    nodes, so f must act elementwise.  Each rule value is the dot product of
+    the weights with that panel's own slice, as QuadratureRule.apply computes
+    it; a matrix-vector product over the level would sum in another order
+    and change the last bits.  Deterministic: identical inputs produce
+    bit-identical results, and the accepted panels are summed left to right.
 
     Raises ValueError for a NaN or infinite bound, for hi < lo and for tol
     below MIN_TOL, machine epsilon, and NonConvergenceError if more than
@@ -101,43 +113,51 @@ def integrate(f, lo: float, hi: float, tol: float = QUAD_TOL) -> QuadResult:
 
     high = gauss_legendre_rule(16)
     low = gauss_legendre_rule(8)
+    nodes = np.concatenate((high.node_array, low.node_array))
     span = hi - lo
 
-    # The high-order estimate of the whole interval, the first panel, seeds
-    # the relative tolerance.  Each panel carries its high-order value on the
-    # stack, so the integrand is evaluated once per rule per panel.
-    whole = high.apply(f, lo, hi)
-    scale = max(tol, tol * abs(whole))
-
-    stack = [(lo, hi, whole)]
-    accepted: list[tuple[float, float]] = []  # (value, err), left to right
+    # The pending panels of one level, left to right: bounds and the index j
+    # of the panel among the 2^depth panels of a uniform bisection.
+    panels = [(lo, hi, 0)]
+    depth = 0
+    scale = None
+    accepted = []  # (depth, j, value, err)
     count = 1
-    while stack:
-        a, b, v_high = stack.pop()
-        err = abs(v_high - low.apply(f, a, b))
-        # Accept a panel within its share of the tolerance or at its rounding level.
-        if (
-            err <= scale * (b - a) / span
-            or err <= 8.0 * MIN_TOL * abs(v_high)
-            or (b - a) < 1e-14 * span
-        ):
-            accepted.append((v_high, err))
-        else:
-            if count + 2 > MAX_INTERVALS:
-                raise NonConvergenceError(
-                    "quadrature exceeded the subdivision cap "
-                    f"({MAX_INTERVALS} intervals) before reaching tolerance"
-                )
-            m = 0.5 * (a + b)
-            # LIFO with right half pushed first: panels are processed, and
-            # accepted, left to right, so the sum needs no sort.
-            stack.append((m, b, high.apply(f, m, b)))
-            stack.append((a, m, high.apply(f, a, m)))
-            count += 2
+    while panels:
+        half = [0.5 * (b - a) for a, b, _ in panels]
+        mid = [0.5 * (b + a) for a, b, _ in panels]
+        x = np.array(mid)[:, None] + np.array(half)[:, None] * nodes
+        values = np.asarray(f(x.ravel())).reshape(-1, nodes.size)
+        children = []
+        for (a, b, j), h, m, row in zip(panels, half, mid, values):
+            v_high = h * float(np.dot(high.weight_array, row[:16]))
+            if scale is None:
+                # The high-order estimate of the whole interval seeds the relative tolerance.
+                scale = max(tol, tol * abs(v_high))
+            err = abs(v_high - h * float(np.dot(low.weight_array, row[16:])))
+            # Accept a panel within its share of the tolerance or at its rounding level.
+            if (
+                err <= scale * (b - a) / span
+                or err <= 8.0 * MIN_TOL * abs(v_high)
+                or (b - a) < 1e-14 * span
+            ):
+                accepted.append((depth, j, v_high, err))
+            else:
+                children += [(a, m, 2 * j), (m, b, 2 * j + 1)]
+        if count + len(children) > MAX_INTERVALS:
+            raise NonConvergenceError(
+                "quadrature exceeded the subdivision cap "
+                f"({MAX_INTERVALS} intervals) before reaching tolerance"
+            )
+        count += len(children)
+        panels = children
+        depth += 1
 
+    # Panel (depth k, index j) starts at lo + j * 2^-k * span: order by j * 2^(depth - k).
+    accepted.sort(key=lambda panel: panel[1] << (depth - panel[0]))
     value = 0.0
     err_total = 0.0
-    for v, e in accepted:
+    for _, _, v, e in accepted:
         value += v
         err_total += e
     return QuadResult(value=value, error_estimate=err_total, subdivisions=len(accepted))

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 from .errors import NonConvergenceError
 
@@ -65,8 +66,13 @@ def harmonic_dim(n: int, k: int) -> int:
     return comb0(n + k - 1, n - 1) - comb0(n + k - 3, n - 1)
 
 
+@cache
 def sphere_area(n: int) -> float:
-    """Surface area of the unit sphere in R^n: 2 * I_0 * I_1 * ... * I_{n-2}."""
+    """Surface area of the unit sphere in R^n: 2 * I_0 * I_1 * ... * I_{n-2}.
+
+    Computed once per n and cached: the hole-ratio invariant asks for it on
+    every evaluation.
+    """
     if n < 2:
         raise ValueError("dimension n must be at least 2")
     out = 2.0

@@ -179,17 +179,20 @@ class TestBoundCommand:
             bounds.append(float(rows[1][rows[0].index("bound")]))
         assert bounds[0] == pytest.approx(bounds[1], rel=1e-14)
 
-    @pytest.mark.parametrize("argv", [
-        ["bound", "--dim", "2", "--a", "1e-300", "--d", "0.5"],
-        ["bound", "--dim", "2000", "--a", "0.5", "--d", "0.2"],
-    ], ids=["tiny_hole", "huge_dim"])
-    def test_overflow_is_a_numerical_failure(self, capsys, argv):
+    @pytest.mark.parametrize("argv, where", [
+        (["bound", "--dim", "2", "--a", "1e-300", "--d", "0.5"], "dim=2 a=1e-300 d=0.5"),
+        (["bound", "--dim", "2000", "--a", "0.5", "--d", "0.2"], "dim=2000 a=0.5 d=0.2"),
+        (["sweep", "--problem", "steklov", "--dim", "2000", "--a", "0.5", "--d-steps", "2"],
+         "dim=2000 a=0.5"),
+    ], ids=["tiny_hole", "huge_dim", "sweep"])
+    def test_overflow_is_a_numerical_failure(self, capsys, argv, where):
         # a^(-n) in the w3 integrand overflows a float, which raises
-        # OverflowError(ERANGE, text); the message gives the text, not the tuple.
+        # OverflowError(ERANGE, text); the message names the input and gives
+        # the text, not the tuple.
         code, out, err = run_cli(capsys, *argv)
         assert code == 3
         assert out == ""
-        assert err == f"numerical failure: floating-point overflow: {os.strerror(errno.ERANGE)}\n"
+        assert err == f"numerical failure: floating-point overflow at {where}: {os.strerror(errno.ERANGE)}\n"
 
 
 def _g(x: float) -> str:

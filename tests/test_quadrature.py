@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from steklov_shell import quadrature, special
+from steklov_shell import quadrature, rayleigh, special
 from steklov_shell.errors import NonConvergenceError
+from steklov_shell.geometry import ShellConfig
 
 
 class TestRule:
@@ -99,21 +100,33 @@ class TestIntegrate:
         assert res.subdivisions > 1
 
     def test_integrand_calls_per_panel(self):
-        # Each panel is evaluated once by the 16-node and once by the 8-node rule.
+        # A level's pending panels are evaluated together: 16 high-rule nodes
+        # then 8 low-rule nodes per panel, in one call.
         calls = []
 
         def one(x):
-            calls.append(len(x))
+            calls.append(x.copy())
             return np.ones_like(x)
 
         res = quadrature.integrate(one, 0.0, 1.0)
         assert res.subdivisions == 1
-        assert calls == [16, 8]
+        assert [len(x) for x in calls] == [24]
 
         calls.clear()
         res = quadrature.integrate(lambda t: one(t) / (1e-4 + t * t), -1, 1)
-        assert res.subdivisions > 1
-        assert len(calls) == 2 * (2 * res.subdivisions - 1)
+        assert res.subdivisions == 30
+        assert len(calls) == 10
+        # Call k holds only panels of width 2 / 2^k, each once: the k-th level
+        # of the bisection tree.
+        nodes = quadrature.gauss_legendre_rule(16).node_array
+        for k, x in enumerate(calls):
+            panels = x.reshape(-1, 24)
+            widths = 2.0 * (panels[:, 15] - panels[:, 0]) / (nodes[15] - nodes[0])
+            np.testing.assert_allclose(widths, 2.0 / 2**k, rtol=1e-12)
+            centers = 0.5 * (panels[:, 15] + panels[:, 0])
+            assert len(np.unique(centers)) == len(panels)
+        # A tree with P leaves has 2P - 1 panels, so none is evaluated twice.
+        assert sum(len(x) for x in calls) == 24 * (2 * res.subdivisions - 1)
 
     def test_rejects_bad_bounds_and_tols(self):
         with pytest.raises(ValueError):
@@ -142,3 +155,102 @@ class TestIntegrate:
     def test_nonconvergence_on_unresolvable_oscillation(self):
         with pytest.raises(NonConvergenceError):
             quadrature.integrate(lambda t: np.sin(1e7 * t), 0, 2 * math.pi)
+
+
+def _depth_first_integrate(f, lo, hi, tol=quadrature.QUAD_TOL):
+    """The depth-first form of integrate: two integrand calls per panel.
+
+    Kept as the reference the level-at-a-time loop must match bit for bit.
+    """
+    high = quadrature.gauss_legendre_rule(16)
+    low = quadrature.gauss_legendre_rule(8)
+    span = hi - lo
+    whole = high.apply(f, lo, hi)
+    scale = max(tol, tol * abs(whole))
+    stack = [(lo, hi, whole)]
+    accepted = []
+    count = 1
+    while stack:
+        a, b, v_high = stack.pop()
+        err = abs(v_high - low.apply(f, a, b))
+        if (
+            err <= scale * (b - a) / span
+            or err <= 8.0 * quadrature.MIN_TOL * abs(v_high)
+            or (b - a) < 1e-14 * span
+        ):
+            accepted.append((v_high, err))
+        else:
+            if count + 2 > quadrature.MAX_INTERVALS:
+                raise NonConvergenceError(
+                    "quadrature exceeded the subdivision cap "
+                    f"({quadrature.MAX_INTERVALS} intervals) before reaching tolerance"
+                )
+            m = 0.5 * (a + b)
+            stack.append((m, b, high.apply(f, m, b)))
+            stack.append((a, m, high.apply(f, a, m)))
+            count += 2
+    value = 0.0
+    err_total = 0.0
+    for v, e in accepted:
+        value += v
+        err_total += e
+    return quadrature.QuadResult(value=value, error_estimate=err_total, subdivisions=len(accepted))
+
+
+def _fields(res):
+    # Compared with == on floats: the value, the error estimate and the panel count, to the bit.
+    return res.value, res.error_estimate, res.subdivisions
+
+
+def _assert_bit_identical(f, lo, hi, tol=quadrature.QUAD_TOL):
+    assert _fields(quadrature.integrate(f, lo, hi, tol)) == _fields(_depth_first_integrate(f, lo, hi, tol))
+
+
+class TestBitIdentity:
+    """The level-at-a-time loop reproduces the depth-first loop exactly."""
+
+    @pytest.mark.parametrize("n, a, d", [(2, 0.15, 0.8), (3, 0.99, 0.005), (6, 0.5, 0.2)])
+    def test_rayleigh_integrands(self, monkeypatch, n, a, d):
+        seen = []
+
+        def record(f, lo, hi, tol=quadrature.QUAD_TOL):
+            seen.append((f, lo, hi, tol))
+            return quadrature.integrate(f, lo, hi, tol)
+
+        monkeypatch.setattr(rayleigh, "integrate", record)
+        cfg = ShellConfig(n, a, d)
+        rayleigh.steklov_bound(cfg)
+        rayleigh.ds_bound(cfg)
+        assert len(seen) == 8  # w1, w2, w3, v1, v2, v3, the mixed energy and mass
+        for f, lo, hi, tol in seen:
+            _assert_bit_identical(f, lo, hi, tol)
+
+    def test_near_peak(self):
+        _assert_bit_identical(lambda t: 1.0 / (1e-4 + t * t), -1, 1)
+
+    def test_rounding_level_acceptance(self):
+        f = lambda t: (3.0 * np.sin(t) ** 2 - 4.0 * np.sin(t) ** 4) * math.log(20.0)
+        _assert_bit_identical(f, 0.0, math.pi, tol=1e-15)
+
+    def test_nested_integrand(self):
+        # Shaped like verify.energy_direct_2d: the outer integrand loops over
+        # its abscissae and integrates in r at each, with the same routine.
+        def nested(integrate):
+            def outer(thetas):
+                out = np.empty_like(thetas)
+                for i, th in enumerate(thetas):
+                    R = 1.0 + 0.3 * math.cos(th)
+                    out[i] = integrate(lambda r: r * (1.0 + 0.2 / r**2) ** 2, 0.4, R, 1e-13).value
+                return out
+
+            return integrate(outer, 0.0, math.pi)
+
+        assert _fields(nested(quadrature.integrate)) == _fields(nested(_depth_first_integrate))
+
+    def test_subdivision_cap_raises_the_same_error(self):
+        f = lambda t: np.sin(1e7 * t)
+        with pytest.raises(NonConvergenceError) as got:
+            quadrature.integrate(f, 0, 2 * math.pi)
+        with pytest.raises(NonConvergenceError) as want:
+            _depth_first_integrate(f, 0, 2 * math.pi)
+        assert str(got.value) == str(want.value)
