@@ -1,8 +1,8 @@
 """Steklov spectra of spherical shells.
 
-Exact concentric-shell spectra in any dimension, certified Rayleigh upper
-bounds for eccentric shells (both the pure spectral and the mixed
-inner-Dirichlet problem), and an independent planar boundary-Galerkin
+Exact concentric-shell spectra in any dimension, Rayleigh upper bounds for
+eccentric shells to the quadrature tolerance (both the pure spectral and the
+mixed inner-Dirichlet problem), and an independent planar boundary-Galerkin
 eigensolver, all cross-validating the fact that the first nonzero eigenvalue
 is maximized by the concentric placement.
 """

@@ -1,15 +1,15 @@
 """Command-line front end: spectra, bounds, solver runs, sweeps, verification.
 
 Every command but ``verify`` prints through one writer, ``_write``, which
-holds the output contract.  The problems offered by ``--problem`` come from
-``problems.PROBLEMS``.
+holds the output contract.  ``--problem`` and the terms ``bound`` prints come
+from ``problems.PROBLEMS``.  ``sweep`` sweeps the offset; ``ratio`` the hole ratio.
 
 Exit codes: 0 success, 1 internal error or failed verification, 2 usage or
 validation error (an ``--out`` path that cannot be written included), 3
-numerical failure (non-convergence, including a failed eigensolve, and
-floating-point overflow).  ``solve`` and the sweep's solver column run the
-same direct solve, which never refuses a basis order for its conditioning:
-the printed residual is the convergence diagnostic.
+numerical failure (non-convergence, including a failed eigensolve, and any
+floating-point error but underflow, which numpy raises inside a command).
+``solve`` and the sweep's solver column run the same direct solve, which never
+refuses a basis order for its conditioning: the residual is its diagnostic.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from . import __version__, rayleigh, shell_spectrum, solver, verify
+from . import __version__, shell_spectrum, solver, verify
 from .errors import NonConvergenceError
 from .geometry import ShellConfig
 from .problems import PROBLEMS
@@ -95,27 +95,7 @@ def cmd_spectrum(args) -> int:
 def cmd_bound(args) -> int:
     cfg = ShellConfig(args.dim, args.a, args.d)
     problem = PROBLEMS[args.problem]
-    # The two bounds break down into different terms.
-    if args.problem == "steklov":
-        b = rayleigh.steklov_bound(cfg, tol=args.tol)
-        fields = [
-            ("mu", b.mu),
-            ("w1", b.W1),
-            ("w2", b.W2),
-            ("w3", b.W3),
-            ("v1", b.V1),
-            ("v2", b.V2),
-            ("v3", b.V3),
-            ("i_n", b.In),
-            ("inner_mass", b.inner_mass),
-            ("energy", b.energy),
-            ("boundary_mass", b.boundary_mass),
-            ("bound", b.bound),
-        ]
-    else:
-        energy = rayleigh.ds_energy(cfg, tol=args.tol)
-        mass = rayleigh.ds_boundary_mass(cfg, tol=args.tol)
-        fields = [("energy", energy), ("boundary_mass", mass), ("bound", energy / mass)]
+    fields = problem.breakdown(cfg, tol=args.tol)
     fields.append((f"{problem.label}_concentric", problem.closed_form(cfg.n, cfg.a)))
     if args.format == "csv":
         columns, rows = [name for name, _ in fields], [[val for _, val in fields]]
@@ -235,21 +215,6 @@ def _fan_out(fn, tasks, jobs: int) -> list:
 
 
 def cmd_sweep(args) -> int:
-    params = {"dim": args.dim, "problem": args.problem}
-
-    if args.problem == "ratio":
-        if args.tol != QUAD_TOL:
-            raise ValueError("--tol does not apply: the ratio sweep integrates nothing")
-        if args.eps_steps < 1:
-            raise ValueError("eps sweep needs at least one grid point")
-        eps_grid = np.linspace(0.0, 0.99, args.eps_steps).tolist()
-        rows = [(e, shell_spectrum.scale_invariant(args.dim, e)) for e in eps_grid]
-        eps_star, value = shell_spectrum.optimal_eps(args.dim)
-        params["eps_steps"] = args.eps_steps
-        footer = [f"# eps_star={_fmt(eps_star)}", f"# value_at_eps_star={_fmt(value)}"]
-        _write(args, "sweep", params, ["eps", "normalized_value"], rows, footer)
-        return 0
-
     if args.d_steps < 1:
         raise ValueError("offset sweep needs at least one grid point")
     a = args.a
@@ -272,13 +237,26 @@ def cmd_sweep(args) -> int:
         return (d, bound, closed)
 
     rows = _fan_out(row, np.linspace(0.0, d_max, args.d_steps).tolist(), args.jobs)
-    params.update({"a": a, "d_steps": args.d_steps, "d_max": d_max, "solver": use_solver})
+    params = {"dim": args.dim, "problem": args.problem, "a": a, "d_steps": args.d_steps,
+              "d_max": d_max, "solver": use_solver}
     if use_solver:
         params.update({"order": args.order, "points": args.points})
         columns = ["d", "bound", "solver_value", "closed_form"]
     else:
         columns = ["d", "bound", "closed_form"]
     _write(args, "sweep", params, columns, rows, tol=args.tol)
+    return 0
+
+
+def cmd_ratio(args) -> int:
+    if args.eps_steps < 1:
+        raise ValueError("eps sweep needs at least one grid point")
+    eps_grid = np.linspace(0.0, 0.99, args.eps_steps).tolist()
+    rows = [(e, shell_spectrum.scale_invariant(args.dim, e)) for e in eps_grid]
+    eps_star, value = shell_spectrum.optimal_eps(args.dim)
+    footer = [f"# eps_star={_fmt(eps_star)}", f"# value_at_eps_star={_fmt(value)}"]
+    _write(args, "ratio", {"dim": args.dim, "eps_steps": args.eps_steps},
+           ["eps", "normalized_value"], rows, footer)
     return 0
 
 
@@ -341,18 +319,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("sweep", parents=[fmt, out, jobs, tol],
-                       help="offset or hole-ratio sweeps to CSV")
-    p.add_argument("--problem", choices=(*PROBLEMS, "ratio"), required=True)
+                       help="bound (and planar solver) sweep over the hole's offset")
+    p.add_argument("--problem", choices=tuple(PROBLEMS), required=True)
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--a", type=float, default=0.5)
     p.add_argument("--d-steps", type=int, default=21)
     p.add_argument("--d-max", type=float, default=None)
-    p.add_argument("--eps-steps", type=int, default=200)
     p.add_argument("--no-solver", action="store_true",
                    help="skip the planar eigensolver column")
     p.add_argument("--order", type=int, default=solver.DEFAULT_ORDER)
     p.add_argument("--points", type=int, default=solver.DEFAULT_POINTS)
     p.set_defaults(func=cmd_sweep)
+
+    p = sub.add_parser("ratio", parents=[fmt, out],
+                       help="normalized concentric eigenvalue over the hole ratio")
+    p.add_argument("--dim", type=int, required=True)
+    p.add_argument("--eps-steps", type=int, default=200)
+    p.set_defaults(func=cmd_ratio)
 
     p = sub.add_parser("verify", parents=[out],
                        help="run the named invariant suite")
@@ -379,7 +362,8 @@ def main(argv=None) -> int:
             raise ValueError(f"--tol must be finite and at least machine epsilon {MIN_TOL:.17g}")
         if "jobs" in args and args.jobs < 0:
             raise ValueError("--jobs must be 0 (all cores) or a positive count")
-        return args.func(args)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -390,6 +374,9 @@ def main(argv=None) -> int:
         # A float ** raises OverflowError(errno, text), which prints as the bare tuple.
         detail = exc.args[-1] if exc.args else exc
         print(f"numerical failure: floating-point overflow{_at(args)}: {detail}", file=sys.stderr)
+        return 3
+    except FloatingPointError as exc:
+        print(f"numerical failure: floating-point error{_at(args)}: {exc}", file=sys.stderr)
         return 3
     except Exception as exc:  # pragma: no cover - defensive
         print(f"internal error: {exc}", file=sys.stderr)

@@ -2,11 +2,11 @@
 
 ``PROBLEMS`` maps each ``--problem`` name of the CLI to its record: the label
 printed for its first eigenvalue, its concentric closed form, its Rayleigh
-bound and its planar solve.  The CLI and ``verify`` read this table instead
-of switching on the name.  Each function is looked up on its module when it
-is called, not when this module is imported, so a patched or traced module
-function is the one that runs; ``bound`` and ``solve`` pass on only the
-keywords their caller gives.
+bound with the ``(field, value)`` terms ``bound`` prints (the bound last) and
+its planar solve.  The CLI and ``verify`` read this table instead of switching
+on the name.  Each function is looked up on its module when it is called, so
+a patched or traced module function is the one that runs, and passes on only
+the keywords its caller gives.
 """
 
 from __future__ import annotations
@@ -22,7 +22,21 @@ class Problem:
     label: str
     closed_form: Callable[[int, float], float]  # (n, a)
     bound: Callable[..., float]  # (cfg, *, tol)
+    breakdown: Callable[..., list[tuple[str, float]]]  # (cfg, *, tol); the bound last
     solve: Callable[..., solver.EigResult]  # (cfg, *, N, m); planar only
+
+
+def _steklov_breakdown(cfg, **tol) -> list[tuple[str, float]]:
+    b = rayleigh.steklov_bound(cfg, **tol)
+    return [("mu", b.mu), ("w1", b.W1), ("w2", b.W2), ("w3", b.W3), ("v1", b.V1), ("v2", b.V2),
+            ("v3", b.V3), ("i_n", b.In), ("inner_mass", b.inner_mass), ("energy", b.energy),
+            ("boundary_mass", b.boundary_mass), ("bound", b.bound)]
+
+
+def _ds_breakdown(cfg, **tol) -> list[tuple[str, float]]:
+    energy = rayleigh.ds_energy(cfg, **tol)
+    mass = rayleigh.ds_boundary_mass(cfg, **tol)
+    return [("energy", energy), ("boundary_mass", mass), ("bound", energy / mass)]
 
 
 PROBLEMS = {
@@ -30,12 +44,14 @@ PROBLEMS = {
         label="sigma1",
         closed_form=lambda n, a: shell_spectrum.sigma1_closed_form(n, a),
         bound=lambda cfg, **tol: rayleigh.steklov_bound(cfg, **tol).bound,
+        breakdown=_steklov_breakdown,
         solve=lambda cfg, **sizes: solver.solve_steklov(cfg, **sizes),
     ),
     "dirichlet-steklov": Problem(
         label="tau1",
         closed_form=lambda n, a: shell_spectrum.tau1_closed_form(n, a),
         bound=lambda cfg, **tol: rayleigh.ds_bound(cfg, **tol),
+        breakdown=_ds_breakdown,
         solve=lambda cfg, **sizes: solver.solve_dirichlet_steklov(cfg, **sizes),
     ),
 }

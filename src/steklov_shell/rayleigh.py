@@ -1,4 +1,4 @@
-"""Variational integrals and certified Rayleigh upper bounds for eccentric shells.
+"""Eccentric-shell integrals and Rayleigh upper bounds, to the quadrature tolerance.
 
 The fixed test function is the first concentric eigenfunction
 f(x) = x_i (1 + mu/|x|^n) with i the last in-plane axis, which remains
@@ -166,7 +166,7 @@ def inner_boundary_mass(cfg: ShellConfig) -> float:
 
 
 def steklov_bound(cfg: ShellConfig, *, tol: float = QUAD_TOL) -> RayleighBreakdown:
-    """Certified upper bound on the first nonzero Steklov eigenvalue.
+    """Rayleigh upper bound, to the quadrature tolerance, on the first nonzero Steklov eigenvalue.
 
     bound = energy / boundary_mass for the fixed concentric eigenfunction;
     equals the concentric eigenvalue at d = 0 and decreases strictly in d.

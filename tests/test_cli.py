@@ -194,6 +194,45 @@ class TestBoundCommand:
         assert out == ""
         assert err == f"numerical failure: floating-point overflow at {where}: {os.strerror(errno.ERANGE)}\n"
 
+    @pytest.mark.parametrize("argv, line", [
+        (["bound", "--dim", "2000", "--a", "0.5", "--d", "0.45"],
+         "floating-point error at dim=2000 a=0.5 d=0.45: overflow encountered in power"),
+        (["sweep", "--problem", "steklov", "--dim", "2000", "--a", "0.5", "--d-steps", "2"],
+         f"floating-point overflow at dim=2000 a=0.5: {os.strerror(errno.ERANGE)}"),
+    ], ids=["bound", "sweep"])
+    def test_floating_point_errors_print_one_line(self, argv, line):
+        # numpy's overflow in the w1 integrand raises instead of warning, so the
+        # failure line is all of stderr: no RuntimeWarning naming the install
+        # path, also not from a forked sweep child.  A fresh process keeps
+        # pytest's own warning capture out of the way.
+        src = str(Path(cli.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-m", "steklov_shell.cli", *argv],
+                              env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr == f"numerical failure: {line}\n"
+
+    def test_breakdown_reads_the_patched_functions(self, capsys, monkeypatch):
+        # The problem table looks the bound's terms up when called, so a
+        # patched or traced rayleigh function is the one whose values print.
+        terms = {"mu": 1.5, "W1": 2.5, "W2": 0.125, "W3": 3.5, "V1": 4.5, "V2": 0.25, "V3": 5.5,
+                 "In": 6.5, "inner_mass": 7.5, "energy": 8.5, "boundary_mass": 9.5, "bound": 0.75}
+        monkeypatch.setattr(rayleigh, "steklov_bound", lambda cfg, **tol: SimpleNamespace(**terms))
+        monkeypatch.setattr(rayleigh, "ds_energy", lambda cfg, **tol: 0.375)
+        printed = {}
+        for problem in ("steklov", "dirichlet-steklov"):
+            code, out, _ = run_cli(capsys, "bound", "--problem", problem, "--dim", "2",
+                                   "--a", "0.5", "--d", "0.1", "--format", "csv")
+            assert code == 0
+            header, values = [l.split(",") for l in out.splitlines() if not l.startswith("#")]
+            printed[problem] = dict(zip(header, map(float, values)))
+        assert list(printed["steklov"].values())[:-1] == list(terms.values())
+        mass = rayleigh.ds_boundary_mass(ShellConfig(2, 0.5, 0.1))
+        assert printed["dirichlet-steklov"]["energy"] == 0.375
+        assert printed["dirichlet-steklov"]["boundary_mass"] == mass
+        assert printed["dirichlet-steklov"]["bound"] == 0.375 / mass
+
 
 def _g(x: float) -> str:
     return f"{x:.17g}"
@@ -362,10 +401,7 @@ class TestSweepCommand:
         assert all(b2 < b1 for b1, b2 in zip(bounds, bounds[1:]))
 
     def test_ratio_interior_argmax(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "sweep", "--problem", "ratio", "--dim", "3",
-            "--eps-steps", "50", "--format", "csv",
-        )
+        code, out, _ = run_cli(capsys, "ratio", "--dim", "3", "--eps-steps", "50", "--format", "csv")
         assert code == 0
         star = float(next(l for l in out.splitlines() if l.startswith("# eps_star=")).split("=")[1])
         assert 0 < star < 1
@@ -536,9 +572,7 @@ class TestSweepCommand:
 
     def test_ratio_sweep_runs_without_the_pool(self, capsys, monkeypatch, forks):
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
-        code, out, _ = run_cli(
-            capsys, "sweep", "--problem", "ratio", "--dim", "3", "--jobs", "2", "--format", "csv",
-        )
+        code, out, _ = run_cli(capsys, "ratio", "--dim", "3", "--format", "csv")
         assert code == 0
         rows = [l for l in out.splitlines() if not l.startswith("#")][1:]
         assert len(rows) == 200
@@ -546,11 +580,10 @@ class TestSweepCommand:
 
     def test_ratio_sweep_rejects_tol(self, capsys):
         # The ratio sweep integrates nothing, so it reads no --tol.
-        code, out, err = run_cli(
-            capsys, "sweep", "--problem", "ratio", "--dim", "3", "--eps-steps", "2",
-            "--tol", "1e-3", "--format", "csv",
-        )
-        assert code == 2
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["ratio", "--dim", "3", "--eps-steps", "2", "--tol", "1e-3", "--format", "csv"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
         assert out == ""
         assert "--tol" in err
 
@@ -624,6 +657,8 @@ VALID_ARGV = {
     "spectrum": ["spectrum", "--dim", "2", "--a", "0.5"],
     "bound": ["bound", "--dim", "3", "--a", "0.4", "--d", "0.2"],
     "solve": ["solve", "--a", "0.5", "--d", "0.3"],
+    "sweep": ["sweep", "--problem", "steklov", "--dim", "4", "--d-steps", "2", "--jobs", "1"],
+    "ratio": ["ratio", "--dim", "3", "--eps-steps", "2"],
     "verify": ["verify", "--checks", "wallis"],
 }
 
@@ -637,11 +672,21 @@ VALID_ARGV = {
     ("verify", "--format", "csv"),
     ("verify", "--jobs", "7"),
     ("verify", "--tol", "1e-3"),
+    ("ratio", "--a", "0.5"),
+    ("ratio", "--d-steps", "3"),
+    ("ratio", "--d-max", "0.2"),
+    ("ratio", "--no-solver", None),
+    ("ratio", "--order", "8"),
+    ("ratio", "--points", "64"),
+    ("ratio", "--jobs", "1"),
+    ("ratio", "--tol", "1e-3"),
+    ("sweep", "--eps-steps", "3"),
+    ("sweep", "--problem", "ratio"),
 ])
 def test_options_a_subcommand_does_not_read_are_rejected(capsys, command, option, value):
     # Each subcommand takes only the options it reads, so none is silently ignored.
     with pytest.raises(SystemExit) as exc:
-        cli.main(VALID_ARGV[command] + [option, value])
+        cli.main(VALID_ARGV[command] + [option] + ([] if value is None else [value]))
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
