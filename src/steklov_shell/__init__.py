@@ -2,8 +2,8 @@
 
 Exact concentric-shell spectra in any dimension, Rayleigh upper bounds for
 eccentric shells to the quadrature tolerance (both the pure spectral and the
-mixed inner-Dirichlet problem), and an independent planar boundary-Galerkin
-eigensolver, all cross-validating the fact that the first nonzero eigenvalue
+mixed inner-Dirichlet problem), and an independent planar eigensolver in a
+conformal frame, all cross-validating the fact that the first nonzero eigenvalue
 is maximized by the concentric placement.
 """
 

@@ -8,8 +8,8 @@ Exit codes: 0 success, 1 internal error or failed verification, 2 usage or
 validation error (an ``--out`` path that cannot be written included), 3
 numerical failure (non-convergence, including a failed eigensolve, and any
 floating-point error but underflow, which numpy raises inside a command).
-``solve`` and the sweep's solver column run the same direct solve, which never
-refuses a basis order for its conditioning: the residual is its diagnostic.
+``solve`` and the sweep's solver column run the same gated solve, which chooses
+its own order: it exits 3 rather than print a value that has not converged.
 """
 
 from __future__ import annotations
@@ -108,14 +108,13 @@ def cmd_bound(args) -> int:
 
 def cmd_solve(args) -> int:
     problem = PROBLEMS[args.problem]
-    res = problem.solve(ShellConfig(2, args.a, args.d), N=args.order, m=args.points)
+    res = problem.solve(ShellConfig(2, args.a, args.d))
     footer = [
         f"# {problem.label}={_fmt(res.principal)}",
         f"# residual={_fmt(res.residual)}",
-        f"# gram_condition={_fmt(res.gram_condition)}",
+        f"# order={res.basis.max_order}",
     ]
-    params = {"a": args.a, "d": args.d, "order": args.order, "points": args.points,
-              "problem": args.problem}
+    params = {"a": args.a, "d": args.d, "problem": args.problem}
     _write(args, "solve", params, ["eigenvalue", "multiplicity"],
            solver.group_eigenvalues(res.eigenvalues[:12]), footer)
     return 0
@@ -217,14 +216,14 @@ def _fan_out(fn, tasks, jobs: int) -> list:
 def cmd_sweep(args) -> int:
     if args.d_steps < 1:
         raise ValueError("offset sweep needs at least one grid point")
+    if args.no_solver and args.dim != 2:
+        raise ValueError("--no-solver applies only to planar sweeps (--dim 2)")
     a = args.a
     use_solver = args.dim == 2 and not args.no_solver
     d_max = args.d_max if args.d_max is not None else 0.95 * (1.0 - a)
-    cfg0 = ShellConfig(args.dim, a, 0.0)
+    ShellConfig(args.dim, a, 0.0)  # validates dim and a before any row runs
     if not 0.0 <= d_max < 1.0 - a:
         raise ValueError("sweep offset cap must lie in [0, 1 - a)")
-    if use_solver:
-        solver.validate_problem_size(cfg0, args.order, args.points)
     problem = PROBLEMS[args.problem]
     closed = problem.closed_form(args.dim, a)
 
@@ -233,17 +232,13 @@ def cmd_sweep(args) -> int:
         cfg = ShellConfig(args.dim, a, d)
         bound = problem.bound(cfg, tol=args.tol)
         if use_solver:
-            return (d, bound, problem.solve(cfg, N=args.order, m=args.points).principal, closed)
+            return (d, bound, problem.solve(cfg).principal, closed)
         return (d, bound, closed)
 
     rows = _fan_out(row, np.linspace(0.0, d_max, args.d_steps).tolist(), args.jobs)
     params = {"dim": args.dim, "problem": args.problem, "a": a, "d_steps": args.d_steps,
               "d_max": d_max, "solver": use_solver}
-    if use_solver:
-        params.update({"order": args.order, "points": args.points})
-        columns = ["d", "bound", "solver_value", "closed_form"]
-    else:
-        columns = ["d", "bound", "closed_form"]
+    columns = ["d", "bound"] + ["solver_value"] * use_solver + ["closed_form"]
     _write(args, "sweep", params, columns, rows, tol=args.tol)
     return 0
 
@@ -310,11 +305,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bound)
 
     p = sub.add_parser("solve", parents=[fmt, out],
-                       help="planar boundary-Galerkin eigensolver")
+                       help="planar eigensolver in the conformal frame")
     p.add_argument("--a", type=float, required=True)
     p.add_argument("--d", type=float, required=True)
-    p.add_argument("--order", type=int, default=solver.DEFAULT_ORDER)
-    p.add_argument("--points", type=int, default=solver.DEFAULT_POINTS)
     p.add_argument("--problem", choices=tuple(PROBLEMS), default="steklov")
     p.set_defaults(func=cmd_solve)
 
@@ -326,9 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d-steps", type=int, default=21)
     p.add_argument("--d-max", type=float, default=None)
     p.add_argument("--no-solver", action="store_true",
-                   help="skip the planar eigensolver column")
-    p.add_argument("--order", type=int, default=solver.DEFAULT_ORDER)
-    p.add_argument("--points", type=int, default=solver.DEFAULT_POINTS)
+                   help="skip the planar eigensolver column (planar sweeps only)")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("ratio", parents=[fmt, out],

@@ -23,7 +23,7 @@ class Problem:
     closed_form: Callable[[int, float], float]  # (n, a)
     bound: Callable[..., float]  # (cfg, *, tol)
     breakdown: Callable[..., list[tuple[str, float]]]  # (cfg, *, tol); the bound last
-    solve: Callable[..., solver.EigResult]  # (cfg, *, N, m); planar only
+    solve: Callable[..., solver.EigResult]  # (cfg); planar only
 
 
 def _steklov_breakdown(cfg, **tol) -> list[tuple[str, float]]:
@@ -45,13 +45,13 @@ PROBLEMS = {
         closed_form=lambda n, a: shell_spectrum.sigma1_closed_form(n, a),
         bound=lambda cfg, **tol: rayleigh.steklov_bound(cfg, **tol).bound,
         breakdown=_steklov_breakdown,
-        solve=lambda cfg, **sizes: solver.solve_steklov(cfg, **sizes),
+        solve=lambda cfg: solver.solve_steklov(cfg),
     ),
     "dirichlet-steklov": Problem(
         label="tau1",
         closed_form=lambda n, a: shell_spectrum.tau1_closed_form(n, a),
         bound=lambda cfg, **tol: rayleigh.ds_bound(cfg, **tol),
         breakdown=_ds_breakdown,
-        solve=lambda cfg, **sizes: solver.solve_dirichlet_steklov(cfg, **sizes),
+        solve=lambda cfg: solver.solve_dirichlet_steklov(cfg),
     ),
 }

@@ -1,56 +1,47 @@
-"""Planar eigensolver for eccentric annuli via a harmonic Laurent basis.
+"""Planar eigensolver for eccentric annuli: a banded eigenproblem in a conformal frame.
 
-Global trial functions {1, log r} and {r^k, r^-k} x {cos k0, sin k0},
-centered at the inner circle's center, are all exactly harmonic on the
-annulus, so the energy form reduces to boundary integrals by Green's
-identity and only boundary quadrature is needed.  Both circles are sampled
-with the periodic trapezoid rule, which is spectrally accurate here.
+The hole is |z| < a and the outer circle |z - d| = 1.  The Moebius map
+w = lam (z - x1) / (1 - y z), with x1 = a^2 y in the hole and 1/y beyond the
+outer circle the real pair of points symmetric in both circles, sends the
+annulus onto rho < |w| < 1 (the identity at d = 0).  There du/dn = sigma u
+becomes (1/g) dU/dn_w = sigma U with g = |z'(w)|, and on |w| = r the weight
+1/g = (1 + c^2 r^2 - 2 c r cos t) / kappa is a trigonometric polynomial of
+degree one (Kac, Murdock & Szego, J. Rational Mech. Anal. 2, 1953): a
+tridiagonal matrix T in the orthonormal Fourier modes of each circle.  The
+annulus' Dirichlet-to-Neumann map D is diagonal in the mode order k, so both
+problems are T D U = sigma U on the Fourier traces U, with closed-form
+entries and no quadrature.  Mixed problem (zero trace on the hole): D is
+k coth(k L) on the outer circle (1/L at k = 0, L = -log rho), and tau are the
+eigenvalues of the tridiagonal D^1/2 T D^1/2.  Steklov problem: with
+R = diag(1, rho), the w-arclength, S = R D is a symmetric semidefinite 2 x 2
+block per mode coupling the circles (the constant spans its kernel), and
+sigma are the eigenvalues of S^1/2 (T R^-1) S^1/2, a band of half-width 3
+with the circles' traces of each mode interleaved.  The map commutes with
+the mirror y -> -y, so the cos k t (k >= 0, "even") and sin k t (k >= 1,
+"odd") families are solved apart.
 
-The hole is offset along the x axis, so the annulus is symmetric under the
-mirror y -> -y.  The fields 1, log r and r^(+-k) cos k0 are even under it and
-r^(+-k) sin k0 are odd, so every even-odd product integrates to zero over the
-boundary and the stiffness and mass matrices are block diagonal: each solve
-is two independent problems, an even family of 2N+2 fields and an odd family
-of 2N (N+1 and N for the mixed problem), 50 and 48 wide at the default order
-instead of one problem 4N+2 = 98 wide.  Each family is assembled on the upper
-half of each circle, the trapezoid nodes 2 pi j / m for j = 0..m//2 with the
-weight halved on the nodes on the axis, and the sum doubled, which equals
-the full-circle rule exactly for the mirror-even products it integrates.
+On the modes k <= N each value lies at or above the true one and falls as N
+grows, since (P T P)^-1 <= P T^-1 P for SPD T.  ``solve_steklov`` and
+``solve_dirichlet_steklov`` double N from FIRST_ORDER until the principal
+value agrees with the previous order's to GATE_RTOL, and raise
+NonConvergenceError rather than pass MAX_ORDER.  LAPACK's banded values are
+accurate to about eps times the matrix norm, near N / a.  So the constants'
+zero is set exactly, and each family's first mode takes the Rayleigh
+quotient (S^1/2 y)^T (T R^-1) (S^1/2 y) / y^T y of its vector y from banded
+inverse iteration, accurate to its own size; a solve whose rounding is not
+below ROUNDING_RTOL times the principal value (a < 1e-13) raises instead.
+The boundary residual checks a mode in the physical plane, independently of
+T and D: ``TrefftzBasis`` evaluates the fields whose traces are the Fourier
+modes, with 1/g from the map's derivative at the boundary points.
 
-Fields are rescaled so their sup over the whole boundary is 1; without that
-the r^(+-k) dynamic range between the two circles destroys the mass matrix
-long before the basis stops improving.  Even so, at large orders or small
-holes some combinations of the fields are numerically dependent on the
-boundary.  Each solve drops the eigen-directions of the mass matrix below
-1/GRAM_CONDITION_CAP of its largest eigenvalue, taken over both families, and
-solves the reduced standard problem on the rest (Fix & Heiberger, SIAM J.
-Numer. Anal. 9, 1972), so every order asked for is solved once, on the rank
-it supports.
-
-Every dense BLAS/LAPACK call here (the assembly products, the four symmetric
-eigensolves -- each family's mass matrix and reduced problem -- and the
-residual products) runs on one BLAS thread, set for the duration of the
-solve and restored afterwards.  The family matrices are at most 2N+2 wide,
-far below the size where OpenBLAS gains from threading.  In a serial planar
-sweep on 2 vCPUs (a = 0.3, 21 offsets, OpenBLAS 0.3.31), the four standard
-``eigh`` calls of a solve, on matrices at most 50 wide, took 2.0-2.3 ms per
-solve on one thread and 2.2-2.5 ms on two (medians of five runs each); in
-the fanned-out sweep each process's BLAS threads would also compete with the
-others for the cores.  The printed values no longer depend on the host's core count
-either, since a threaded BLAS sums in an order set by its thread count.
-
-The count is set only when it is not already 1, because OpenBLAS's setter
-starts the library's thread server whenever that server is down, whatever
-count it is given.  In a freshly forked process the server is down, and one
-set_num_threads(1) per library (numpy and scipy each bundle one) started a
-server thread that spun for 0.06-0.13 s of CPU before sleeping: 0.18 s per
-forked process on 2 vCPUs, more than that process's share of a default
-21-row sweep cost in solves.  An offset sweep therefore forks its child processes with
-``os.fork`` inside one single-thread scope (``cli._fan_out``), so they
-inherit a count of 1, every per-solve scope in them is a no-op, and they
-never start a BLAS thread; a test in ``tests/test_cli.py`` counts a forked
-child's threads to catch a regression.  The sweep forks only on Linux, and
-elsewhere runs its rows in process.
+Solves and residuals run on one BLAS thread, restored afterwards, so no
+value depends on the host's core count.  The count is set only when it is
+not 1: OpenBLAS's setter starts the library's thread server whenever it is
+down, and in a freshly forked process one set_num_threads(1) per library
+(numpy and scipy each bundle one) started a thread that spun for 0.06-0.13 s
+of CPU.  A sweep therefore forks inside one single-thread scope
+(``cli._fan_out``), so its children inherit a count of 1; a test in
+``tests/test_cli.py`` counts a forked child's threads.
 """
 
 from __future__ import annotations
@@ -61,6 +52,7 @@ import functools
 import math
 import os
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -68,12 +60,17 @@ import scipy.linalg
 from .errors import NonConvergenceError
 from .geometry import ShellConfig
 
-GRAM_CONDITION_CAP = 1e14  # mass-matrix directions below lambda_max / cap are dropped
+FIRST_ORDER = 32  # mode order N of the gate's first solve
+MAX_ORDER = 2048  # the gate raises rather than solve past this order
+GATE_RTOL = 1e-10  # relative agreement of successive orders' principal values
+KEPT = 24  # lowest eigenvalues computed per mirror family
 ZERO_MODE_TOL = 1e-6
-DEFAULT_ORDER = 24  # basis order N of every solve
-DEFAULT_POINTS = 512  # trapezoid points m per circle
 RESIDUAL_POINTS = 2048  # points per circle of the residual sample
 GROUP_RTOL = 1e-8  # relative gap below which eigenvalues form one group
+_SHIFT_RTOL = 1e-10  # inverse iteration's offset below the value, and its settling tolerance
+_PASSES = 4  # most inverse-iteration passes, each shifted to the last one's quotient
+ROUNDING_RTOL = 0.1  # banded values' rounding a solve accepts, relative to the principal value
+_CHUNK = 1 << 16  # field values per block of the residual's evaluation
 _MAPS = "/proc/self/maps"
 
 
@@ -164,161 +161,206 @@ def _one_blas_thread():
             set_threads(count)
 
 
+class _Frame(NamedTuple):
+    """The map w = lam (z - x1) / (1 - y z) and the constants of T."""
+    x1: float
+    y: float
+    lam: float
+    rho: float  # radius of the hole's image
+    c: float  # 1/c is the image of infinity
+    kappa: float  # c |x1 - 1/y|
+
+
+def _frame(a: float, d: float) -> _Frame:
+    """The conformal frame of the annulus with hole radius a at offset d.
+
+    x1 and x2 = 1/y are the roots of x^2 - s x + a^2 with s = (a^2 + d^2 - 1)/d.
+    y is computed from t = -1/s, whose square cannot overflow, so the frame
+    is exact to rounding down to d = 0, where it is the identity.
+    """
+    t = d / (1.0 - a * a - d * d)
+    y = -2.0 * t / (1.0 + math.sqrt(1.0 - (2.0 * a * t) ** 2))
+    x1 = a * a * y
+    lam = (1.0 - (1.0 + d) * y) / (1.0 + d - x1)
+    rho = lam * (a - x1) / (1.0 - a * y)
+    return _Frame(x1, y, lam, rho, -y / lam, (1.0 - x1 * y) / lam)
+
+
 @dataclass(frozen=True)
 class TrefftzBasis:
-    """Harmonic trial fields on the annulus, polar about the inner center.
+    """Harmonic fields whose traces are the orthonormal Fourier modes of the w-circles.
 
-    kind "steklov": 1, log r, and r^(+-k) (cos, sin) for k = 1..max_order,
-    4*max_order + 2 fields.  kind "dirichlet": the inner-trace-free
-    combinations log(r/a) and r^k - a^(2k) r^-k (cos, sin), 2*max_order + 1
-    fields.  scales (computed, not passed) holds the per-field sup normalization.
+    Columns: the even family (1/sqrt(2 pi), cos k t / sqrt(pi), k <= max_order),
+    then the odd one (sin k t / sqrt(pi)); per mode, the field with that trace
+    on |w| = 1 and none on |w| = rho, then (kind "steklov") the reverse.  Kind
+    "dirichlet" keeps the outer fields, which vanish on the hole.  frame
+    (computed, not passed) is the map of a and d.
     """
 
     max_order: int
     a: float
     d: float
     kind: str
-    scales: np.ndarray = field(init=False, repr=False)
+    frame: _Frame = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in ("steklov", "dirichlet"):
             raise ValueError("basis kind must be 'steklov' or 'dirichlet'")
-        object.__setattr__(self, "scales", self._sup_scales())
+        object.__setattr__(self, "frame", _frame(self.a, self.d))
+
+    @property
+    def circles(self) -> int:  # fields per mode
+        return 2 if self.kind == "steklov" else 1
 
     @property
     def size(self) -> int:
-        if self.kind == "steklov":
-            return 4 * self.max_order + 2
-        return 2 * self.max_order + 1
+        return self.circles * (2 * self.max_order + 1)
+
+    def modes(self, odd: bool) -> np.ndarray:
+        """The mode orders k of the odd or the even family."""
+        return np.arange(1 if odd else 0, self.max_order + 1)
 
     @property
     def odd(self) -> np.ndarray:
-        """Mask of the fields odd under the mirror y -> -y (the sin k0 ones)."""
-        if self.kind == "steklov":
-            return np.array([False, False] + [False, True, False, True] * self.max_order)
-        return np.array([False] + [False, True] * self.max_order)
+        """Mask of the fields odd under the mirror y -> -y (the sin k t ones)."""
+        return np.arange(self.size) >= self.circles * (self.max_order + 1)
 
-    @property
-    def families(self) -> tuple[np.ndarray, np.ndarray]:
-        """Column indices of the even family, then of the odd family."""
-        return np.flatnonzero(~self.odd), np.flatnonzero(self.odd)
+    def _fields(self, pts: np.ndarray, normals: np.ndarray | None, odd: bool):
+        """One family's values at pts and, unless normals is None, their outward normal derivatives.
 
-    def _sup_scales(self) -> np.ndarray:
-        a, d, N = self.a, self.d, self.max_order
-        scales = []
-        if self.kind == "steklov":
-            scales.append(1.0)               # constant
-            scales.append(math.log(1.0 / a))  # log r, extremal on the inner circle
-            for k in range(1, N + 1):
-                up = (1.0 + d) ** k          # r^k, extremal on the outer circle
-                down = a ** (-k)             # r^-k, extremal on the inner circle
-                scales.extend((up, up, down, down))
-        else:
-            scales.append(math.log((1.0 + d) / a))
-            for k in range(1, N + 1):
-                s = (1.0 + d) ** k + a ** (2 * k) * (1.0 - d) ** (-k)
-                scales.extend((s, s))
-        return np.asarray(scales)
-
-    def evaluate(self, pts: np.ndarray) -> np.ndarray:
-        """Field values at pts (npts x 2); returns (npts x size)."""
+        Each field is f(r) g(t) in w = r e^(it).  For real u(w), u_x - i u_y =
+        e^(-it) (u_r - i u_t / r) in the w-plane, and grad(u).n in the z-plane
+        is Re((u_x - i u_y) w'(z) n).
+        """
+        fr = self.frame
         z = pts[:, 0] + 1j * pts[:, 1]
-        N = self.max_order
-        zp = _power_rows(np.ones_like(z), z, N + 1, np.multiply)[1:]  # z^k
-        zm = _power_rows(np.ones_like(z), z, N + 1, np.divide)[1:]  # z^-k
-        out = np.empty((len(z), self.size))
-        if self.kind == "steklov":
-            out[:, 0] = 1.0
-            out[:, 1] = np.log(np.abs(z))
-            out[:, 2::4] = zp.real.T
-            out[:, 3::4] = zp.imag.T
-            out[:, 4::4] = zm.real.T
-            out[:, 5::4] = zm.imag.T
-        else:
-            # (r^k - a^2k r^-k) cos k0 = Re(z^k - a^2k z^-k), but the sin
-            # combination flips sign: Im(z^-k) = -r^-k sin k0.
-            zm *= self._inner_weights()  # a^2k z^-k
-            out[:, 0] = np.log(np.abs(z)) - math.log(self.a)
-            out[:, 1::2] = (zp - zm).real.T
-            zp += zm
-            out[:, 2::2] = zp.imag.T
-        out /= self.scales
-        return out
+        w = fr.lam * (z - fr.x1) / (1.0 - fr.y * z)
+        r, t = np.abs(w), np.angle(w)
+        k = self.modes(odd).astype(float)
+        L = -math.log(fr.rho)
+        log_r = np.log(r)[:, None]
+        # With q = rho^k, the outer field's radial factor is (r^k - q (rho/r)^k)
+        # / (1 - q^2) and the inner one's ((rho/r)^k - q r^k) / (1 - q^2): no
+        # power exceeds 1 on rho <= r <= 1.  Shaped (points, modes, circles); rdf = r df/dr.
+        up, down = np.exp(k * log_r), np.exp(-k * (log_r + L))
+        q = np.exp(-k * L)
+        den = np.where(k > 0, -np.expm1(-2.0 * k * L), 1.0)
+        f, rdf = np.empty(up.shape + (self.circles,)), np.empty(up.shape + (self.circles,))
+        f[..., 0], rdf[..., 0] = (up - q * down) / den, k * (up + q * down) / den
+        if self.circles == 2:
+            f[..., 1], rdf[..., 1] = (down - q * up) / den, -k * (down + q * up) / den
+        if not odd:  # k = 0: the log fields (L + log r) / L outside, -log r / L inside
+            f[:, 0, 0], rdf[:, 0, 0] = 1.0 + log_r[:, 0] / L, 1.0 / L
+            f[:, 0, 1:], rdf[:, 0, 1:] = -log_r / L, -1.0 / L
+        # e^(ikt) by repeated multiplication, normalized on the circle; g and dg/dt.
+        e = np.empty(up.shape, dtype=complex)
+        e[:, 0], e[:, 1:] = np.exp(1j * k[0] * t), np.exp(1j * t)[:, None]
+        e = (np.cumprod(e, axis=1) * (np.where(k > 0, 1.0, 0.5 ** 0.5) / math.pi ** 0.5))[..., None]
+        g, dg = (e.imag, k[:, None] * e.real) if odd else (e.real, -k[:, None] * e.imag)
+        u = (f * g).reshape(len(pts), -1)
+        if normals is None:
+            return u, None
+        dw = fr.lam * (1.0 - fr.x1 * fr.y) / (1.0 - fr.y * z) ** 2
+        factor = (np.exp(-1j * t) * dw * (normals[:, 0] + 1j * normals[:, 1]) / r)[:, None, None]
+        return u, (rdf * g * factor.real + f * dg * factor.imag).reshape(len(pts), -1)
 
-    def normal_derivative(self, pts: np.ndarray, normals: np.ndarray) -> np.ndarray:
-        """Outward normal derivatives at pts; returns (npts x size)."""
-        z = pts[:, 0] + 1j * pts[:, 1]
-        # For holomorphic f = u + iv: grad(u).n = Re(f' n_c), grad(v).n = Im(f' n_c)
-        ncc = normals[:, 0] + 1j * normals[:, 1]
-        N = self.max_order
-        k = np.arange(1, N + 1)[:, None]
-        zp = _power_rows(np.ones_like(z), z, N, np.multiply)  # z^(k-1)
-        zm = _power_rows(1.0 / (z * z), z, N, np.divide)  # z^(-k-1)
-        out = np.empty((len(z), self.size))
-        # The products are formed in place to keep the temporaries to zp and zm.
-        if self.kind == "steklov":
-            zp *= k
-            zp *= ncc  # (z^k)' n
-            zm *= -k
-            zm *= ncc  # (z^-k)' n
-            out[:, 0] = 0.0
-            out[:, 1] = ((1.0 / z) * ncc).real
-            out[:, 2::4] = zp.real.T
-            out[:, 3::4] = zp.imag.T
-            out[:, 4::4] = zm.real.T
-            out[:, 5::4] = zm.imag.T
-        else:
-            zm *= self._inner_weights()
-            plus = zp + zm
-            zp -= zm
-            for f in (plus, zp):
-                f *= k
-                f *= ncc  # (z^k +- a^2k z^-k)' n
-            out[:, 0] = ((1.0 / z) * ncc).real
-            out[:, 1::2] = plus.real.T
-            out[:, 2::2] = zp.imag.T
-        out /= self.scales
-        return out
+    def evaluate(self, pts: np.ndarray, odd: bool | None = None) -> np.ndarray:
+        """Field values at pts (npts x 2), one column per field (of family odd only, if given)."""
+        families = (False, True) if odd is None else (odd,)
+        return np.hstack([self._fields(pts, None, fam)[0] for fam in families])
 
-    def _inner_weights(self) -> np.ndarray:
-        """Column of a^(2k), k = 1..max_order, pairing r^k with r^-k in the mixed fields."""
-        return np.array([self.a ** (2 * k) for k in range(1, self.max_order + 1)])[:, None]
+    def normal_derivative(self, pts: np.ndarray, normals: np.ndarray,
+                          odd: bool | None = None) -> np.ndarray:
+        """Outward normal derivatives at pts, shaped as evaluate's values."""
+        families = (False, True) if odd is None else (odd,)
+        return np.hstack([self._fields(pts, normals, fam)[1] for fam in families])
 
 
-def _power_rows(first: np.ndarray, z: np.ndarray, count: int, op) -> np.ndarray:
-    """Rows first, op(first, z), op(op(first, z), z), ...: count rows in all."""
-    rows = np.empty((count, len(z)), dtype=complex)
-    rows[0] = first
-    for k in range(1, count):
-        op(rows[k - 1], z, out=rows[k])
-    return rows
+def _factors(basis: TrefftzBasis, odd: bool):
+    """One family's problem as root M root: (root, m, beta).
+
+    root holds the symmetric per-mode blocks of S^1/2 (2 x 2, kind
+    "steklov") or D^1/2 (1 x 1, kind "dirichlet"); M = T R^-1 (T) has the
+    diagonal m on each circle and beta between consecutive modes.
+    """
+    f0 = basis.frame
+    k = basis.modes(odd).astype(float)
+    L = -math.log(f0.rho)
+    if basis.kind == "steklov":
+        # S_k has eigenvalues k tanh(k L/2) on (1, 1) and k coth(k L/2) on (1, -1).
+        half = np.tanh(0.5 * L * k)
+        low = np.sqrt(k * half)
+        high = np.sqrt(np.divide(k, half, out=np.full_like(k, 2.0 / L), where=k > 0))
+        p, q = 0.5 * (low + high), 0.5 * (low - high)
+        root = np.stack((np.stack((p, q), axis=-1), np.stack((q, p), axis=-1)), axis=1)
+        m = np.array([1.0 + f0.c ** 2, (1.0 + (f0.c * f0.rho) ** 2) / f0.rho]) / f0.kappa
+    else:
+        dtn = np.divide(k, np.tanh(L * k), out=np.full_like(k, 1.0 / L), where=k > 0)
+        root = np.sqrt(dtn)[:, None, None]
+        m = np.array([(1.0 + f0.c ** 2) / f0.kappa])
+    beta = np.full(len(k) - 1, -f0.c / f0.kappa)
+    if not odd:
+        beta[0] *= math.sqrt(2.0)  # cos t times the constant mode
+    return root, m, beta
 
 
-def _first_above(values: np.ndarray) -> int:
-    """Index of the first (smallest) eigenvalue above ZERO_MODE_TOL."""
-    above = np.flatnonzero(values > ZERO_MODE_TOL)
-    if not above.size:
-        raise NonConvergenceError("no eigenvalue above the zero-mode tolerance")
-    return int(above[0])
+def _band(root: np.ndarray, m: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """root M root in general band storage: band[h + i - j, j] = A[i, j], h = 2b - 1.
+
+    Both off-diagonal blocks are computed from the factors, neither copied from the other.
+    """
+    J, b, _ = root.shape
+    h = 2 * b - 1
+    diag = np.einsum("jrt,t,jts->jrs", root, m, root)
+    upper = beta[:, None, None] * np.einsum("jrt,jts->jrs", root[:-1], root[1:])
+    lower = beta[:, None, None] * np.einsum("jrt,jts->jrs", root[1:], root[:-1])
+    band = np.zeros((2 * h + 1, b * J))
+    for r in range(b):
+        for s in range(b):
+            band[h + r - s, s::b] = diag[:, r, s]
+            band[h + r - s - b, b + s::b] = upper[:, r, s]
+            band[h + r - s + b, s:b * (J - 1):b] = lower[:, r, s]
+    return band
+
+
+def _refine(band: np.ndarray, root, m, beta, value: float) -> tuple[float, np.ndarray]:
+    """Rayleigh quotient (root y)^T M (root y) / y^T y and trace of the eigenvector y nearest value.
+
+    y is from passes of two inverse-iteration steps, each shifted just below the last quotient
+    (first, value), never exactly singular, until a quotient settles within _SHIFT_RTOL of its
+    shift.  The trace is M root y, scaled arbitrarily, or y itself for the zero mode.
+    """
+    h = len(band) // 2
+    y = np.ones(band.shape[1])
+    for _ in range(_PASSES):
+        shift, shifted = value, band.copy()
+        shifted[h] -= shift - _SHIFT_RTOL * max(1.0, abs(shift))
+        for _ in range(2):
+            y = scipy.linalg.solve_banded((h, h), shifted, y)
+            y /= np.linalg.norm(y)
+        v = np.einsum("jrs,js->jr", root, y.reshape(len(root), -1))
+        Mv = m * v
+        Mv[:-1] += beta[:, None] * v[1:]
+        Mv[1:] += beta[:, None] * v[:-1]
+        value = float(np.sum(v * Mv))
+        if abs(value - shift) <= _SHIFT_RTOL * max(1.0, abs(value)):
+            break
+    return value, (Mv.ravel() if value > ZERO_MODE_TOL else y)
 
 
 @dataclass(frozen=True)
 class EigResult:
-    """Solver output: ascending eigenvalues, basis weights, diagnostics.
+    """Solver output: the low spectrum, the principal mode, and the basis of the order solved.
 
-    mode is the index of the principal mode: sigma_1, the first eigenvalue
-    above ZERO_MODE_TOL, for the Steklov problem (the zero mode of the
-    constants comes first), and tau_1, the first eigenvalue, for the mixed
-    problem.  principal and residual are computed when read, from the fields.
-    The basis is the one asked for; len(eigenvalues) is the rank kept of it,
-    and gram_condition is the mass matrix's condition over that rank.  Each
-    eigenvector belongs to one mirror family: its coefficients are zero on
-    the other family's rows (see family_of).
+    eigenvalues merges the lowest KEPT values of both mirror families in
+    ascending order (even first on ties), cut at the smaller family maximum
+    so none below the last is missing; odd marks the odd family's.  mode
+    indexes sigma_1 or tau_1, the lower of the families' first modes (after
+    the constants' zero), each valued by its Rayleigh quotient.
     """
 
     eigenvalues: np.ndarray
-    coefficients: np.ndarray
-    gram_condition: float
+    odd: np.ndarray
     mode: int
     basis: TrefftzBasis = field(repr=False)
 
@@ -338,191 +380,148 @@ class EigResult:
         return self.family_of(self.mode)
 
     def family_of(self, mode: int) -> str:
-        """"odd" if the mode's coefficients are on the odd family's rows, else "even"."""
-        return "odd" if np.any(self.coefficients[self.basis.odd, mode]) else "even"
+        """"odd" if the mode is in the odd family, else "even"."""
+        return "odd" if self.odd[mode] else "even"
 
 
-def boundary_points(geom: ShellConfig | TrefftzBasis, m: int, half: bool = False):
+def boundary_points(geom: ShellConfig | TrefftzBasis, m: int):
     """Trapezoid sample of both boundary circles: (pts, normals, weights, is_outer).
 
-    The circles are placed by geom's a and d, read from the configuration of
-    a solve or from the basis of its result.  With half=True only the nodes
-    2 pi j / m with j = 0..m//2, on the upper half of each circle, are kept,
-    weighted so that the sum of a mirror-even integrand over them is its
-    full-circle trapezoid sum: double weight, single on the axis nodes
-    (j = 0, and j = m/2 for even m).
+    geom, a solve's configuration or its result's basis, places them by its a and d.
     """
-    j = np.arange(m // 2 + 1 if half else m)
-    t = 2.0 * math.pi * j / m
-    share = np.where((j == 0) | (2 * j == m), 1.0, 2.0) if half else np.ones(m)
-    outer_pts = np.column_stack((geom.d + np.cos(t), np.sin(t)))
-    outer_nrm = np.column_stack((np.cos(t), np.sin(t)))
-    inner_pts = geom.a * np.column_stack((np.cos(t), np.sin(t)))
-    inner_nrm = -np.column_stack((np.cos(t), np.sin(t)))
-    pts = np.vstack((outer_pts, inner_pts))
-    normals = np.vstack((outer_nrm, inner_nrm))
-    weights = np.concatenate((share * (2.0 * math.pi / m), share * (2.0 * math.pi * geom.a / m)))
-    is_outer = np.concatenate((np.ones(len(t), dtype=bool), np.zeros(len(t), dtype=bool)))
+    t = 2.0 * math.pi * np.arange(m) / m
+    unit = np.column_stack((np.cos(t), np.sin(t)))
+    pts = np.vstack((unit + [geom.d, 0.0], geom.a * unit))
+    normals = np.vstack((unit, -unit))
+    weights = np.repeat([2.0 * math.pi / m, 2.0 * math.pi * geom.a / m], m)
+    is_outer = np.arange(2 * m) < m
     return pts, normals, weights, is_outer
 
 
-def validate_problem_size(cfg: ShellConfig, N: int, m: int) -> None:
+def validate_problem_size(cfg: ShellConfig, N: int) -> None:
     if cfg.n != 2:
-        raise ValueError("the boundary-Galerkin solver is planar: dimension must be 2")
+        raise ValueError("the conformal-frame solver is planar: dimension must be 2")
     if N < 4:
-        raise ValueError("basis order must be at least 4")
-    if m < 8 * N:
-        raise ValueError("need at least 8 boundary points per basis order")
+        raise ValueError("mode order must be at least 4")
+
+
+def assemble_steklov(cfg: ShellConfig, N: int) -> np.ndarray:
+    """The Steklov matrix S^1/2 (T R^-1) S^1/2 at order N, in general band storage.
+
+    band[3 + i - j, j] = A[i, j]; the even family's 2N + 2 columns come
+    first, then the odd family's 2N.  No entry couples the two families.
+    """
+    validate_problem_size(cfg, N)
+    basis = TrefftzBasis(max_order=N, a=cfg.a, d=cfg.d, kind="steklov")
+    return np.hstack([_band(*_factors(basis, odd)) for odd in (False, True)])
 
 
 @_one_blas_thread()
-def _assemble(cfg: ShellConfig, N: int, m: int, kind: str, symmetrize: bool = True):
-    """Basis and the (K, M) blocks of its even and odd families, in that order.
+def _solve_at_order(cfg: ShellConfig, N: int, kind: str) -> EigResult:
+    """The solve on the modes k <= N of kind "steklov" or "dirichlet" (LAPACK).
 
-    K_ij = boundary integral of phi_i dphi_j/dn (equal to the volume energy
-    form by harmonicity), M_ij = boundary integral of phi_i phi_j over the
-    spectral part of the boundary: both circles for kind "steklov", the outer
-    circle alone for kind "dirichlet", whose fields vanish on the inner one.
-    Both fields of an entry are in one family, so the integrand is
-    mirror-even and the half-circle sample integrates it.
+    Raises NonConvergenceError when LAPACK fails or its rounding is too near the principal value.
     """
-    validate_problem_size(cfg, N, m)
+    validate_problem_size(cfg, N)
     basis = TrefftzBasis(max_order=N, a=cfg.a, d=cfg.d, kind=kind)
-    pts, normals, weights, is_outer = boundary_points(cfg, m, half=True)
-    if kind == "dirichlet":
-        pts, normals, weights = pts[is_outer], normals[is_outer], weights[is_outer]
-    B = basis.evaluate(pts)
-    D = basis.normal_derivative(pts, normals)
-    blocks = []
-    for cols in basis.families:
-        WB = B[:, cols] * weights[:, None]
-        K = WB.T @ D[:, cols]
-        M = WB.T @ B[:, cols]
-        if symmetrize:
-            K = 0.5 * (K + K.T)
-            M = 0.5 * (M + M.T)
-        blocks.append((K, M))
-    return basis, blocks
-
-
-@_one_blas_thread()
-def _solve(cfg: ShellConfig, N: int, m: int, kind: str) -> EigResult:
-    """Solve K c = sigma M c on the directions of M that the basis resolves (LAPACK).
-
-    Per family, M = V diag(lam) V^T.  The directions with lam above
-    lam_max / GRAM_CONDITION_CAP, lam_max taken over both families, are
-    kept, and with Q = V_keep lam_keep^(-1/2) the standard problem
-    Q^T K Q y = sigma y gives the family's eigenvalues and coefficients
-    c = Q y, placed on the family's rows.  The two spectra are merged in
-    ascending order (a stable sort, even family first on ties).  The kept
-    rank is len(eigenvalues) and the Gram condition is lam_max / lam_min over
-    the kept directions.  The principal mode is the first nonzero one for
-    kind "steklov" and the first one for kind "dirichlet".  Raises
-    NonConvergenceError when LAPACK fails.
-    """
-    basis, blocks = _assemble(cfg, N, m, kind)
+    factors = [_factors(basis, odd) for odd in (False, True)]
+    bands = [_band(*f) for f in factors]
     try:
-        spectra = [scipy.linalg.eigh(M, driver="evd") for _, M in blocks]
-        lam_max = max(lam[-1] for lam, _ in spectra)
-        floor = lam_max / GRAM_CONDITION_CAP
-        vals, coeffs, lam_min = [], [], lam_max
-        for rows, (K, _), (lam, V) in zip(basis.families, blocks, spectra):
-            dropped = int(np.searchsorted(lam, floor, side="right"))
-            Q = V[:, dropped:] / np.sqrt(lam[dropped:])
-            family_vals, Y = scipy.linalg.eigh(Q.T @ K @ Q, driver="evd")
-            family_coeffs = np.zeros((basis.size, len(family_vals)))
-            family_coeffs[rows] = Q @ Y
-            vals.append(family_vals)
-            coeffs.append(family_coeffs)
-            lam_min = min(lam_min, lam[dropped:].min(initial=lam_max))
-    except scipy.linalg.LinAlgError as exc:
-        raise NonConvergenceError("symmetric eigenvalue iteration failed") from exc
-    vals = np.concatenate(vals)
+        # All values, then the lowest KEPT: at these sizes faster than bisecting for some.
+        spectra = [scipy.linalg.eig_banded(b[len(b) // 2:], lower=True, eigvals_only=True)[:KEPT]
+                   for b in bands]
+        first = [int(kind == "steklov"), 0]
+        # Inverse iteration finds the principal mode only from a value nearer it than its
+        # neighbours, about as far as the value itself at small a (0, sigma1, 2, ...).
+        estimate = min(spectra[f][first[f]] for f in (0, 1))
+        rounding = np.finfo(float).eps * max(np.abs(band).sum(axis=0).max() for band in bands)
+        if not rounding <= ROUNDING_RTOL * estimate:
+            raise NonConvergenceError(
+                f"the banded eigenvalues' rounding, {rounding:.3g} at order {N}, nears the "
+                f"principal value {estimate:.3g}: the hole is too small")
+        if kind == "steklov":  # exact: the constant's two columns of the band are opposite
+            spectra[0][0] = 0.0
+        # Each family's first mode, after the constants' zero in the even
+        # Steklov family, takes its Rayleigh quotient for its value.
+        for f in (0, 1):
+            spectra[f][first[f]] = _refine(bands[f], *factors[f], spectra[f][first[f]])[0]
+    except (scipy.linalg.LinAlgError, ValueError) as exc:  # ValueError: a band entry overflowed
+        raise NonConvergenceError(f"banded eigensolve failed at order {N}: {exc}") from exc
+    vals = np.concatenate(spectra)
     order = np.argsort(vals, kind="stable")
-    mode = _first_above(vals[order]) if kind == "steklov" else 0
-    return EigResult(
-        eigenvalues=vals[order],
-        coefficients=np.hstack(coeffs)[:, order],
-        gram_condition=float(lam_max / lam_min),
-        mode=mode,
-        basis=basis,
-    )
+    order = order[vals[order] <= min(s[-1] for s in spectra)]
+    # The principal mode is the lower of the two first modes.
+    mode = int(np.flatnonzero(np.isin(order, [first[0], len(spectra[0]) + first[1]]))[0])
+    odd = np.repeat([False, True], [len(s) for s in spectra])[order]
+    return EigResult(eigenvalues=vals[order], odd=odd, mode=mode, basis=basis)
 
 
-def assemble_steklov(cfg: ShellConfig, N: int, m: int, symmetrize: bool = True):
-    """Stiffness and mass matrices of the full-boundary spectral problem.
+def _solve(cfg: ShellConfig, kind: str) -> EigResult:
+    """The order gate: double N from FIRST_ORDER until two successive principal values agree.
 
-    The family blocks placed on their rows and columns of the basis; the
-    blocks between the two families are zero by the mirror symmetry.
+    Agreement is to GATE_RTOL relative and returns the later solve; an order past
+    MAX_ORDER is never solved, and NonConvergenceError names the last two values.
     """
-    basis, blocks = _assemble(cfg, N, m, "steklov", symmetrize)
-    K, M = np.zeros((basis.size, basis.size)), np.zeros((basis.size, basis.size))
-    for cols, (Kf, Mf) in zip(basis.families, blocks):
-        K[np.ix_(cols, cols)] = Kf
-        M[np.ix_(cols, cols)] = Mf
-    return K, M
+    history, N = [], FIRST_ORDER
+    while N <= MAX_ORDER:
+        result = _solve_at_order(cfg, N, kind)
+        if history and abs(result.principal - history[-1][1]) <= GATE_RTOL * abs(result.principal):
+            return result
+        history.append((N, result.principal))
+        N *= 2
+    label = "sigma1" if kind == "steklov" else "tau1"
+    last = ", ".join(f"{value:.17g} at N={order}" for order, value in history[-2:])
+    raise NonConvergenceError(f"{label} did not converge to {GATE_RTOL:g} relative by the "
+                              f"order cap {MAX_ORDER}: {last}")
 
 
-def solve_steklov(cfg: ShellConfig, N: int = DEFAULT_ORDER, m: int = DEFAULT_POINTS) -> EigResult:
-    """Spectrum of the eccentric annulus with the spectral condition on both circles.
-
-    The zero eigenvalue (constants) is present; the first eigenvalue above
-    the zero tolerance is the first nonzero Steklov value.
-    """
-    return _solve(cfg, N, m, "steklov")
+def solve_steklov(cfg: ShellConfig) -> EigResult:
+    """Spectrum with the spectral condition on both circles (constants' zero first), gated in N."""
+    return _solve(cfg, "steklov")
 
 
-def solve_dirichlet_steklov(
-    cfg: ShellConfig, N: int = DEFAULT_ORDER, m: int = DEFAULT_POINTS
-) -> EigResult:
-    """Spectrum with zero trace on the inner circle, spectral condition outside.
-
-    The basis combinations r^k - a^(2k) r^-k (and log(r/a) at order zero)
-    vanish identically on the inner circle, so only the outer boundary enters
-    the mass; the first eigenvalue is the first mixed eigenvalue.
-    """
-    return _solve(cfg, N, m, "dirichlet")
+def solve_dirichlet_steklov(cfg: ShellConfig) -> EigResult:
+    """Spectrum with zero trace on the hole and the spectral condition outside, gated in N."""
+    return _solve(cfg, "dirichlet")
 
 
 @_one_blas_thread()
 def boundary_residual(result: EigResult, mode: int) -> float:
     """Max pointwise spectral-condition defect of one mode, RESIDUAL_POINTS per circle.
 
-    |du/dn - sigma u| over the spectral part of the boundary (both circles,
-    or the outer circle only for the mixed problem, where the inner trace
-    defect |u| is folded in), normalized by the boundary sup of |u|.  The
-    circles are those of the result's basis.
+    |du/dn - sigma u|, sigma the mode's Rayleigh quotient, over both circles
+    (the outer one for the mixed problem, with |u| on the inner one folded
+    in), over the boundary sup of |u|; u extends the mode's trace by the
+    basis fields, differentiated in the physical plane.
     """
     if not 0 <= mode < len(result.eigenvalues):
         raise ValueError("mode index out of range")
-    basis, sigma, coeff = result.basis, result.eigenvalues[mode], result.coefficients[:, mode]
+    basis, odd = result.basis, bool(result.odd[mode])
+    factors = _factors(basis, odd)
+    sigma, trace = _refine(_band(*factors), *factors, result.eigenvalues[mode])
     pts, normals, _, is_outer = boundary_points(basis, RESIDUAL_POINTS)
-    u = basis.evaluate(pts) @ coeff
-    dn = basis.normal_derivative(pts, normals) @ coeff
-    sup = float(np.max(np.abs(u))) + 1e-30
-    if basis.kind == "steklov":
-        defect = np.abs(dn - sigma * u)
-    else:
-        defect = np.abs(dn[is_outer] - sigma * u[is_outer])
-        defect = np.concatenate((defect, np.abs(u[~is_outer])))
-    return float(np.max(defect)) / sup
+    step = max(1, _CHUNK // len(trace))  # points per block, to bound the memory at high order
+    u, dn = np.empty(len(pts)), np.empty(len(pts))
+    for i in range(0, len(pts), step):
+        fields = basis._fields(pts[i:i + step], normals[i:i + step], odd)
+        u[i:i + step], dn[i:i + step] = (block @ trace for block in fields)
+    spectral = is_outer | (basis.kind == "steklov")
+    defect = np.where(spectral, np.abs(dn - sigma * u), np.abs(u))
+    return float(np.max(defect)) / (float(np.max(np.abs(u))) + 1e-30)
 
 
-def solve_with_order_fallback(
-    cfg: ShellConfig,
-    N: int = DEFAULT_ORDER,
-    m: int = DEFAULT_POINTS,
-    problem: str = "steklov",
-) -> EigResult:
-    """The direct solve of problem ("steklov" or "dirichlet-steklov").
+def solve_with_order_fallback(cfg: ShellConfig, N: int | None = None, m: int | None = None,
+                              problem: str = "steklov") -> EigResult:
+    """The gated solve of problem ("steklov" or "dirichlet-steklov"), as the CLI makes it.
 
-    An alias kept for the callers that look it up by this name: the
-    benchmark's residual metric and its tracer (``perfbench/``).
+    An alias for the benchmark (``perfbench/``), which looks it up by name and
+    passes the first order N and point count m of the solver this one
+    replaced.  Both are unused: the gate starts at FIRST_ORDER, as the CLI's.
     """
     if problem not in ("steklov", "dirichlet-steklov"):
         raise ValueError("problem must be 'steklov' or 'dirichlet-steklov'")
     fn = solve_steklov if problem == "steklov" else solve_dirichlet_steklov
-    return fn(cfg, N=N, m=m)
+    return fn(cfg)
 
 
 def group_eigenvalues(values) -> list[tuple[float, int]]:

@@ -580,7 +580,7 @@ _solves: contextvars.ContextVar[dict | None] = contextvars.ContextVar("solves", 
 
 
 def _solve(problem: str, cfg: ShellConfig) -> solver.EigResult:
-    """A default-order solve of cfg, shared by the checks of one run_checks call.
+    """The gated solve of cfg, shared by the checks of one run_checks call.
 
     The problem table looks the solve up on ``solver`` at call time, so a
     patched or traced solver sees every real solve.  Outside run_checks
@@ -645,8 +645,10 @@ def check_solver_zero_mode() -> CheckResult:
 
 
 def check_assembly_symmetry_defect() -> CheckResult:
-    K, _ = solver.assemble_steklov(ShellConfig(2, 0.5, 0.3), N=20, m=400, symmetrize=False)
-    return _worst("assembly_symmetry_defect", 1e-9, float(np.abs(K - K.T).max()))
+    band = solver.assemble_steklov(ShellConfig(2, 0.5, 0.3), N=20)
+    h = len(band) // 2  # band[h + i - j, j] = A[i, j]: compare A[i, i + j] with A[i + j, i]
+    defect = max(float(np.abs(band[h - j, j:] - band[h + j, :-j]).max()) for j in range(1, h + 1))
+    return _worst("assembly_symmetry_defect", 1e-9, defect)
 
 
 def _solver_strictly_decreasing(name: str, problem: str) -> CheckResult:
@@ -700,9 +702,7 @@ def check_solver_spectral_convergence() -> CheckResult:
     worst = 0.0
     for d in (0.1, 0.2):
         cfg = ShellConfig(2, 0.5, d)
-        s8 = solver.solve_steklov(cfg, N=8, m=128).principal
-        s16 = solver.solve_steklov(cfg, N=16, m=256).principal
-        s32 = solver.solve_steklov(cfg, N=32, m=512).principal
+        s8, s16, s32 = (solver._solve_at_order(cfg, N, "steklov").principal for N in (8, 16, 32))
         e8, e16 = abs(s8 - s16), abs(s16 - s32)
         if e8 < 1e-12:
             continue  # already converged to rounding at the coarse order
@@ -710,14 +710,19 @@ def check_solver_spectral_convergence() -> CheckResult:
     return _worst("solver_spectral_convergence", 1.0, worst)
 
 
-def check_solver_points_invariance() -> CheckResult:
-    worst = 0.0
-    for d in (0.0, 0.2):
-        cfg = ShellConfig(2, 0.5, d)
-        s1 = solver.solve_steklov(cfg, N=16, m=256).principal
-        s2 = solver.solve_steklov(cfg, N=16, m=512).principal
-        worst = max(worst, abs(s1 - s2))
-    return _worst("solver_points_invariance", 1e-8, worst)
+def check_solver_monotone_in_order() -> CheckResult:
+    """At a fixed order every value bounds the true one from above, so none rises with the order.
+
+    The measured value is the largest relative rise of the principal value
+    from one order to the next over N = 16, 32, 64, 128, for both problems.
+    """
+    worst = -math.inf
+    for a, d in ((0.15, 0.8075), (0.2, 0.76), (0.5, 0.3)):
+        for kind in ("steklov", "dirichlet"):
+            vals = [solver._solve_at_order(ShellConfig(2, a, d), N, kind).principal
+                    for N in (16, 32, 64, 128)]
+            worst = max(worst, float(np.max(np.diff(vals) / vals[1:])))
+    return _worst("solver_monotone_in_order", 1e-12, worst)
 
 
 def _first_odd(res: solver.EigResult) -> float:
@@ -752,8 +757,7 @@ def check_bound_dominates_odd_family() -> CheckResult:
 
 def check_solver_residual_improves() -> CheckResult:
     cfg = ShellConfig(2, 0.5, 0.3)
-    r8 = solver.solve_steklov(cfg, N=8, m=128).residual
-    r24 = solver.solve_steklov(cfg, N=24, m=512).residual
+    r8, r24 = (solver._solve_at_order(cfg, N, "steklov").residual for N in (8, 24))
     return _worst("solver_residual_improves", 0.0, r24 - r8, strict=True)
 
 
@@ -816,7 +820,7 @@ FAST_CHECKS = [
 
 FULL_CHECKS = FAST_CHECKS + [
     check_solver_spectral_convergence,
-    check_solver_points_invariance,
+    check_solver_monotone_in_order,
     check_solver_residual_improves,
     check_bound_dominates_odd_family,
 ]
@@ -837,7 +841,7 @@ def run_checks(
     name_filter keeps only checks whose report name contains the given
     substring (development aid; the default runs everything at the chosen
     level).  A filter that matches no check is an error.  The checks share
-    their default-order solves for the duration of the call (see _solve).
+    their gated solves for the duration of the call (see _solve).
     """
     if level not in ("fast", "full"):
         raise ValueError("level must be 'fast' or 'full'")

@@ -331,7 +331,7 @@ class TestOutputLayout:
 
 class TestSolveCommand:
     def test_moderate_offset(self, capsys):
-        code, out, _ = run_cli(capsys, "solve", "--a", "0.5", "--d", "0.3", "--order", "24")
+        code, out, _ = run_cli(capsys, "solve", "--a", "0.5", "--d", "0.3")
         assert code == 0
         sigma1 = float(next(l for l in out.splitlines() if l.startswith("# sigma1=")).split("=")[1])
         residual = float(next(l for l in out.splitlines() if l.startswith("# residual=")).split("=")[1])
@@ -344,15 +344,21 @@ class TestSolveCommand:
         sigma1 = float(next(l for l in out.splitlines() if l.startswith("# sigma1=")).split("=")[1])
         assert sigma1 == pytest.approx(sp.sigma1_closed_form(2, 0.5), abs=1e-8)
 
-    def test_high_order_solves_on_the_kept_rank(self, capsys):
-        # The dependent directions of an order-200 basis are dropped, not refused.
-        code, out, _ = run_cli(
-            capsys, "solve", "--a", "0.5", "--d", "0.3", "--order", "200", "--points", "1600"
-        )
+    @pytest.mark.parametrize("problem, kind, label", [("steklov", "steklov", "sigma1"),
+                                                      ("dirichlet-steklov", "dirichlet", "tau1")])
+    def test_solve_prints_the_order_it_reached(self, capsys, problem, kind, label):
+        # The last row of the a = 0.15 sweep needs order 256: the value printed
+        # is the one at the printed order, which agrees with half that order.
+        code, out, _ = run_cli(capsys, "solve", "--a", "0.15", "--d", "0.8075",
+                               "--problem", problem, "--format", "csv")
         assert code == 0
-        code, out24, _ = run_cli(capsys, "solve", "--a", "0.5", "--d", "0.3")
-        assert code == 0
-        assert _footer(out, "sigma1") == pytest.approx(_footer(out24, "sigma1"), abs=1e-10)
+        assert out.splitlines()[1] == f"# manifest: parameters: a=0.15 d=0.8075 problem={problem}"
+        order = int(_footer(out, "order"))
+        assert order == 256
+        cfg = ShellConfig(2, 0.15, 0.8075)
+        assert _footer(out, label) == solver._solve_at_order(cfg, order, kind).principal
+        half = solver._solve_at_order(cfg, order // 2, kind).principal
+        assert abs(_footer(out, label) - half) <= solver.GATE_RTOL * _footer(out, label)
 
     @pytest.mark.parametrize("problem, label", [("steklov", "sigma1"), ("dirichlet-steklov", "tau1")])
     def test_small_hole_matches_the_sweep_row(self, capsys, problem, label):
@@ -365,11 +371,89 @@ class TestSolveCommand:
         assert float(d) == 0.7
         assert _footer(out, label) == float(solver_value)
 
+    @pytest.mark.parametrize("d", ["1e-300", "1e-200", "1e-8"])
+    @pytest.mark.parametrize("problem, label, closed", [
+        ("steklov", "sigma1", sp.sigma1_closed_form), ("dirichlet-steklov", "tau1", sp.tau1_closed_form),
+    ])
+    def test_tiny_offsets_give_the_closed_form(self, capsys, d, problem, label, closed):
+        # The frame's textbook roots overflow at d = 1e-200 and lose the inner
+        # root at d = 1e-8; the concentric value holds to rounding at all three.
+        code, out, err = run_cli(capsys, "solve", "--a", "0.5", "--d", d, "--problem", problem)
+        assert (code, err) == (0, "")
+        assert _footer(out, label) == pytest.approx(closed(2, 0.5), abs=1e-12)
+        assert _footer(out, "residual") < 1e-12
+
+    @pytest.mark.parametrize("problem, label, value", [("steklov", "sigma1", 0.119870299826),
+                                                       ("dirichlet-steklov", "tau1", 0.74786777895)])
+    def test_near_contact_converges(self, capsys, problem, label, value):
+        # At (0.5, 0.4999) the gate needs order 2048, the cap; the solver this
+        # one replaced printed sigma1 17% high there, with residual 7.08.
+        code, out, _ = run_cli(capsys, "solve", "--a", "0.5", "--d", "0.4999", "--problem", problem)
+        assert code == 0
+        assert _footer(out, label) == pytest.approx(value, abs=1e-9)
+        assert _footer(out, "order") == 2048
+        assert _footer(out, "residual") < 1e-7
+
+    @pytest.mark.parametrize("problem, label, kind", [("steklov", "sigma1", "steklov"),
+                                                      ("dirichlet-steklov", "tau1", "dirichlet")])
+    def test_closer_contact_converges_or_exits_3(self, capsys, problem, label, kind):
+        # At (0.5, 0.49999) tau1 still moves at order 2048: a value the gate
+        # has not accepted is never printed.
+        code, out, err = run_cli(capsys, "solve", "--a", "0.5", "--d", "0.49999", "--problem", problem)
+        cfg = ShellConfig(2, 0.5, 0.49999)
+        if code == 0:
+            order = int(_footer(out, "order"))
+            half = solver._solve_at_order(cfg, order // 2, kind).principal
+            assert abs(_footer(out, label) - half) <= solver.GATE_RTOL * _footer(out, label)
+        else:
+            assert (code, out) == (3, "")
+            assert err.startswith(f"numerical failure: {label} did not converge")
+            assert f"order cap {solver.MAX_ORDER}" in err
+            for order in (solver.MAX_ORDER // 2, solver.MAX_ORDER):
+                value = solver._solve_at_order(cfg, order, kind).principal
+                assert f"{value:.17g} at N={order}" in err
+
+    @pytest.mark.parametrize("a, problem, label, value", [
+        ("1e-8", "steklov", "sigma1", 0.99999999500000059),
+        ("1e-8", "dirichlet-steklov", "tau1", 0.05336611092974311),
+        ("1e-4", "steklov", "sigma1", 0.99994994213825306),
+        ("1e-4", "dirichlet-steklov", "tau1", 0.10459901521606989),
+        ("1e-6", "steklov", "sigma1", 0.99999949999191162),
+        ("1e-6", "dirichlet-steklov", "tau1", 0.070702271728721108),
+    ])
+    def test_small_holes_keep_their_values(self, capsys, a, problem, label, value):
+        # The values the solver this one replaced printed at d = 0.5.  The
+        # banded eigenvalues scatter over 1e-9 at a = 1e-4 and 1e-5 at 1e-8;
+        # the Rayleigh quotient of the principal vector does not.
+        code, out, _ = run_cli(capsys, "solve", "--a", a, "--d", "0.5", "--problem", problem)
+        assert code == 0
+        assert _footer(out, label) == pytest.approx(value, abs=1e-12)
+
+    @pytest.mark.parametrize("a", ["1e-13", "1e-300"])
+    def test_too_small_a_hole_exits_3(self, capsys, a):
+        # The solver this one replaced overflowed at both.
+        code, out, err = run_cli(capsys, "solve", "--a", a, "--d", "0.5")
+        assert (code, out) == (3, "")
+        assert err.startswith("numerical failure: the banded eigenvalues' rounding, ")
+        assert err.endswith(": the hole is too small\n")
+
+    def test_a_denormal_hole_exits_3(self, capsys):
+        # 1/rho overflows in the band, as the solver this one replaced overflowed.
+        code, out, err = run_cli(capsys, "solve", "--a", "1e-310", "--d", "0.5")
+        assert (code, out) == (3, "")
+        assert err.startswith("numerical failure: banded eigensolve failed at order 32: ")
+
+    def test_order_cap_exits_3(self, capsys, monkeypatch):
+        monkeypatch.setattr(solver, "MAX_ORDER", 64)
+        code, out, err = run_cli(capsys, "solve", "--a", "0.15", "--d", "0.8075")
+        assert (code, out) == (3, "")
+        assert "order cap 64" in err and "at N=32" in err and "at N=64" in err
+
     def test_eigensolver_failure_exit_code(self, capsys, monkeypatch):
         def failing(*args, **kwargs):
             raise scipy.linalg.LinAlgError("no convergence")
 
-        monkeypatch.setattr(scipy.linalg, "eigh", failing)
+        monkeypatch.setattr(scipy.linalg, "eig_banded", failing)
         code, out, err = run_cli(capsys, "solve", "--a", "0.5", "--d", "0.3")
         assert code == 3
         assert out == ""
@@ -413,12 +497,19 @@ class TestSweepCommand:
         )
         assert code == 2
 
-    def test_solver_flags_validated_before_sweep(self, capsys):
-        code, _, _ = run_cli(
-            capsys, "sweep", "--problem", "steklov", "--dim", "2", "--a", "0.5",
-            "--d-steps", "4", "--order", "2",
+    def test_solver_flags_validated_before_sweep(self, capsys, monkeypatch):
+        # --no-solver is the one sweep option only the planar solver column
+        # reads: at --dim 3 it is refused before any row runs.
+        def unread(cfg, **tol):
+            raise AssertionError("a row ran")
+
+        monkeypatch.setattr(rayleigh, "steklov_bound", unread)
+        code, out, err = run_cli(
+            capsys, "sweep", "--problem", "steklov", "--dim", "3", "--a", "0.5",
+            "--d-steps", "4", "--no-solver",
         )
-        assert code == 2
+        assert (code, out) == (2, "")
+        assert err == "error: --no-solver applies only to planar sweeps (--dim 2)\n"
 
     def test_full_precision_round_trip(self, capsys):
         code, out, _ = run_cli(
@@ -489,7 +580,7 @@ class TestSweepCommand:
         parent = os.getpid()
 
         def row_threads(d):
-            solver.solve_steklov(ShellConfig(2, 0.5, d), N=8, m=128)
+            solver.solve_steklov(ShellConfig(2, 0.5, d))
             return os.getpid(), len(os.listdir("/proc/self/task"))
 
         (pid0, _), (pid1, child_threads) = cli._fan_out(row_threads, [0.0, 0.2], 2)
@@ -669,6 +760,8 @@ VALID_ARGV = {
     ("bound", "--jobs", "1"),
     ("solve", "--jobs", "1"),
     ("solve", "--tol", "1e-3"),
+    ("solve", "--order", "24"),
+    ("solve", "--points", "512"),
     ("verify", "--format", "csv"),
     ("verify", "--jobs", "7"),
     ("verify", "--tol", "1e-3"),
@@ -681,6 +774,8 @@ VALID_ARGV = {
     ("ratio", "--jobs", "1"),
     ("ratio", "--tol", "1e-3"),
     ("sweep", "--eps-steps", "3"),
+    ("sweep", "--order", "24"),
+    ("sweep", "--points", "512"),
     ("sweep", "--problem", "ratio"),
 ])
 def test_options_a_subcommand_does_not_read_are_rejected(capsys, command, option, value):
