@@ -169,10 +169,8 @@ def _fan_out(fn, tasks, jobs: int) -> list:
     whole grid and the bounds' cost, which grows with the offset, evens out.
     This process forks one child per share after the first and runs the
     first share itself; each child pickles its rows to its own pipe.  More
-    processes than tasks or cores would only cost forks.  Everything runs
-    on one BLAS thread, and the children inherit it, so they never start
-    OpenBLAS's thread server (see the solver module's docstring).  Off Linux,
-    where fork is not the platform's safe default, every row runs in process.
+    processes than tasks or cores would only cost forks.  Off Linux, where
+    fork is not the platform's safe default, every row runs in process.
 
     The earliest failing row's exception is raised, as a serial run would
     raise it.  A child that exits without its record raises RuntimeError.
@@ -182,28 +180,27 @@ def _fan_out(fn, tasks, jobs: int) -> list:
     cpus = os.cpu_count() or 1
     workers = min(jobs or cpus, len(tasks), cpus) if sys.platform == "linux" else 1
     pids, readers = [], []  # of the children; a pid leaves pids once reaped
-    with solver._one_blas_thread():
-        try:
-            for share in range(1, workers):
-                pid, reader = _fork_share(fn, tasks, share, workers)
-                pids.append(pid)
-                readers.append(reader)
-            shares = [_run_share(fn, tasks, 0, workers)]
-            for reader in readers:
-                record = reader.read()
-                pid = pids.pop(0)
-                _, status = os.waitpid(pid, 0)
-                if status != 0:  # a child exits 0 only once its record is written
-                    raise RuntimeError(
-                        f"sweep worker {pid} exited with wait status {status} without its rows"
-                    )
-                shares.append(pickle.loads(record))
-        finally:
-            for pid in pids:  # left only when something raised
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-            for reader in readers:
-                reader.close()
+    try:
+        for share in range(1, workers):
+            pid, reader = _fork_share(fn, tasks, share, workers)
+            pids.append(pid)
+            readers.append(reader)
+        shares = [_run_share(fn, tasks, 0, workers)]
+        for reader in readers:
+            record = reader.read()
+            pid = pids.pop(0)
+            _, status = os.waitpid(pid, 0)
+            if status != 0:  # a child exits 0 only once its record is written
+                raise RuntimeError(
+                    f"sweep worker {pid} exited with wait status {status} without its rows"
+                )
+            shares.append(pickle.loads(record))
+    finally:
+        for pid in pids:  # left only when something raised
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for reader in readers:
+            reader.close()
     failures = [failure for _, failure in shares if failure is not None]
     if failures:
         raise min(failures, key=lambda failure: failure[0])[1]

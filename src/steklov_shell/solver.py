@@ -32,25 +32,14 @@ inverse iteration, accurate to its own size; a solve whose rounding is not
 below ROUNDING_RTOL times the principal value (a < 1e-13) raises instead.
 The boundary residual checks a mode in the physical plane, independently of
 T and D: ``TrefftzBasis`` evaluates the fields whose traces are the Fourier
-modes, with 1/g from the map's derivative at the boundary points.
-
-Solves and residuals run on one BLAS thread, restored afterwards, so no
-value depends on the host's core count.  The count is set only when it is
-not 1: OpenBLAS's setter starts the library's thread server whenever it is
-down, and in a freshly forked process one set_num_threads(1) per library
-(numpy and scipy each bundle one) started a thread that spun for 0.06-0.13 s
-of CPU.  A sweep therefore forks inside one single-thread scope
-(``cli._fan_out``), so its children inherit a count of 1; a test in
-``tests/test_cli.py`` counts a forked child's threads.
+modes, with 1/g from the map's derivative at the boundary points.  No call
+sets a BLAS thread count: the banded LAPACK calls make no level-3 BLAS call,
+and ``tests/test_cli.py`` compares output bytes across OpenBLAS thread counts.
 """
 
 from __future__ import annotations
 
-import contextlib
-import ctypes
-import functools
 import math
-import os
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -71,94 +60,6 @@ _SHIFT_RTOL = 1e-10  # inverse iteration's offset below the value, and its settl
 _PASSES = 4  # most inverse-iteration passes, each shifted to the last one's quotient
 ROUNDING_RTOL = 0.1  # banded values' rounding a solve accepts, relative to the principal value
 _CHUNK = 1 << 16  # field values per block of the residual's evaluation
-_MAPS = "/proc/self/maps"
-
-
-def _thread_setter(lib):
-    """lib's thread-count setter, returning the previous count; None if lib has none.
-
-    OpenBLAS exports a get/set pair, named with numpy's and scipy's symbol
-    prefix and suffix.  The setter calls set only when the count changes:
-    set starts OpenBLAS's thread server when it is down, as it is after a
-    fork, even when asked for the count the library already has.
-    """
-    for prefix in ("scipy_openblas", "openblas"):
-        for suffix in ("64_", ""):
-            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
-            put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
-            if get is not None and put is not None:
-                get.argtypes, get.restype = [], ctypes.c_int
-                put.argtypes, put.restype = [ctypes.c_int], None
-
-                def swap(count, get=get, put=put):
-                    previous = get()
-                    if previous != count:
-                        put(count)
-                    return previous
-
-                return swap
-    return None
-
-
-def _openblas_paths(maps: bytes) -> list:
-    """Paths of the OpenBLAS libraries named in a /proc/<pid>/maps listing.
-
-    The path is the sixth field and runs to the end of the line, spaces and
-    a " (deleted)" mark included; names that are not valid text keep their
-    bytes as surrogate escapes.
-    """
-    paths = set()
-    for line in maps.splitlines():
-        fields = line.split(maxsplit=5)
-        if len(fields) == 6 and b"openblas" in fields[5].rsplit(b"/", 1)[-1]:
-            paths.add(os.fsdecode(fields[5]))
-    return sorted(paths)
-
-
-@functools.cache
-def _openblas_thread_setters() -> tuple:
-    """Thread-count setters of every OpenBLAS loaded in this process.
-
-    numpy and scipy each bundle their own OpenBLAS, so there can be two.
-    Empty when no OpenBLAS is loaded or the loaded libraries cannot be listed
-    (outside Linux); a library that cannot be reopened by its path (deleted or
-    replaced on disk) is left at its own thread count.
-    """
-    try:
-        with open(_MAPS, "rb") as fh:
-            paths = _openblas_paths(fh.read())
-    except OSError:
-        return ()
-    setters = []
-    for path in paths:
-        try:
-            setter = _thread_setter(ctypes.CDLL(path))
-        except (OSError, UnicodeDecodeError):
-            # ctypes decodes the loader's message as UTF-8, so a failed load
-            # of a path that is not valid UTF-8 raises UnicodeDecodeError.
-            continue
-        if setter is not None:
-            setters.append(setter)
-    return tuple(setters)
-
-
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Run the block on one BLAS thread, restoring each library's count on exit.
-
-    A library already at 1 is left alone, so a nested scope, or any scope in
-    a process forked inside one, calls no setter at all.  The count is
-    process-wide in OpenBLAS's pthreads builds, so solves run at once from
-    several threads of one process can interleave their saves and restores
-    and leave the process-wide count at 1.
-    """
-    setters = _openblas_thread_setters()
-    previous = [set_threads(1) for set_threads in setters]
-    try:
-        yield
-    finally:
-        for set_threads, count in zip(setters, previous):
-            set_threads(count)
 
 
 class _Frame(NamedTuple):
@@ -416,7 +317,6 @@ def assemble_steklov(cfg: ShellConfig, N: int) -> np.ndarray:
     return np.hstack([_band(*_factors(basis, odd)) for odd in (False, True)])
 
 
-@_one_blas_thread()
 def _solve_at_order(cfg: ShellConfig, N: int, kind: str) -> EigResult:
     """The solve on the modes k <= N of kind "steklov" or "dirichlet" (LAPACK).
 
@@ -485,7 +385,6 @@ def solve_dirichlet_steklov(cfg: ShellConfig) -> EigResult:
     return _solve(cfg, "dirichlet")
 
 
-@_one_blas_thread()
 def boundary_residual(result: EigResult, mode: int) -> float:
     """Max pointwise spectral-condition defect of one mode, RESIDUAL_POINTS per circle.
 

@@ -73,6 +73,17 @@ def assert_no_children():
         os.waitpid(-1, os.WNOHANG)
 
 
+def openblas_loaded() -> bool:
+    """Whether the maps listing names an OpenBLAS library, found without the solver's help."""
+    try:
+        with open("/proc/self/maps", "rb") as fh:
+            lines = fh.read().splitlines()
+    except OSError:
+        return False
+    fields = [line.split(maxsplit=5) for line in lines]
+    return any(len(f) == 6 and b"openblas" in f[5].rsplit(b"/", 1)[-1] for f in fields)
+
+
 def rows_failing_at(failing, exc_type):
     """A steklov_bound for FOUR_ROW_SWEEP that raises exc_type at the row indices in failing."""
     def bound(cfg, **tol):
@@ -462,15 +473,24 @@ class TestSolveCommand:
     def test_bytes_do_not_depend_on_blas_threads(self):
         # A threaded BLAS sums in an order set by its thread count, which is
         # fixed when the library loads: only a fresh process can vary it.
+        # No call sets the count.  The inputs: a default solve, a mixed solve at
+        # gate order 256, a near-contact solve at order 2048, where the
+        # residual's matrix-vector products are widest, and a forked sweep.
         src = str(Path(cli.__file__).resolve().parents[1])
-        argv = [sys.executable, "-m", "steklov_shell.cli", "solve", "--a", "0.5", "--d", "0.3",
-                "--format", "csv"]
-        out = []
-        for threads in ("1", "2"):
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
-            proc = subprocess.run(argv, env=env, capture_output=True, timeout=120, check=True)
-            out.append(proc.stdout)
-        assert out[0] == out[1]
+        for args in (
+            ("solve", "--a", "0.5", "--d", "0.3"),
+            ("solve", "--problem", "dirichlet-steklov", "--a", "0.15", "--d", "0.8075"),
+            ("solve", "--a", "0.5", "--d", "0.4999"),
+            ("sweep", "--dim", "2", "--problem", "dirichlet-steklov", "--a", "0.15",
+             "--d-steps", "7", "--jobs", "2"),
+        ):
+            argv = [sys.executable, "-m", "steklov_shell.cli", *args, "--format", "csv"]
+            out = []
+            for threads in ("1", "2"):
+                env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+                proc = subprocess.run(argv, env=env, capture_output=True, timeout=120, check=True)
+                out.append(proc.stdout)
+            assert out[0] == out[1], args
 
 
 class TestSweepCommand:
@@ -572,9 +592,9 @@ class TestSweepCommand:
         assert_no_children()
 
     def test_pooled_solver_rows_start_no_blas_threads(self, monkeypatch):
-        # A child forked at the host's BLAS count set it to 1 on its first
-        # solve, which started a spinning server thread per OpenBLAS.
-        if not os.path.isdir("/proc/self/task") or not solver._openblas_thread_setters():
+        # Setting a thread count, or a level-3 BLAS call, in a forked child
+        # starts a spinning OpenBLAS server thread; its solver rows need neither.
+        if not os.path.isdir("/proc/self/task") or not openblas_loaded():
             pytest.skip("needs /proc/self/task and a loaded OpenBLAS")
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
         parent = os.getpid()
@@ -586,6 +606,18 @@ class TestSweepCommand:
         (pid0, _), (pid1, child_threads) = cli._fan_out(row_threads, [0.0, 0.2], 2)
         assert pid0 == parent and pid1 != parent
         assert child_threads == 1
+
+    def test_fan_out_starts_no_thread_in_this_process(self, monkeypatch, forks):
+        # A fork shuts OpenBLAS's thread server down in this process; setting
+        # a thread count after the forks would restart it, with spinning threads.
+        if not os.path.isdir("/proc/self/task"):
+            pytest.skip("needs /proc/self/task")
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        before = set(os.listdir("/proc/self/task"))
+        rows = cli._fan_out(lambda d: solver.solve_steklov(ShellConfig(2, 0.5, d)).principal,
+                            [0.0, 0.2], 2)
+        assert len(forks) == 1 and len(rows) == 2
+        assert set(os.listdir("/proc/self/task")) <= before
 
     def test_rows_come_back_in_task_order(self, monkeypatch, forks):
         # Task i runs in share i % 3; the rows are put back in task order.

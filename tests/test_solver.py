@@ -1,11 +1,8 @@
 """Planar eigensolver in the conformal frame."""
 
-import ctypes
 import dataclasses
 import gc
 import math
-import os
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -279,6 +276,21 @@ class TestGate:
                 orders["steklov"].add(solver.solve_steklov(cfg).basis.max_order)
                 orders["dirichlet"].add(solver.solve_dirichlet_steklov(cfg).basis.max_order)
         assert orders == {"steklov": {64, 128, 256}, "dirichlet": {64, 128, 256}}
+
+    def test_each_gate_order_calls_eig_banded_once_per_family(self, monkeypatch):
+        eig_banded, calls = scipy.linalg.eig_banded, []
+
+        def counting(*args, **kwargs):
+            calls.append(None)
+            return eig_banded(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "eig_banded", counting)
+        orders = [solver.solve_steklov(ShellConfig(2, 0.5, 0.3)).basis.max_order]
+        for solve, _, _, _ in PROBLEMS.values():
+            orders.append(solve(ShellConfig(2, 0.2, 0.7)).basis.max_order)
+        # Two eig_banded calls per order, one per mirror family, at the
+        # orders 32, 64, ... up to where each gate stopped.
+        assert len(calls) == sum(2 * int(math.log2(N // solver.FIRST_ORDER) + 1) for N in orders)
 
     def test_the_cap_raises_with_the_last_two_values(self, monkeypatch):
         monkeypatch.setattr(solver, "MAX_ORDER", 64)
@@ -571,146 +583,3 @@ class TestDerivedFields:
         with pytest.raises(TypeError):
             solver.boundary_residual(res, ShellConfig(2, 0.5, 0.1), 1)
 
-
-def _blas_paths() -> list:
-    """Paths of the loaded OpenBLAS libraries, found without the solver's help."""
-    try:
-        with open("/proc/self/maps", "rb") as fh:
-            lines = fh.read().splitlines()
-    except OSError:
-        return []
-    fields = [line.split(maxsplit=5) for line in lines]
-    return sorted({os.fsdecode(f[5]) for f in fields if len(f) == 6 and b"openblas" in f[5].rsplit(b"/", 1)[-1]})
-
-
-def _blas_thread_getters() -> list:
-    """Thread-count getters of the loaded OpenBLAS libraries."""
-    getters = []
-    for path in _blas_paths():
-        lib = ctypes.CDLL(path)
-        for name in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
-                     "openblas_get_num_threads64_", "openblas_get_num_threads"):
-            get = getattr(lib, name, None)
-            if get is not None:
-                get.argtypes, get.restype = [], ctypes.c_int
-                getters.append(get)
-                break
-    return getters
-
-
-class TestBlasThreads:
-    def test_solve_runs_on_one_thread_and_restores_the_count(self, monkeypatch):
-        getters = _blas_thread_getters()
-        if not getters:
-            pytest.skip("no OpenBLAS loaded")
-        before = [get() for get in getters]
-        during = []
-        eig_banded = scipy.linalg.eig_banded
-
-        def recording(*args, **kwargs):
-            during.append([get() for get in getters])
-            return eig_banded(*args, **kwargs)
-
-        monkeypatch.setattr(scipy.linalg, "eig_banded", recording)
-        cfg = ShellConfig(2, 0.5, 0.3)
-        orders = [solver.solve_steklov(cfg).basis.max_order]
-        assert [get() for get in getters] == before
-        solver.assemble_steklov(cfg, N=8)
-        assert [get() for get in getters] == before
-        for solve, _, _, _ in PROBLEMS.values():
-            orders.append(solve(ShellConfig(2, 0.2, 0.7)).basis.max_order)
-            assert [get() for get in getters] == before
-        # Two eig_banded calls per order, one per mirror family, at the
-        # orders 32, 64, ... up to where each gate stopped.
-        calls = sum(2 * int(math.log2(N // solver.FIRST_ORDER) + 1) for N in orders)
-        assert during == [[1] * len(getters)] * calls
-
-    def test_thread_setter_uses_get_set_pair(self):
-        count = [4]
-
-        def get():
-            return count[0]
-
-        def put(n):
-            count[0] = n
-
-        lib = SimpleNamespace(scipy_openblas_get_num_threads64_=get,
-                              scipy_openblas_set_num_threads64_=put)
-        swap = solver._thread_setter(lib)
-        assert swap(1) == 4 and count == [1]
-        assert swap(4) == 1 and count == [4]
-        assert solver._thread_setter(SimpleNamespace()) is None
-
-    @staticmethod
-    def _fake_setter(monkeypatch, start: int):
-        """Route the solver's scopes to one fake library at count start; returns (count, sets)."""
-        count, sets = [start], []
-
-        def get():
-            return count[0]
-
-        def put(n):
-            sets.append(n)
-            count[0] = n
-
-        lib = SimpleNamespace(openblas_get_num_threads=get, openblas_set_num_threads=put)
-        swap = solver._thread_setter(lib)
-        monkeypatch.setattr(solver, "_openblas_thread_setters", lambda: (swap,))
-        return count, sets
-
-    def test_scope_at_one_thread_calls_no_setter(self, monkeypatch):
-        # Setting even an unchanged count restarts OpenBLAS's thread server,
-        # so a process already at 1, like a forked pool worker, must not set.
-        count, sets = self._fake_setter(monkeypatch, 1)
-        with solver._one_blas_thread():
-            assert count == [1]
-        res = solver.solve_steklov(ShellConfig(2, 0.5, 0.3))
-        assert math.isfinite(res.residual)
-        assert sets == [] and count == [1]
-
-    def test_nested_scopes_restore_the_outer_count(self, monkeypatch):
-        count, sets = self._fake_setter(monkeypatch, 4)
-        with solver._one_blas_thread():
-            with solver._one_blas_thread():
-                assert count == [1]
-            assert count == [1]
-        assert count == [4]
-        assert sets == [1, 4]
-
-    def test_unusual_maps_lines_do_not_break_a_solve(self, monkeypatch, tmp_path):
-        # Library paths with a space, a " (deleted)" mark, a name that is not
-        # valid UTF-8, and a mapping with no path at all.
-        getters = _blas_thread_getters()
-        if not getters:
-            pytest.skip("no OpenBLAS loaded")
-        spaced = tmp_path / "My Projects"
-        spaced.mkdir()
-        links = []
-        for path in _blas_paths():
-            link = spaced / os.path.basename(path)
-            link.symlink_to(path)
-            links.append(str(link))
-        maps = b"".join(
-            b"7f0000000000-7f0000001000 r-xp 00000000 08:01 1    " + os.fsencode(link) + b"\n"
-            for link in links
-        ) + (
-            b"7f0000002000-7f0000003000 r-xp 00000000 08:01 2    /gone/libscipy_openblas-0.so (deleted)\n"
-            b"7f0000004000-7f0000005000 r--p 00000000 08:01 3    /data/caf\xe9/libopenblas.so\n"
-            b"7f0000006000-7f0000007000 rw-p 00000000 00:00 0\n"
-        )
-        assert solver._openblas_paths(maps) == sorted(
-            links + ["/gone/libscipy_openblas-0.so (deleted)", os.fsdecode(b"/data/caf\xe9/libopenblas.so")]
-        )
-        maps_file = tmp_path / "maps"
-        maps_file.write_bytes(maps)
-        monkeypatch.setattr(solver, "_MAPS", str(maps_file))
-        solver._openblas_thread_setters.cache_clear()
-        try:
-            # The links reopen the loaded libraries; the other two paths are skipped.
-            assert len(solver._openblas_thread_setters()) == len(links)
-            before = [get() for get in getters]
-            res = solver.solve_steklov(ShellConfig(2, 0.5, 0.3))
-            assert math.isfinite(res.eigenvalues[0])
-            assert [get() for get in getters] == before
-        finally:
-            solver._openblas_thread_setters.cache_clear()
