@@ -113,6 +113,7 @@ def cmd_solve(args) -> int:
         f"# {problem.label}={_fmt(res.principal)}",
         f"# residual={_fmt(res.residual)}",
         f"# order={res.basis.max_order}",
+        f"# width={_fmt(res.width)}",
     ]
     params = {"a": args.a, "d": args.d, "problem": args.problem}
     _write(args, "solve", params, ["eigenvalue", "multiplicity"],

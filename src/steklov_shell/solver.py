@@ -21,15 +21,21 @@ the mirror y -> -y, so the cos k t (k >= 0, "even") and sin k t (k >= 1,
 "odd") families are solved apart.
 
 On the modes k <= N each value lies at or above the true one and falls as N
-grows, since (P T P)^-1 <= P T^-1 P for SPD T.  ``solve_steklov`` and
-``solve_dirichlet_steklov`` double N from FIRST_ORDER until the principal
-value agrees with the previous order's to GATE_RTOL, and raise
-NonConvergenceError rather than pass MAX_ORDER.  LAPACK's banded values are
+grows, since (P T P)^-1 <= P T^-1 P for SPD T.  LAPACK's banded values are
 accurate to about eps times the matrix norm, near N / a.  So the constants'
 zero is set exactly, and each family's first mode takes the Rayleigh
-quotient (S^1/2 y)^T (T R^-1) (S^1/2 y) / y^T y of its vector y from banded
-inverse iteration, accurate to its own size; a solve whose rounding is not
-below ROUNDING_RTOL times the principal value (a < 1e-13) raises instead.
+quotient rho = (S^1/2 y)^T (T R^-1) (S^1/2 y) of its unit vector y from
+banded inverse iteration, accurate to its own size; a solve whose rounding
+is not below ROUNDING_RTOL times the principal value (a < 1e-13) raises
+instead.  The band is block tridiagonal in k, so with y padded by zeros the
+infinite operator's residual A y - rho y lies in mode N + 1 alone, and its
+norm eta = |beta| |root_N+1 root_N y_N| costs O(1) (Kato 1949, Temple 1928).
+``solve_steklov`` and ``solve_dirichlet_steklov`` double N from FIRST_ORDER
+until the principal mode passes either of two tests: eta is at most
+GATE_RTOL times rho, or rho agrees with the previous order's to GATE_RTOL.
+They raise NonConvergenceError rather than pass MAX_ORDER.  The result also
+carries the Kato-Temple width eta^2 / (nu - rho), with nu the family's next
+value at the same order: an estimate, because that nu is an upper bound.
 The boundary residual checks a mode in the physical plane, independently of
 T and D: ``TrefftzBasis`` evaluates the fields whose traces are the Fourier
 modes, with 1/g from the map's derivative at the boundary points.  No call
@@ -51,7 +57,7 @@ from .geometry import ShellConfig
 
 FIRST_ORDER = 32  # mode order N of the gate's first solve
 MAX_ORDER = 2048  # the gate raises rather than solve past this order
-GATE_RTOL = 1e-10  # relative agreement of successive orders' principal values
+GATE_RTOL = 1e-10  # the gate's relative tail residual, or successive orders' relative agreement
 KEPT = 24  # lowest eigenvalues computed per mirror family
 ZERO_MODE_TOL = 1e-6
 RESIDUAL_POINTS = 2048  # points per circle of the residual sample
@@ -224,20 +230,25 @@ def _band(root: np.ndarray, m: np.ndarray, beta: np.ndarray) -> np.ndarray:
     return band
 
 
-def _refine(band: np.ndarray, root, m, beta, value: float) -> tuple[float, np.ndarray]:
-    """Rayleigh quotient (root y)^T M (root y) / y^T y and trace of the eigenvector y nearest value.
+def _refine(band: np.ndarray, root, m, beta, value: float) -> tuple[float, np.ndarray, np.ndarray]:
+    """Rayleigh quotient (root y)^T M (root y), unit eigenvector y nearest value, and M root y.
 
-    y is from passes of two inverse-iteration steps, each shifted just below the last quotient
-    (first, value), never exactly singular, until a quotient settles within _SHIFT_RTOL of its
-    shift.  The trace is M root y, scaled arbitrarily, or y itself for the zero mode.
+    y is from passes of two inverse-iteration steps, each pass on one LU factorization of the
+    band shifted just below the last quotient (first, value), never exactly singular, until a
+    quotient settles within _SHIFT_RTOL of its shift.  M root y is one row per mode.
     """
-    h = len(band) // 2
-    y = np.ones(band.shape[1])
+    h, n = len(band) // 2, band.shape[1]
+    y = np.ones(n)
     for _ in range(_PASSES):
-        shift, shifted = value, band.copy()
-        shifted[h] -= shift - _SHIFT_RTOL * max(1.0, abs(shift))
+        shift = value
+        lu = np.zeros((3 * h + 1, n), order="F")  # gbtrf's h rows of fill-in above the band
+        lu[h:] = band
+        lu[2 * h] -= shift - _SHIFT_RTOL * max(1.0, abs(shift))
+        lu, piv, info = scipy.linalg.lapack.dgbtrf(lu, h, h, overwrite_ab=True)
+        if info:
+            raise scipy.linalg.LinAlgError(f"shifted band singular or invalid (gbtrf info {info})")
         for _ in range(2):
-            y = scipy.linalg.solve_banded((h, h), shifted, y)
+            y = scipy.linalg.lapack.dgbtrs(lu, h, h, y, piv)[0]
             y /= np.linalg.norm(y)
         v = np.einsum("jrs,js->jr", root, y.reshape(len(root), -1))
         Mv = m * v
@@ -246,7 +257,17 @@ def _refine(band: np.ndarray, root, m, beta, value: float) -> tuple[float, np.nd
         value = float(np.sum(v * Mv))
         if abs(value - shift) <= _SHIFT_RTOL * max(1.0, abs(value)):
             break
-    return value, (Mv.ravel() if value > ZERO_MODE_TOL else y)
+    return value, y, Mv
+
+
+def _tail_residual(root: np.ndarray, beta: np.ndarray, y: np.ndarray) -> float:
+    """|A y - rho y| in the infinite operator, y the order-N unit vector padded with zeros.
+
+    root and beta are the factors at order N + 1.  With rho the quotient of
+    y, the order-N band's rows of A y - rho y vanish (to the vector's
+    rounding), and the rest lies in mode N + 1: beta root_N+1 root_N y_N.
+    """
+    return abs(beta[-1]) * float(np.linalg.norm(root[-1] @ root[-2] @ y[-root.shape[1]:]))
 
 
 @dataclass(frozen=True)
@@ -257,13 +278,19 @@ class EigResult:
     ascending order (even first on ties), cut at the smaller family maximum
     so none below the last is missing; odd marks the odd family's.  mode
     indexes sigma_1 or tau_1, the lower of the families' first modes (after
-    the constants' zero), each valued by its Rayleigh quotient.
+    the constants' zero), each valued by its Rayleigh quotient rho.
+    tail_residual is that mode's closed-form residual eta in the untruncated
+    operator (``_tail_residual``), and width its Kato-Temple width
+    eta^2 / (nu - rho), nu the family's next value at this order: an
+    estimate, since that nu bounds the true next value from above, not below.
     """
 
     eigenvalues: np.ndarray
     odd: np.ndarray
     mode: int
     basis: TrefftzBasis = field(repr=False)
+    tail_residual: float
+    width: float
 
     @property
     def principal(self) -> float:
@@ -324,7 +351,10 @@ def _solve_at_order(cfg: ShellConfig, N: int, kind: str) -> EigResult:
     """
     validate_problem_size(cfg, N)
     basis = TrefftzBasis(max_order=N, a=cfg.a, d=cfg.d, kind=kind)
-    factors = [_factors(basis, odd) for odd in (False, True)]
+    # The factors at order N + 1: the band takes all blocks but the last, the tail residual that one.
+    ext = [_factors(TrefftzBasis(max_order=N + 1, a=cfg.a, d=cfg.d, kind=kind), odd)
+           for odd in (False, True)]
+    factors = [(root[:-1], m, beta[:-1]) for root, m, beta in ext]
     bands = [_band(*f) for f in factors]
     try:
         # All values, then the lowest KEPT: at these sizes faster than bisecting for some.
@@ -343,31 +373,40 @@ def _solve_at_order(cfg: ShellConfig, N: int, kind: str) -> EigResult:
             spectra[0][0] = 0.0
         # Each family's first mode, after the constants' zero in the even
         # Steklov family, takes its Rayleigh quotient for its value.
+        vectors = []
         for f in (0, 1):
-            spectra[f][first[f]] = _refine(bands[f], *factors[f], spectra[f][first[f]])[0]
+            spectra[f][first[f]], y, _ = _refine(bands[f], *factors[f], spectra[f][first[f]])
+            vectors.append(y)
     except (scipy.linalg.LinAlgError, ValueError) as exc:  # ValueError: a band entry overflowed
         raise NonConvergenceError(f"banded eigensolve failed at order {N}: {exc}") from exc
+    # The principal mode is the lower of the two first modes, the even one on a tie.
+    p = int(spectra[1][first[1]] < spectra[0][first[0]])
+    rho, tail = spectra[p][first[p]], _tail_residual(ext[p][0], ext[p][2], vectors[p])
     vals = np.concatenate(spectra)
     order = np.argsort(vals, kind="stable")
     order = order[vals[order] <= min(s[-1] for s in spectra)]
-    # The principal mode is the lower of the two first modes.
-    mode = int(np.flatnonzero(np.isin(order, [first[0], len(spectra[0]) + first[1]]))[0])
+    mode = int(np.flatnonzero(order == p * len(spectra[0]) + first[p])[0])
     odd = np.repeat([False, True], [len(s) for s in spectra])[order]
-    return EigResult(eigenvalues=vals[order], odd=odd, mode=mode, basis=basis)
+    return EigResult(eigenvalues=vals[order], odd=odd, mode=mode, basis=basis, tail_residual=tail,
+                     width=tail ** 2 / (spectra[p][first[p] + 1] - rho))
 
 
 def _solve(cfg: ShellConfig, kind: str) -> EigResult:
-    """The order gate: double N from FIRST_ORDER until two successive principal values agree.
+    """The order gate: double N from FIRST_ORDER until the principal value passes either test.
 
-    Agreement is to GATE_RTOL relative and returns the later solve; an order past
-    MAX_ORDER is never solved, and NonConvergenceError names the last two values.
+    A solve passes when its tail residual is at most GATE_RTOL times its value,
+    or when its value agrees with the previous order's to GATE_RTOL relative;
+    the gate returns the first that passes.  An order past MAX_ORDER is never
+    solved, and NonConvergenceError names the last two values.
     """
     history, N = [], FIRST_ORDER
     while N <= MAX_ORDER:
         result = _solve_at_order(cfg, N, kind)
-        if history and abs(result.principal - history[-1][1]) <= GATE_RTOL * abs(result.principal):
+        value = result.principal
+        if (result.tail_residual <= GATE_RTOL * value
+                or history and abs(value - history[-1][1]) <= GATE_RTOL * abs(value)):
             return result
-        history.append((N, result.principal))
+        history.append((N, value))
         N *= 2
     label = "sigma1" if kind == "steklov" else "tau1"
     last = ", ".join(f"{value:.17g} at N={order}" for order, value in history[-2:])
@@ -397,7 +436,8 @@ def boundary_residual(result: EigResult, mode: int) -> float:
         raise ValueError("mode index out of range")
     basis, odd = result.basis, bool(result.odd[mode])
     factors = _factors(basis, odd)
-    sigma, trace = _refine(_band(*factors), *factors, result.eigenvalues[mode])
+    sigma, y, Mv = _refine(_band(*factors), *factors, result.eigenvalues[mode])
+    trace = Mv.ravel() if sigma > ZERO_MODE_TOL else y  # the zero mode's M root y vanishes
     pts, normals, _, is_outer = boundary_points(basis, RESIDUAL_POINTS)
     step = max(1, _CHUNK // len(trace))  # points per block, to bound the memory at high order
     u, dn = np.empty(len(pts)), np.empty(len(pts))

@@ -371,6 +371,17 @@ class TestSolveCommand:
         half = solver._solve_at_order(cfg, order // 2, kind).principal
         assert abs(_footer(out, label) - half) <= solver.GATE_RTOL * _footer(out, label)
 
+    @pytest.mark.parametrize("problem, kind, label", [("steklov", "steklov", "sigma1"),
+                                                      ("dirichlet-steklov", "dirichlet", "tau1")])
+    def test_solve_prints_the_width_after_the_order(self, capsys, problem, kind, label):
+        code, out, _ = run_cli(capsys, "solve", "--a", "0.15", "--d", "0.8075", "--problem", problem)
+        assert code == 0
+        footer = [line.split("=")[0] for line in out.splitlines()[-4:]]
+        assert footer == [f"# {label}", "# residual", "# order", "# width"]
+        res = solver._solve(ShellConfig(2, 0.15, 0.8075), kind)
+        assert _footer(out, "width") == res.width
+        assert 0.0 <= res.width <= solver.GATE_RTOL * res.principal
+
     @pytest.mark.parametrize("problem, label", [("steklov", "sigma1"), ("dirichlet-steklov", "tau1")])
     def test_small_hole_matches_the_sweep_row(self, capsys, problem, label):
         code, out, _ = run_cli(capsys, "solve", "--a", "0.2", "--d", "0.7", "--problem", problem)

@@ -269,13 +269,31 @@ class TestGate:
         assert abs(values[1] - values[0]) > solver.GATE_RTOL * values[1]
 
     def test_default_sweep_rows_stop_well_below_the_cap(self):
-        orders = {"steklov": set(), "dirichlet": set()}
+        # Each row stops at the first order that passes either test, never
+        # above the order where two successive values first agree, and within
+        # GATE_RTOL of that order's value.
+        rtol, orders = solver.GATE_RTOL, set()
         for a in (0.15, 0.45, 0.85):
             for d in np.linspace(0.0, 0.95 * (1.0 - a), 21):
                 cfg = ShellConfig(2, a, float(d))
-                orders["steklov"].add(solver.solve_steklov(cfg).basis.max_order)
-                orders["dirichlet"].add(solver.solve_dirichlet_steklov(cfg).basis.max_order)
-        assert orders == {"steklov": {64, 128, 256}, "dirichlet": {64, 128, 256}}
+                for kind in ("steklov", "dirichlet"):
+                    res = solver._solve(cfg, kind)
+                    runs, passed, N = [], None, solver.FIRST_ORDER
+                    while True:
+                        run = solver._solve_at_order(cfg, N, kind)
+                        agree = bool(runs) and abs(run.principal - runs[-1].principal) <= rtol * run.principal
+                        if passed is None and (run.tail_residual <= rtol * run.principal or agree):
+                            passed = run
+                        if agree:
+                            break
+                        runs.append(run)
+                        N *= 2
+                    assert res.basis.max_order == passed.basis.max_order <= N
+                    assert res.principal == passed.principal
+                    assert abs(res.principal - run.principal) <= rtol * run.principal
+                    orders.add(res.basis.max_order)
+        assert solver.FIRST_ORDER in orders
+        assert max(orders) <= solver.MAX_ORDER // 8
 
     def test_each_gate_order_calls_eig_banded_once_per_family(self, monkeypatch):
         eig_banded, calls = scipy.linalg.eig_banded, []
@@ -328,6 +346,60 @@ class TestGate:
         vals = [solver._solve_at_order(cfg, N, "steklov").principal for N in (32, 64, 128, 256)]
         assert np.ptp(vals) < 1e-13
         assert solver.solve_steklov(cfg).principal == pytest.approx(value, abs=1e-12)
+
+
+class TestTailResidual:
+    @pytest.mark.parametrize("kind", ["steklov", "dirichlet"])
+    @pytest.mark.parametrize("odd", [False, True])
+    @pytest.mark.parametrize("a, d", [(0.5, 0.3), (0.15, 0.6), (0.2, 0.76)])
+    def test_closed_form_is_the_padded_residual(self, kind, odd, a, d):
+        # At N = 16 the tail is above 5e-6 in every case, so the in-band
+        # rounding of A y - rho y does not show at 1e-12.
+        N = 16
+        basis = solver.TrefftzBasis(max_order=N, a=a, d=d, kind=kind)
+        factors = solver._factors(basis, odd)
+        band = solver._band(*factors)
+        first = int(kind == "steklov" and not odd)
+        guess = scipy.linalg.eig_banded(band[len(band) // 2:], lower=True, eigvals_only=True)[first]
+        rho, y, _ = solver._refine(band, *factors, guess)
+        root, _, beta = solver._factors(dataclasses.replace(basis, max_order=N + 1), odd)
+        eta = solver._tail_residual(root, beta, y)
+        wide = _dense(solver._band(*solver._factors(dataclasses.replace(basis, max_order=N + 4), odd)))
+        padded = np.concatenate((y, np.zeros(len(wide) - len(y))))
+        assert np.linalg.norm(wide @ padded - rho * padded) == pytest.approx(eta, rel=1e-12)
+
+    @pytest.mark.parametrize("kind", ["steklov", "dirichlet"])
+    @pytest.mark.parametrize("a, d", [(0.5, 0.3), (0.15, 0.6), (0.2, 0.76)])
+    def test_result_carries_the_principal_tail_and_its_width(self, kind, a, d):
+        res = solver._solve_at_order(ShellConfig(2, a, d), 16, kind)
+        odd = bool(res.odd[res.mode])
+        factors = solver._factors(res.basis, odd)
+        _, y, _ = solver._refine(solver._band(*factors), *factors, res.principal)
+        root, _, beta = solver._factors(dataclasses.replace(res.basis, max_order=17), odd)
+        assert res.tail_residual == pytest.approx(solver._tail_residual(root, beta, y), rel=1e-10)
+        # nu is the next value of the principal family at the same order.
+        nu = res.eigenvalues[res.mode + 1:][res.odd[res.mode + 1:] == odd][0]
+        assert res.width == pytest.approx(res.tail_residual ** 2 / (nu - res.principal), rel=1e-10)
+
+    @pytest.mark.parametrize("a, d", [(0.5, 0.3), (0.15, 0.8075)])
+    def test_width_estimates_the_distance_to_the_converged_value(self, a, d):
+        cfg = ShellConfig(2, a, d)
+        converged = solver.solve_steklov(cfg).principal
+        for N in (64, 128):
+            res = solver._solve_at_order(cfg, N, "steklov")
+            assert 0.0 <= res.principal - converged <= max(res.width, 1e-14 * converged)
+
+    def test_inverse_iteration_factors_each_shifted_band_once(self, monkeypatch):
+        calls = {"dgbtrf": 0, "dgbtrs": 0}
+        for name in calls:
+            def counting(*args, _name=name, _fn=getattr(scipy.linalg.lapack, name), **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(scipy.linalg.lapack, name, counting)
+        monkeypatch.setattr(scipy.linalg, "solve_banded", None)
+        solver.solve_steklov(ShellConfig(2, 0.5, 0.3))
+        assert calls["dgbtrf"] >= 2
+        assert calls["dgbtrs"] == 2 * calls["dgbtrf"]
 
 
 class TestSteklovSolve:
@@ -501,9 +573,13 @@ class TestDiagnostics:
         assert [c for _, c in groups] == [1, 2, 1]
 
     def test_order_reported(self):
-        res = solver.solve_steklov(ShellConfig(2, 0.5, 0.1))
-        assert res.basis.max_order == 64
-        assert res.basis.size == 4 * 64 + 2
+        # The first order's tail residual already passes the gate.
+        cfg = ShellConfig(2, 0.5, 0.1)
+        res = solver.solve_steklov(cfg)
+        assert res.basis.max_order == solver.FIRST_ORDER == 32
+        assert res.basis.size == 4 * 32 + 2
+        assert res.tail_residual <= solver.GATE_RTOL * res.principal
+        assert res.principal == solver._solve_at_order(cfg, 32, "steklov").principal
 
     def test_basis_frame_is_not_a_constructor_argument(self):
         # The conformal frame is computed from a and d, never passed.
@@ -554,7 +630,7 @@ class TestPrincipalMode:
 class TestDerivedFields:
     def test_result_holds_only_what_the_solve_produced(self):
         names = [f.name for f in dataclasses.fields(solver.EigResult)]
-        assert names == ["eigenvalues", "odd", "mode", "basis"]
+        assert names == ["eigenvalues", "odd", "mode", "basis", "tail_residual", "width"]
         for gone in ("first_nonzero", "n_points", "gram_condition", "coefficients"):
             assert not hasattr(solver.EigResult, gone)
         res = solver.solve_steklov(ShellConfig(2, 0.5, 0.3))
