@@ -33,9 +33,21 @@ norm eta = |beta| |root_N+1 root_N y_N| costs O(1) (Kato 1949, Temple 1928).
 ``solve_steklov`` and ``solve_dirichlet_steklov`` double N from FIRST_ORDER
 until the principal mode passes either of two tests: eta is at most
 GATE_RTOL times rho, or rho agrees with the previous order's to GATE_RTOL.
-They raise NonConvergenceError rather than pass MAX_ORDER.  The result also
-carries the Kato-Temple width eta^2 / (nu - rho), with nu the family's next
-value at the same order: an estimate, because that nu is an upper bound.
+They raise NonConvergenceError rather than pass MAX_ORDER.  The first order
+seeds inverse iteration with ``eig_banded``'s values; every later order seeds
+each family with its quotient at order N / 2, which bounds the order-N value
+from above.  A seeded quotient rho is certified by an inertia count: with
+s = rho - 4 eps |A|_1, the LDL^T pivots of M - s S^-1, one 2 x 2 per mode in
+the circles' sum/difference frame, must find no value of the family below s
+but the constants' zero, so the family's first order-N value lies in
+(s, rho], as near rho as the unseeded solve's rounding.  That certifies the finite section at
+order N only; bounds on the untruncated operator are ROADMAP item 2.  Any
+other count, or a zero or non-finite pivot, solves the order again from
+``eig_banded``.  So a gated solve calls ``eig_banded`` at its first order,
+and later only where a certificate fails; the result computes its low
+spectrum at the order it returns, on first read.  The result also carries
+the Kato-Temple width eta^2 / (nu - rho), with nu the family's next value at
+the same order: an estimate, because that nu is an upper bound.
 The boundary residual checks a mode in the physical plane, independently of
 T and D: ``TrefftzBasis`` evaluates the fields whose traces are the Fourier
 modes, with 1/g from the map's derivative at the boundary points.  No call
@@ -47,6 +59,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -260,6 +273,50 @@ def _refine(band: np.ndarray, root, m, beta, value: float) -> tuple[float, np.nd
     return value, y, Mv
 
 
+def _count_below(root: np.ndarray, m: np.ndarray, beta: np.ndarray, s: float,
+                 kernel: bool) -> int | None:
+    """Eigenvalues of root M root below s > 0, or None where the count is not certain.
+
+    The count is the inertia of M - s S^-1, block by block over the modes'
+    LDL^T pivots (Haynsworth, Linear Algebra Appl. 1, 1968).  In each mode's
+    sum/difference frame of the circles S^-1 is diagonal, M's block is
+    [[h, g], [g, h]] and the coupling to the next mode is beta times the
+    identity, so every pivot is a symmetric 2 x 2 (a scalar for the mixed
+    problem's D^-1).  kernel drops the constant's direction, the sum at
+    k = 0, which root does not reach, and counts it as one value below s.
+    A zero or non-finite pivot gives None; the loop runs on Python floats,
+    so nothing raises.
+    """
+    count, inv = int(kernel), (0.0, 0.0, 0.0)  # the last pivot's inverse [[i0, i1], [i1, i2]]
+    coupling = [0.0] + (beta * beta).tolist()
+    if root.shape[1] == 1:  # scalar pivots of the tridiagonal M - s D^-1
+        for b2, x in zip(coupling, (m[0] - s / (root[:, 0, 0] * root[:, 0, 0])).tolist()):
+            x -= b2 * inv[0]
+            if x == 0.0 or not math.isfinite(x):
+                return None
+            count += x < 0.0
+            inv = (1.0 / x,)
+        return count
+    h, g = float(m[0] + m[1]) / 2.0, float(m[0] - m[1]) / 2.0
+    p, q = root[:, 0, 0], root[:, 0, 1]  # root's eigenvalues are p + q (sum) and p - q (difference)
+    start = int(kernel)
+    xs = (h - s / (p + q)[start:] ** 2).tolist()  # the sums' diagonal
+    ws = (h - s / (p - q) ** 2).tolist()  # the differences'
+    if kernel:  # k = 0: the difference alone, a scalar pivot
+        x = ws.pop(0)
+        if x == 0.0 or not math.isfinite(x):
+            return None
+        count, inv = count + (x < 0.0), (0.0, 0.0, 1.0 / x)
+    for b2, x, w in zip(coupling[start:], xs, ws):
+        x, z, w = x - b2 * inv[0], g - b2 * inv[1], w - b2 * inv[2]
+        det = x * w - z * z
+        if det == 0.0 or not math.isfinite(det):
+            return None
+        count += 1 if det < 0.0 else 2 * (x < 0.0)
+        inv = (w / det, -z / det, x / det)
+    return count
+
+
 def _tail_residual(root: np.ndarray, beta: np.ndarray, y: np.ndarray) -> float:
     """|A y - rho y| in the infinite operator, y the order-N unit vector padded with zeros.
 
@@ -270,42 +327,91 @@ def _tail_residual(root: np.ndarray, beta: np.ndarray, y: np.ndarray) -> float:
     return abs(beta[-1]) * float(np.linalg.norm(root[-1] @ root[-2] @ y[-root.shape[1]:]))
 
 
+def _low_spectrum(band: np.ndarray) -> np.ndarray:
+    """The lowest KEPT eigenvalues of a band (LAPACK).
+
+    All values, then the lowest KEPT: at these sizes faster than bisecting for some.
+    """
+    return scipy.linalg.eig_banded(band[len(band) // 2:], lower=True, eigvals_only=True)[:KEPT]
+
+
 @dataclass(frozen=True)
 class EigResult:
-    """Solver output: the low spectrum, the principal mode, and the basis of the order solved.
+    """Solver output: the principal mode, both families' first modes, and the basis of the order solved.
 
-    eigenvalues merges the lowest KEPT values of both mirror families in
-    ascending order (even first on ties), cut at the smaller family maximum
-    so none below the last is missing; odd marks the odd family's.  mode
-    indexes sigma_1 or tau_1, the lower of the families' first modes (after
-    the constants' zero), each valued by its Rayleigh quotient rho.
-    tail_residual is that mode's closed-form residual eta in the untruncated
-    operator (``_tail_residual``), and width its Kato-Temple width
-    eta^2 / (nu - rho), nu the family's next value at this order: an
-    estimate, since that nu bounds the true next value from above, not below.
+    first_values holds the even then the odd family's first-mode Rayleigh
+    quotient rho (after the constants' zero in the even Steklov family);
+    principal, sigma_1 or tau_1, is the lower, the even one on a tie.
+    tail_residual is its closed-form residual eta in the untruncated
+    operator (``_tail_residual``).
+
+    The low spectrum is computed once, on first read, by ``eig_banded`` at the
+    order solved.  eigenvalues merges the lowest KEPT values of both mirror
+    families in ascending order (even first on ties), cut at the smaller
+    family maximum so none below the last is missing, with each family's
+    first mode valued by its quotient and the constants' zero exact; odd
+    marks the odd family's, and mode indexes the principal one.  width is
+    the principal's Kato-Temple width eta^2 / (nu - rho), nu the family's
+    next value at this order: an estimate, since that nu bounds the true next
+    value from above, not below.
     """
 
-    eigenvalues: np.ndarray
-    odd: np.ndarray
-    mode: int
     basis: TrefftzBasis = field(repr=False)
+    first_values: tuple[float, float]
     tail_residual: float
-    width: float
 
     @property
     def principal(self) -> float:
         """Eigenvalue of the principal mode."""
-        return float(self.eigenvalues[self.mode])
+        return min(self.first_values)
+
+    @property
+    def family(self) -> str:
+        """Mirror family of the principal mode, "even" or "odd"."""
+        return "odd" if self.first_values[1] < self.first_values[0] else "even"
+
+    @cached_property
+    def _spectrum(self) -> tuple[np.ndarray, np.ndarray, int, float]:
+        """(eigenvalues, odd, mode, width) at the order solved."""
+        first = (int(self.basis.kind == "steklov"), 0)
+        try:
+            spectra = [_low_spectrum(_band(*_factors(self.basis, odd))) for odd in (False, True)]
+        except (scipy.linalg.LinAlgError, ValueError) as exc:
+            raise NonConvergenceError(
+                f"banded eigensolve failed at order {self.basis.max_order}: {exc}") from exc
+        if self.basis.kind == "steklov":  # exact: the constant's two columns of the band are opposite
+            spectra[0][0] = 0.0
+        for f in (0, 1):
+            spectra[f][first[f]] = self.first_values[f]
+        p = int(self.family == "odd")
+        vals = np.concatenate(spectra)
+        order = np.argsort(vals, kind="stable")
+        order = order[vals[order] <= min(s[-1] for s in spectra)]
+        mode = int(np.flatnonzero(order == p * len(spectra[0]) + first[p])[0])
+        odd = np.repeat([False, True], [len(s) for s in spectra])[order]
+        width = self.tail_residual ** 2 / (spectra[p][first[p] + 1] - self.principal)
+        return vals[order], odd, mode, width
+
+    @property
+    def eigenvalues(self) -> np.ndarray:
+        return self._spectrum[0]
+
+    @property
+    def odd(self) -> np.ndarray:
+        return self._spectrum[1]
+
+    @property
+    def mode(self) -> int:
+        return self._spectrum[2]
+
+    @property
+    def width(self) -> float:
+        return self._spectrum[3]
 
     @property
     def residual(self) -> float:
         """boundary_residual of the principal mode."""
         return boundary_residual(self, self.mode)
-
-    @property
-    def family(self) -> str:
-        """Mirror family of the principal mode, "even" or "odd"."""
-        return self.family_of(self.mode)
 
     def family_of(self, mode: int) -> str:
         """"odd" if the mode is in the odd family, else "even"."""
@@ -344,10 +450,19 @@ def assemble_steklov(cfg: ShellConfig, N: int) -> np.ndarray:
     return np.hstack([_band(*_factors(basis, odd)) for odd in (False, True)])
 
 
-def _solve_at_order(cfg: ShellConfig, N: int, kind: str) -> EigResult:
-    """The solve on the modes k <= N of kind "steklov" or "dirichlet" (LAPACK).
+def _solve_at_order(cfg: ShellConfig, N: int, kind: str,
+                    seeds: tuple[float, float] | None = None) -> EigResult:
+    """The solve on the modes k <= N of kind "steklov" or "dirichlet".
 
-    Raises NonConvergenceError when LAPACK fails or its rounding is too near the principal value.
+    Inverse iteration refines each family's first mode from its seed in seeds
+    (the even, then the odd family's), or without seeds from its
+    ``eig_banded`` value.  A seeded quotient rho stands only once
+    ``_count_below`` finds no value of its family below rho less four times
+    the banded rounding (which is at least eps rho), but the constants' zero:
+    then the family's first mode at order N lies in that interval, as near
+    rho as an unseeded solve's.  Otherwise the order is solved again without
+    seeds.  Raises NonConvergenceError when LAPACK fails or its rounding is
+    too near the principal value (the seeds' at a seeded order).
     """
     validate_problem_size(cfg, N)
     basis = TrefftzBasis(max_order=N, a=cfg.a, d=cfg.d, kind=kind)
@@ -356,39 +471,27 @@ def _solve_at_order(cfg: ShellConfig, N: int, kind: str) -> EigResult:
            for odd in (False, True)]
     factors = [(root[:-1], m, beta[:-1]) for root, m, beta in ext]
     bands = [_band(*f) for f in factors]
+    first = (int(kind == "steklov"), 0)  # each family's first mode, after the constants' zero
     try:
-        # All values, then the lowest KEPT: at these sizes faster than bisecting for some.
-        spectra = [scipy.linalg.eig_banded(b[len(b) // 2:], lower=True, eigvals_only=True)[:KEPT]
-                   for b in bands]
-        first = [int(kind == "steklov"), 0]
+        rounding = np.finfo(float).eps * max(np.abs(band).sum(axis=0).max() for band in bands)
         # Inverse iteration finds the principal mode only from a value nearer it than its
         # neighbours, about as far as the value itself at small a (0, sigma1, 2, ...).
-        estimate = min(spectra[f][first[f]] for f in (0, 1))
-        rounding = np.finfo(float).eps * max(np.abs(band).sum(axis=0).max() for band in bands)
-        if not rounding <= ROUNDING_RTOL * estimate:
+        start = seeds if seeds is not None else [_low_spectrum(b)[i] for b, i in zip(bands, first)]
+        if not rounding <= ROUNDING_RTOL * min(start):
             raise NonConvergenceError(
                 f"the banded eigenvalues' rounding, {rounding:.3g} at order {N}, nears the "
-                f"principal value {estimate:.3g}: the hole is too small")
-        if kind == "steklov":  # exact: the constant's two columns of the band are opposite
-            spectra[0][0] = 0.0
-        # Each family's first mode, after the constants' zero in the even
-        # Steklov family, takes its Rayleigh quotient for its value.
-        vectors = []
-        for f in (0, 1):
-            spectra[f][first[f]], y, _ = _refine(bands[f], *factors[f], spectra[f][first[f]])
-            vectors.append(y)
+                f"principal value {min(start):.3g}: the hole is too small")
+        modes = [_refine(bands[f], *factors[f], start[f]) for f in (0, 1)]
     except (scipy.linalg.LinAlgError, ValueError) as exc:  # ValueError: a band entry overflowed
         raise NonConvergenceError(f"banded eigensolve failed at order {N}: {exc}") from exc
-    # The principal mode is the lower of the two first modes, the even one on a tie.
-    p = int(spectra[1][first[1]] < spectra[0][first[0]])
-    rho, tail = spectra[p][first[p]], _tail_residual(ext[p][0], ext[p][2], vectors[p])
-    vals = np.concatenate(spectra)
-    order = np.argsort(vals, kind="stable")
-    order = order[vals[order] <= min(s[-1] for s in spectra)]
-    mode = int(np.flatnonzero(order == p * len(spectra[0]) + first[p])[0])
-    odd = np.repeat([False, True], [len(s) for s in spectra])[order]
-    return EigResult(eigenvalues=vals[order], odd=odd, mode=mode, basis=basis, tail_residual=tail,
-                     width=tail ** 2 / (spectra[p][first[p] + 1] - rho))
+    if seeds is not None and any(
+            _count_below(*factors[f], rho - 4.0 * rounding, bool(first[f])) != first[f]
+            for f, (rho, _, _) in enumerate(modes)):
+        return _solve_at_order(cfg, N, kind)
+    values = (modes[0][0], modes[1][0])
+    p = int(values[1] < values[0])  # the principal family, the even one on a tie
+    return EigResult(basis=basis, first_values=values,
+                     tail_residual=_tail_residual(ext[p][0], ext[p][2], modes[p][1]))
 
 
 def _solve(cfg: ShellConfig, kind: str) -> EigResult:
@@ -396,18 +499,20 @@ def _solve(cfg: ShellConfig, kind: str) -> EigResult:
 
     A solve passes when its tail residual is at most GATE_RTOL times its value,
     or when its value agrees with the previous order's to GATE_RTOL relative;
-    the gate returns the first that passes.  An order past MAX_ORDER is never
-    solved, and NonConvergenceError names the last two values.
+    the gate returns the first that passes.  Every order after the first is
+    seeded with the first-mode values of the order below, which bound its own
+    from above.  An order past MAX_ORDER is never solved, and
+    NonConvergenceError names the last two values.
     """
-    history, N = [], FIRST_ORDER
+    history, N, seeds = [], FIRST_ORDER, None
     while N <= MAX_ORDER:
-        result = _solve_at_order(cfg, N, kind)
+        result = _solve_at_order(cfg, N, kind, seeds)
         value = result.principal
         if (result.tail_residual <= GATE_RTOL * value
                 or history and abs(value - history[-1][1]) <= GATE_RTOL * abs(value)):
             return result
         history.append((N, value))
-        N *= 2
+        N, seeds = 2 * N, result.first_values
     label = "sigma1" if kind == "steklov" else "tau1"
     last = ", ".join(f"{value:.17g} at N={order}" for order, value in history[-2:])
     raise NonConvergenceError(f"{label} did not converge to {GATE_RTOL:g} relative by the "

@@ -39,6 +39,15 @@ def _footer(out: str, name: str) -> float:
     return float(next(l for l in out.splitlines() if l.startswith(f"# {name}=")).split("=")[1])
 
 
+def _gate_values(cfg, kind, top):
+    """The gate's principal values at FIRST_ORDER, 2 FIRST_ORDER, ..., top, each seeded from the last."""
+    values, seeds, N = {}, None, solver.FIRST_ORDER
+    while N <= top:
+        run = solver._solve_at_order(cfg, N, kind, seeds)
+        values[N], seeds, N = run.principal, run.first_values, 2 * N
+    return values
+
+
 @pytest.fixture
 def forks(monkeypatch):
     """The pids of the children the sweep forks, recorded around the real os.fork.
@@ -366,10 +375,9 @@ class TestSolveCommand:
         assert out.splitlines()[1] == f"# manifest: parameters: a=0.15 d=0.8075 problem={problem}"
         order = int(_footer(out, "order"))
         assert order == 256
-        cfg = ShellConfig(2, 0.15, 0.8075)
-        assert _footer(out, label) == solver._solve_at_order(cfg, order, kind).principal
-        half = solver._solve_at_order(cfg, order // 2, kind).principal
-        assert abs(_footer(out, label) - half) <= solver.GATE_RTOL * _footer(out, label)
+        values = _gate_values(ShellConfig(2, 0.15, 0.8075), kind, order)
+        assert _footer(out, label) == values[order]
+        assert abs(_footer(out, label) - values[order // 2]) <= solver.GATE_RTOL * _footer(out, label)
 
     @pytest.mark.parametrize("problem, kind, label", [("steklov", "steklov", "sigma1"),
                                                       ("dirichlet-steklov", "dirichlet", "tau1")])
@@ -425,15 +433,15 @@ class TestSolveCommand:
         cfg = ShellConfig(2, 0.5, 0.49999)
         if code == 0:
             order = int(_footer(out, "order"))
-            half = solver._solve_at_order(cfg, order // 2, kind).principal
+            half = _gate_values(cfg, kind, order // 2)[order // 2]
             assert abs(_footer(out, label) - half) <= solver.GATE_RTOL * _footer(out, label)
         else:
             assert (code, out) == (3, "")
             assert err.startswith(f"numerical failure: {label} did not converge")
             assert f"order cap {solver.MAX_ORDER}" in err
+            values = _gate_values(cfg, kind, solver.MAX_ORDER)
             for order in (solver.MAX_ORDER // 2, solver.MAX_ORDER):
-                value = solver._solve_at_order(cfg, order, kind).principal
-                assert f"{value:.17g} at N={order}" in err
+                assert f"{values[order]:.17g} at N={order}" in err
 
     @pytest.mark.parametrize("a, problem, label, value", [
         ("1e-8", "steklov", "sigma1", 0.99999999500000059),

@@ -76,6 +76,15 @@ def _relative(A, B, scale):
     return float(np.abs(A - B).max() / np.abs(scale).max())
 
 
+def _gate_chain(cfg, kind, top):
+    """The gate's solves at FIRST_ORDER, 2 FIRST_ORDER, ..., top, each seeded from the last."""
+    runs, seeds, N = [], None, solver.FIRST_ORDER
+    while N <= top:
+        runs.append(solver._solve_at_order(cfg, N, kind, seeds))
+        seeds, N = runs[-1].first_values, 2 * N
+    return runs
+
+
 class TestFrame:
     @pytest.mark.parametrize("a, d", [(0.5, 0.0), (0.5, 1e-300), (0.5, 1e-8), (0.5, 0.3),
                                       (0.15, 0.8075), (0.5, 0.4999), (1e-6, 0.5)])
@@ -263,10 +272,12 @@ class TestGate:
         cfg = ShellConfig(2, 0.15, 0.8075)
         res = solve(cfg)
         N = res.basis.max_order
-        values = [solver._solve_at_order(cfg, n, kind).principal for n in (N // 4, N // 2, N)]
+        values = [run.principal for run in _gate_chain(cfg, kind, N)[-3:]]
         assert res.principal == values[2]
         assert abs(values[2] - values[1]) <= solver.GATE_RTOL * values[2]
         assert abs(values[1] - values[0]) > solver.GATE_RTOL * values[1]
+        # The seeded chain keeps the unseeded solve's value to rounding.
+        assert res.principal == pytest.approx(solver._solve_at_order(cfg, N, kind).principal, rel=1e-14)
 
     def test_default_sweep_rows_stop_well_below_the_cap(self):
         # Each row stops at the first order that passes either test, never
@@ -280,7 +291,7 @@ class TestGate:
                     res = solver._solve(cfg, kind)
                     runs, passed, N = [], None, solver.FIRST_ORDER
                     while True:
-                        run = solver._solve_at_order(cfg, N, kind)
+                        run = solver._solve_at_order(cfg, N, kind, runs[-1].first_values if runs else None)
                         agree = bool(runs) and abs(run.principal - runs[-1].principal) <= rtol * run.principal
                         if passed is None and (run.tail_residual <= rtol * run.principal or agree):
                             passed = run
@@ -295,7 +306,7 @@ class TestGate:
         assert solver.FIRST_ORDER in orders
         assert max(orders) <= solver.MAX_ORDER // 8
 
-    def test_each_gate_order_calls_eig_banded_once_per_family(self, monkeypatch):
+    def test_eig_banded_runs_at_the_first_order_and_on_read(self, monkeypatch):
         eig_banded, calls = scipy.linalg.eig_banded, []
 
         def counting(*args, **kwargs):
@@ -303,19 +314,27 @@ class TestGate:
             return eig_banded(*args, **kwargs)
 
         monkeypatch.setattr(scipy.linalg, "eig_banded", counting)
-        orders = [solver.solve_steklov(ShellConfig(2, 0.5, 0.3)).basis.max_order]
+        # Gates stopping at orders 32 (0.5, 0.3) and 128 (0.2, 0.7): two calls
+        # each, one per mirror family at the first order, none at the later,
+        # certified orders.
+        results = [solver.solve_steklov(ShellConfig(2, 0.5, 0.3))]
         for solve, _, _, _ in PROBLEMS.values():
-            orders.append(solve(ShellConfig(2, 0.2, 0.7)).basis.max_order)
-        # Two eig_banded calls per order, one per mirror family, at the
-        # orders 32, 64, ... up to where each gate stopped.
-        assert len(calls) == sum(2 * int(math.log2(N // solver.FIRST_ORDER) + 1) for N in orders)
+            results.append(solve(ShellConfig(2, 0.2, 0.7)))
+        assert [res.basis.max_order for res in results] == [32, 128, 128]
+        assert len(calls) == 2 * len(results)
+        for res in results:
+            before = len(calls)
+            res.eigenvalues
+            assert len(calls) == before + 2
+            res.eigenvalues, res.odd, res.mode, res.width, res.residual
+            assert len(calls) == before + 2
 
     def test_the_cap_raises_with_the_last_two_values(self, monkeypatch):
         monkeypatch.setattr(solver, "MAX_ORDER", 64)
         cfg = ShellConfig(2, 0.15, 0.8075)
         with pytest.raises(NonConvergenceError) as exc:
             solver.solve_steklov(cfg)
-        values = [solver._solve_at_order(cfg, N, "steklov").principal for N in (32, 64)]
+        values = [run.principal for run in _gate_chain(cfg, "steklov", 64)]
         assert str(exc.value) == (
             "sigma1 did not converge to 1e-10 relative by the order cap 64: "
             f"{values[0]:.17g} at N=32, {values[1]:.17g} at N=64"
@@ -400,6 +419,95 @@ class TestTailResidual:
         solver.solve_steklov(ShellConfig(2, 0.5, 0.3))
         assert calls["dgbtrf"] >= 2
         assert calls["dgbtrs"] == 2 * calls["dgbtrf"]
+
+
+class TestCertificate:
+    @pytest.mark.parametrize("N", [32, 64, 256])
+    @pytest.mark.parametrize("a, d", [(0.5, 0.0), (0.5, 0.3), (0.15, 0.8075), (0.2, 0.76),
+                                      (0.85, 0.1), (0.5, 0.4999)])
+    def test_count_is_the_number_of_values_below_the_shift(self, a, d, N):
+        # Shifts midway between consecutive eig_banded values, and just below
+        # the second and third; the constants' zero counts as one value.  At
+        # d = 0 some values of different modes coincide to rounding, and no
+        # shift lies between them.
+        for kind in ("steklov", "dirichlet"):
+            basis = solver.TrefftzBasis(max_order=N, a=a, d=d, kind=kind)
+            for odd in (False, True):
+                factors = solver._factors(basis, odd)
+                band = solver._band(*factors)
+                vals = scipy.linalg.eig_banded(band[len(band) // 2:], lower=True, eigvals_only=True)
+                kernel = kind == "steklov" and not odd
+                if kernel:
+                    vals[0] = 0.0
+                apart = np.diff(vals[kernel:]) > 1e-9 * vals[kernel + 1:]
+                shifts = np.concatenate((((vals[kernel:-1] + vals[kernel + 1:]) / 2)[apart],
+                                         vals[[1, 2]] * (1.0 - 1e-9)))
+                for s in shifts:
+                    assert solver._count_below(*factors, s, kernel) == np.sum(vals < s)
+
+    def test_a_zero_pivot_is_uncertified(self):
+        # At s = 1 the first pivot of M - s S^-1 is exactly 0, for both pivot sizes.
+        with np.errstate(all="raise"):
+            for root, m in ((np.ones((3, 1, 1)), np.array([1.0])),
+                            (np.tile(np.eye(2), (3, 1, 1)), np.array([1.0, 1.0]))):
+                assert solver._count_below(root, m, np.full(2, 0.5), 1.0, False) is None
+
+    def test_a_non_finite_pivot_at_a_tiny_hole_is_uncertified(self):
+        # At a = 1e-300 the inner circle's entries of M near 1e300 overflow the
+        # pivot's determinant; cli.main runs commands with numpy raising.
+        factors = solver._factors(solver.TrefftzBasis(max_order=32, a=1e-300, d=0.5, kind="steklov"), False)
+        with np.errstate(all="raise"):
+            assert solver._count_below(*factors, 0.5, True) is None
+
+    @pytest.mark.parametrize("kind", ["steklov", "dirichlet"])
+    def test_a_seed_at_the_second_value_falls_back_to_the_unseeded_solve(self, kind, monkeypatch):
+        cfg, N = ShellConfig(2, 0.2, 0.7), 64
+        cold = solver._solve_at_order(cfg, N, kind)
+        even = cold.eigenvalues[~cold.odd]
+        second = float(even[2 if kind == "steklov" else 1])
+        counts, count_below = [], solver._count_below
+        monkeypatch.setattr(solver, "_count_below",
+                            lambda *args: counts.append(count_below(*args)) or counts[-1])
+        seeded = solver._solve_at_order(cfg, N, kind, (second, cold.first_values[1]))
+        assert counts[0] == int(kind == "steklov") + 1  # the inverse iteration found the second mode
+        assert seeded.first_values == cold.first_values
+        assert seeded.tail_residual == cold.tail_residual
+
+    @pytest.mark.parametrize("kind", ["steklov", "dirichlet"])
+    def test_a_quotient_off_by_less_than_the_gate_tolerance_falls_back(self, kind, monkeypatch):
+        # A seeded quotient 1e-11 relative above the order-N value, which the
+        # gate would take as agreeing, is refused: the certificate's margin is
+        # the banded rounding, near 1e-13 here, not GATE_RTOL.
+        cfg, N = ShellConfig(2, 0.2, 0.7), 64
+        cold = solver._solve_at_order(cfg, N, kind)
+        refine = solver._refine
+        monkeypatch.setattr(solver, "_refine", lambda *args: (lambda v, y, Mv: (v * (1.0 + 1e-11), y, Mv))(
+            *refine(*args)))
+        counts, count_below = [], solver._count_below
+        monkeypatch.setattr(solver, "_count_below",
+                            lambda *args: counts.append(count_below(*args)) or counts[-1])
+        solver._solve_at_order(cfg, N, kind, cold.first_values)
+        assert counts == [int(kind == "steklov") + 1]  # then the unseeded solve, which counts nothing
+        monkeypatch.setattr(solver, "_refine", refine)
+        seeded = solver._solve_at_order(cfg, N, kind, cold.first_values)
+        assert counts[1:] == [int(kind == "steklov"), 0]
+        assert seeded.first_values == pytest.approx(cold.first_values, rel=1e-14)
+
+    @pytest.mark.parametrize("kind", ["steklov", "dirichlet"])
+    def test_the_spectrum_read_is_the_unseeded_one_at_the_order_solved(self, kind):
+        # (0.15, 0.8075) stops at order 256, seeded from 128; the unseeded solve
+        # there has the same spectrum but for the first modes' quotients.
+        cfg = ShellConfig(2, 0.15, 0.8075)
+        res = solver._solve(cfg, kind)
+        cold = solver._solve_at_order(cfg, res.basis.max_order, kind)
+        assert res.basis.max_order == 256
+        assert res.eigenvalues[res.mode] == res.principal
+        assert np.array_equal(res.odd, cold.odd) and res.mode == cold.mode
+        first = [np.flatnonzero(res.odd == odd)[int(kind == "steklov" and not odd)] for odd in (False, True)]
+        rest = np.setdiff1d(np.arange(len(res.eigenvalues)), first)
+        assert np.array_equal(res.eigenvalues[rest], cold.eigenvalues[rest])
+        assert res.eigenvalues[first] == pytest.approx(cold.eigenvalues[first], rel=1e-14)
+        assert res.width == pytest.approx(cold.width, rel=1e-6)
 
 
 class TestSteklovSolve:
@@ -614,7 +722,7 @@ class TestPrincipalMode:
         def lifted(*args, **kwargs):
             vals = eig_banded(*args, **kwargs)
             calls.append(vals)
-            if len(calls) == 1:
+            if len(calls) % 2:
                 vals[0] = solver.ZERO_MODE_TOL
             return vals
 
@@ -623,18 +731,20 @@ class TestPrincipalMode:
         res = solver._solve_at_order(cfg, 8, "steklov")
         assert len(calls) == 2
         assert res.eigenvalues[0] == 0.0
+        assert len(calls) == 4  # the spectrum is computed again on read
         assert res.mode == 1
         assert res.residual == solver.boundary_residual(res, 1)
 
 
 class TestDerivedFields:
     def test_result_holds_only_what_the_solve_produced(self):
+        # The low spectrum, the mode index and the width are computed on read.
         names = [f.name for f in dataclasses.fields(solver.EigResult)]
-        assert names == ["eigenvalues", "odd", "mode", "basis", "tail_residual", "width"]
+        assert names == ["basis", "first_values", "tail_residual"]
         for gone in ("first_nonzero", "n_points", "gram_condition", "coefficients"):
             assert not hasattr(solver.EigResult, gone)
         res = solver.solve_steklov(ShellConfig(2, 0.5, 0.3))
-        for name in ("principal", "residual"):
+        for name in ("principal", "residual", "eigenvalues", "odd", "mode", "width"):
             with pytest.raises(AttributeError):
                 setattr(res, name, 0.0)
 
