@@ -278,7 +278,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="processes computing offset-sweep rows, this one included "
                         "(0 = all cores)")
     tol = _option("--tol", type=float, default=QUAD_TOL,
-                  help="quadrature tolerance per integral")
+                  help="bound: quadrature tolerance per integral; sweep: the largest "
+                       "relative error radius of each bound, which chooses its node count")
 
     parser = argparse.ArgumentParser(
         prog="steklov-shell",

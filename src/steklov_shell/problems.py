@@ -2,11 +2,13 @@
 
 ``PROBLEMS`` maps each ``--problem`` name of the CLI to its record: the label
 printed for its first eigenvalue, its concentric closed form, its Rayleigh
-bound with the ``(field, value)`` terms ``bound`` prints (the bound last) and
-its planar solve.  The CLI and ``verify`` read this table instead of switching
-on the name.  Each function is looked up on its module when it is called, so
-a patched or traced module function is the one that runs, and passes on only
-the keywords its caller gives.
+bound (``rayleigh.surface_bound``'s value: the sweep's column and verify's
+bound checks), the ``(field, value)`` terms ``bound`` prints (the paper's
+adaptive breakdown, the bound last) and its planar solve.  The CLI and
+``verify`` read this table instead of switching on the name.  Each function
+is looked up on its module when it is called, so a patched or traced module
+function is the one that runs, and passes on only the keywords its caller
+gives.
 """
 
 from __future__ import annotations
@@ -43,14 +45,14 @@ PROBLEMS = {
     "steklov": Problem(
         label="sigma1",
         closed_form=lambda n, a: shell_spectrum.sigma1_closed_form(n, a),
-        bound=lambda cfg, **tol: rayleigh.steklov_bound(cfg, **tol).bound,
+        bound=lambda cfg, **tol: rayleigh.surface_bound(cfg, "steklov", **tol).value,
         breakdown=_steklov_breakdown,
         solve=lambda cfg: solver.solve_steklov(cfg),
     ),
     "dirichlet-steklov": Problem(
         label="tau1",
         closed_form=lambda n, a: shell_spectrum.tau1_closed_form(n, a),
-        bound=lambda cfg, **tol: rayleigh.ds_bound(cfg, **tol),
+        bound=lambda cfg, **tol: rayleigh.surface_bound(cfg, "dirichlet", **tol).value,
         breakdown=_ds_breakdown,
         solve=lambda cfg: solver.solve_dirichlet_steklov(cfg),
     ),

@@ -12,6 +12,11 @@ The analogous machinery for the mixed problem (zero trace on the inner
 sphere, spectral condition outside) uses the radial profile log(r/a) in the
 plane and a^(2-n) - r^(2-n) otherwise.
 
+``surface_bound`` takes the same two quotients in surface form, on one
+cached Gauss-Jacobi rule with a closed-form error radius; the sweep's bound
+column and verify's bound checks read it through ``problems.PROBLEMS``, while
+the ``bound`` command prints the adaptive breakdown above.
+
 The integrands call geometry's unchecked formulas (``_radius``,
 ``_arc_factor``, ``_phi_weight``, ``_psi_weight``): every quadrature node lies
 in [0, pi] and ShellConfig bounds d, so the range checks stay at the public
@@ -22,13 +27,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
+from scipy.special import roots_jacobi
 
 from .geometry import ShellConfig, _arc_factor, _phi_weight, _psi_weight, _radius
 from .quadrature import QUAD_TOL, integrate
 from .special import wallis
 from .shell_spectrum import mu_sigma
+
+EPS = float(np.finfo(float).eps)
+# Gauss-Jacobi node counts surface_bound tries, in order, before the adaptive fallback.
+NODE_LADDER = tuple(16 * 2**j for j in range(8))  # 16 .. 2048
 
 
 @dataclass(frozen=True)
@@ -250,6 +261,244 @@ def ds_bound(cfg: ShellConfig, *, tol: float = QUAD_TOL) -> float:
     decreases strictly in d.
     """
     return ds_energy(cfg, tol=tol) / ds_boundary_mass(cfg, tol=tol)
+
+
+@dataclass(frozen=True)
+class SurfaceBound:
+    """A Rayleigh bound in surface form, with its error radius.
+
+    value is the bound and radius estimates its distance from the exact
+    Rayleigh quotient: the a-priori truncation error of the rule plus a
+    rounding allowance.  It is an estimate, not a bound, because it leaves
+    out the rule's own weight errors: computed at rounded nodes, the weights
+    err by up to 1e-13 relative at 64 to 256 nodes and 1e-11 at 512 to 2048,
+    at the extreme nodes, where a bound's integrand peaks near contact
+    (their summed error stays below 3e-15 of the total weight).  nodes is
+    the Gauss-Jacobi node count; 0 marks the adaptive quotient taken past
+    the node ladder, which states no radius (inf).
+    """
+
+    value: float
+    radius: float
+    nodes: int
+
+
+def _weight_integral(alpha: float) -> float:
+    """mu0, the integral of (1 - t^2)^alpha over [-1, 1]: B(1/2, alpha + 1)."""
+    return math.sqrt(math.pi) * math.exp(math.lgamma(alpha + 1.0) - math.lgamma(alpha + 1.5))
+
+
+@lru_cache(maxsize=None)
+def _jacobi_rule(alpha: float, m: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """m-node Gauss-Jacobi nodes and weights for (1 - t^2)^alpha, computed once.
+
+    The nodes are scipy's.  Its weights lose up to 1e-10 relative at 256
+    nodes, which a peaked integrand turns into 1e-12 of a bound, so each
+    weight is recomputed as 1 / sum_k phat_k(t)^2 over the orthonormal
+    polynomials of the weight, by their three-term recurrence (Gautschi,
+    Orthogonal Polynomials, Oxford 2004, sec. 1.4).  None where the rule is
+    not finite (large alpha at many nodes).
+    """
+    with np.errstate(all="ignore"):
+        nodes = roots_jacobi(m, alpha, alpha)[0]
+        # Monic recurrence coefficients beta_k of the symmetric Jacobi weight.
+        beta = [1.0 / (3.0 + 2.0 * alpha)] + [
+            k * (k + 2.0 * alpha) / ((2.0 * k + 2.0 * alpha) ** 2 - 1.0) for k in range(2, m)]
+        prev, cur = np.zeros(m), np.full(m, 1.0 / math.sqrt(_weight_integral(alpha)))
+        total = cur * cur
+        for b_prev, b in zip([0.0] + beta[:-1], beta):
+            prev, cur = cur, (nodes * cur - math.sqrt(b_prev) * prev) / math.sqrt(b)
+            total += cur * cur
+        weights = 1.0 / total
+    if not (np.all(np.isfinite(nodes)) and np.all(np.isfinite(weights))):
+        return None
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
+def _steklov_terms(n: int, d: float, mu: float, t: np.ndarray):
+    """Outer-sphere integrands of the Steklov quotient, and what their rounding scales with.
+
+    With s = |x|^2 = 1 + d^2 + 2 d t and p = 1 + mu s^(-n/2), the energy
+    integrand u du/dn / omega_n^2 is p^2 - flux, with
+    flux = n mu s^(-n/2 - 1) (1 + d t) p, and the mass integrand is p^2.
+    (1 + d t) / s is written (1 + (1 - d^2)/s) / 2.  Returns the two
+    integrands, the energy's summed terms p^2 + flux, and each integrand's
+    sensitivity to a node's relative rounding: s moves by 2 d |t| / s of it
+    relatively, and p^2 and flux by at most n and n + 2 times that.
+    """
+    s = (1.0 + d * d) + (2.0 * d) * t
+    q = mu * s ** (-0.5 * n)
+    p = 1.0 + q
+    flux = (0.5 * n) * q * (1.0 + (1.0 - d * d) / s) * p
+    mass = p * p
+    terms = mass + flux
+    shift = (2.0 * d) * np.abs(t) / s
+    return mass - flux, mass, terms, (n + 2.0) * shift * terms, n * shift * mass
+
+
+def _mixed_terms(n: int, a: float, d: float, t: np.ndarray):
+    """Outer-sphere integrands of the mixed quotient (profile over a^(2-n)), as _steklov_terms.
+
+    v = 1 - (a^2/s)^k, k = (n-2)/2, or log(sqrt(s)/a) in the plane, and
+    dv/dn = (n - 2) (a^2/s)^k (1 + d t) / s, or (1 + d t) / s.  Both
+    integrands are positive, so the energy is its own magnitude.  A relative
+    move e of s moves v by k (a^2/s)^k e (e/2 in the plane) and dv/dn by at
+    most (k + 2) e (2 e) relatively.  exp(y) errs by |y| eps relatively, so
+    (a^2/s)^k is a^(n-2) s^-k while a^(n-2) is a normal float (exp(x) of
+    the whole exponent erred by 1.7e-14 at n = 20, a = 1e-12, d = 0); the
+    exponent's size is added to the energy's sensitivity.
+    """
+    excess = d * (d + 2.0 * t)  # s - 1
+    log_s = np.log1p(excess)
+    slope = 0.5 + (0.5 - 0.5 * d * d) / (1.0 + excess)
+    shift = (2.0 * d) * np.abs(t) / (1.0 + excess)
+    if n == 2:
+        v = 0.5 * log_s - math.log(a)
+        energy_sens = shift * slope * (0.5 + 2.0 * v)
+        mass_sens = v
+    else:
+        k = 0.5 * (n - 2)
+        x = k * (2.0 * math.log(a) - log_s)
+        v = -np.expm1(x)
+        hole = a ** (n - 2)
+        y, power = (-k * log_s, hole) if hole >= np.finfo(float).tiny else (x, 1.0)
+        slope *= (n - 2) * power * np.exp(y)
+        # k r + (k + 2) v <= k + 2, since r + v = 1
+        energy_sens = (shift * (k + 2.0) + np.abs(y) * v) * slope
+        mass_sens = (2.0 * k) * v
+    energy = v * slope
+    return energy, v * v, energy, energy_sens, shift * mass_sens
+
+
+def _logaddexp(x: float, y: float) -> float:
+    """log(exp(x) + exp(y)), without overflow."""
+    top = max(x, y)
+    return top if top == -math.inf else top + math.log1p(math.exp(min(x, y) - top))
+
+
+def _truncation_radii(kind: str, n: int, a: float, d: float, mu: float, mu0: float,
+                      m: int) -> tuple[float, float]:
+    """A-priori errors of m-node rules for the energy and mass integrals.
+
+    The integrands are analytic inside the Bernstein ellipse E_rho for every
+    rho < 1/d, where s = (1 + d z)(1 + d/z), |z| = rho, so |s| lies between
+    (1 - d rho)(1 - d/rho) and (1 + d rho)(1 + d/rho), and |1 + d t| is at
+    most 1 + d (rho + 1/rho)/2.  With M the resulting closed-form bound on
+    |F| there, an m-node rule with positive weights summing to mu0 errs by
+    at most 4 mu0 M rho^(1 - 2m) / (rho - 1) (Trefethen, Approximation
+    Theory and Approximation Practice, SIAM 2013, ch. 8 and 19).  Any such
+    rho gives a bound; the one taken, 1 - d rho = k / (2m + k) with
+    k = n/2 + 1, minimises rho^(-2m) (1 - d rho)^(-k), the growth of the
+    flux terms near the singularity.  Computed in logarithms, so no bound
+    overflows; d = 0 has constant integrands and no truncation error.
+    """
+    if d == 0.0:
+        return 0.0, 0.0
+    k = 0.5 * n + 1.0
+    gap = min(k / (2.0 * m + k), 0.5 * (1.0 - d))  # 1 - d rho, kept below 1 - d so rho > 1
+    rho = (1.0 - gap) / d
+    d_over_rho = d / rho
+    log_s_lo = math.log(gap) + math.log1p(-d_over_rho)
+    log_c_hi = math.log1p(0.5 * (1.0 - gap + d_over_rho))
+    if kind == "steklov":
+        log_q = (math.log(mu) if mu > 0.0 else -math.inf) - 0.5 * n * log_s_lo
+        log_p = _logaddexp(0.0, log_q)
+        log_flux = math.log(n) + log_q - log_s_lo + log_c_hi + log_p
+        log_f = (_logaddexp(2.0 * log_p, log_flux), 2.0 * log_p)
+    else:
+        log_slope = log_c_hi - log_s_lo
+        if n == 2:
+            log_s_hi = math.log(2.0 - gap) + math.log1p(d_over_rho)
+            log_v = math.log(0.5 * (max(-log_s_lo, log_s_hi) + math.pi) - math.log(a))
+        else:
+            log_x = 0.5 * (n - 2) * (2.0 * math.log(a) - log_s_lo)
+            log_v = _logaddexp(0.0, log_x)
+            log_slope += math.log(n - 2) + log_x
+        log_f = (log_v + log_slope, 2.0 * log_v)
+    base = math.log(4.0 * mu0) + (1.0 - 2.0 * m) * math.log(rho) - math.log((1.0 - gap - d) / d)
+    return math.exp(min(base + log_f[0], 709.0)), math.exp(min(base + log_f[1], 709.0))
+
+
+def _quotient_radius(energy: float, mass: float, e_energy: float, e_mass: float) -> float:
+    """Radius of energy/mass given radii of both, or inf where the mass may vanish."""
+    if not mass > e_mass:
+        return math.inf
+    return (e_energy + abs(energy / mass) * e_mass) / (mass - e_mass)
+
+
+def _passes(energy: float, mass: float, e_energy: float, e_mass: float, tol: float) -> bool:
+    """Whether energy/mass has a radius of at most tol times its size (never for mass 0)."""
+    radius = _quotient_radius(energy, mass, e_energy, e_mass)
+    return mass > e_mass and radius <= tol * abs(energy / mass)
+
+
+def surface_bound(cfg: ShellConfig, kind: str, *, tol: float = QUAD_TOL) -> SurfaceBound:
+    """steklov_bound's (kind "steklov") or ds_bound's ("dirichlet") quotient, in surface form.
+
+    Both test functions are harmonic, so the energy is the boundary integral
+    of u du/dn.  Steklov: the inner sphere, concentric with the test
+    function, contributes closed forms; mixed problem: v vanishes there.  On
+    the outer sphere x = d e_1 + omega, and with t = omega_1 each integral is
+    one integral over [-1, 1] against (1 - t^2)^((n-1)/2) (Steklov, times
+    |S^(n-2)|/(n - 1)) or (1 - t^2)^((n-3)/2) (mixed, whose constants
+    cancel), taken by Gauss-Jacobi rules up NODE_LADDER.  The first node
+    count whose radius (see _truncation_radii, plus m eps times the summed
+    magnitudes, carried through the quotient) is at most tol |value| is
+    returned.  A count whose radius fails when predicted from the last
+    evaluated count (its values and rounding sums, with this count's
+    truncation radius) is skipped, and its rule never built.  Past 2048 nodes (within
+    about 1% of contact, or a tol near eps) the value is the adaptive
+    quotient of steklov_bound or ds_bound, with radius inf and nodes 0.
+    """
+    n, a, d = cfg.n, cfg.a, cfg.d
+    if kind == "steklov":
+        mu = mu_sigma(n, a)
+        g = mu * a ** (-n)  # the radial factor's second term at the hole, mu a^-n
+        const = steklov_angular_constant(n)
+        inner = const * wallis(n) * a**n * (1.0 + g)  # |S^(n-1)|/n a^n (1 + g)
+        inner_energy, inner_mass = -inner * (1.0 - (n - 1) * g), inner * a * (1.0 + g)
+        alpha = 0.5 * (n - 1)
+        terms = lambda t: _steklov_terms(n, d, mu, t)
+    elif kind == "dirichlet":
+        mu, const, inner_energy, inner_mass = 0.0, 1.0, 0.0, 0.0
+        alpha = 0.5 * (n - 3)
+        terms = lambda t: _mixed_terms(n, a, d, t)
+    else:
+        raise ValueError("kind must be 'steklov' or 'dirichlet'")
+    mu0 = _weight_integral(alpha)
+    estimate = None
+    for m in NODE_LADDER:
+        t_energy, t_mass = (const * r for r in _truncation_radii(kind, n, a, d, mu, mu0, m))
+        if estimate is not None:
+            energy, mass, per_node, fixed = estimate
+            if not _passes(energy, mass, t_energy + m * per_node[0] + fixed[0],
+                           t_mass + m * per_node[1] + fixed[1], tol):
+                continue
+        rule = _jacobi_rule(alpha, m)
+        if rule is None:
+            break
+        nodes, weights = rule
+        f_energy, f_mass, size_energy, sens_energy, sens_mass = terms(nodes)
+        outer_energy = const * float(weights @ f_energy)
+        outer_mass = const * float(weights @ f_mass)
+        energy, mass = outer_energy + inner_energy, outer_mass + inner_mass
+        # Rounding: eps of the summed magnitudes per node, four node roundings
+        # through each integrand's sensitivity, and four of the inner and outer
+        # parts.  Only the first grows with m, so a later count's rounding is
+        # predicted from this one's.
+        per_node = (EPS * const * float(weights @ size_energy), EPS * const * float(weights @ f_mass))
+        fixed = (EPS * (const * float(weights @ (4.0 * sens_energy))
+                        + 4.0 * (abs(outer_energy) + abs(inner_energy))),
+                 EPS * (const * float(weights @ (4.0 * sens_mass)) + 4.0 * (outer_mass + inner_mass)))
+        e_energy = t_energy + m * per_node[0] + fixed[0]
+        e_mass = t_mass + m * per_node[1] + fixed[1]
+        if _passes(energy, mass, e_energy, e_mass, tol):
+            return SurfaceBound(value=energy / mass, nodes=m,
+                                radius=_quotient_radius(energy, mass, e_energy, e_mass))
+        estimate = (energy, mass, per_node, fixed)
+    value = steklov_bound(cfg, tol=tol).bound if kind == "steklov" else ds_bound(cfg, tol=tol)
+    return SurfaceBound(value=value, radius=math.inf, nodes=0)
 
 
 def _axis_factors(n: int, i: int) -> list:

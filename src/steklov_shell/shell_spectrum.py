@@ -93,6 +93,11 @@ def sigma1_closed_form(n: int, a: float) -> float:
     the unit ball) and approaches 1 as a -> 0.
     """
     _check_na(n, a)
+    return _sigma1(n, a)
+
+
+def _sigma1(n: int, a: float) -> float:
+    """sigma1_closed_form without its argument checks."""
     t = (n - 1) * a ** (n + 1) + a**n + a + n - 1
     disc = t * t - 4.0 * (n - 1) * a * (1.0 - a**n) ** 2
     # Cancellation-safe lower root: multiply through by the conjugate.
@@ -221,13 +226,20 @@ def scale_invariant(n: int, eps: float) -> float:
     _check_n(n)
     if not 0.0 <= eps < 1.0:
         raise ValueError("eps must lie in [0, 1)")
+    return _scale_invariant(n, eps)
+
+
+def _scale_invariant(n: int, eps: float) -> float:
+    """scale_invariant without its checks, for scans that validate n once and keep eps in [0, 1)."""
     perim = sphere_area(n) * (1.0 + eps ** (n - 1))
-    s1 = 1.0 if eps == 0.0 else sigma1_closed_form(n, eps)
+    s1 = 1.0 if eps == 0.0 else _sigma1(n, eps)
     return perim ** (1.0 / (n - 1)) * s1
 
 
 def optimal_eps(n: int) -> tuple[float, float]:
     """Maximize scale_invariant over (0, 1) by golden-section search.
+
+    n is validated once; every evaluation then takes the unchecked core.
 
     A coarse scan brackets the maximum first; the golden-section interval is
     then shrunk below OPTIMAL_EPS_TOL.  Raises NonConvergenceError if the
@@ -237,7 +249,7 @@ def optimal_eps(n: int) -> tuple[float, float]:
     grid_n = 256
     hi_cap = 1.0 - 1e-9
     xs = [i * hi_cap / (grid_n - 1) for i in range(grid_n)]
-    ys = [scale_invariant(n, x) for x in xs]
+    ys = [_scale_invariant(n, x) for x in xs]
     i_best = max(range(grid_n), key=lambda i: ys[i])
     if i_best == 0 or i_best == grid_n - 1:
         raise NonConvergenceError(
@@ -248,19 +260,19 @@ def optimal_eps(n: int) -> tuple[float, float]:
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     x1 = hi - invphi * (hi - lo)
     x2 = lo + invphi * (hi - lo)
-    f1, f2 = scale_invariant(n, x1), scale_invariant(n, x2)
+    f1, f2 = _scale_invariant(n, x1), _scale_invariant(n, x2)
     while hi - lo > OPTIMAL_EPS_TOL:
         if f1 < f2:
             lo, x1, f1 = x1, x2, f2
             x2 = lo + invphi * (hi - lo)
-            f2 = scale_invariant(n, x2)
+            f2 = _scale_invariant(n, x2)
         else:
             hi, x2, f2 = x2, x1, f1
             x1 = hi - invphi * (hi - lo)
-            f1 = scale_invariant(n, x1)
+            f1 = _scale_invariant(n, x1)
     eps_star = 0.5 * (lo + hi)
-    value = scale_invariant(n, eps_star)
-    if not (value > scale_invariant(n, 0.0) and value > ys[-1]):
+    value = _scale_invariant(n, eps_star)
+    if not (value > _scale_invariant(n, 0.0) and value > ys[-1]):
         raise NonConvergenceError(
             "golden-section maximum does not dominate the endpoint values"
         )

@@ -347,7 +347,8 @@ def check_optimal_eps_interior() -> CheckResult:
         if not (0.0 < eps_star < 1.0):
             return _worst("optimal_eps_interior", 1e-4, math.inf)
         grid = np.linspace(1e-6, 1.0 - 1e-6, 10_000)
-        vals = [shell_spectrum.scale_invariant(n, float(e)) for e in grid]
+        # optimal_eps validated n; the scan takes the unchecked core.
+        vals = [shell_spectrum._scale_invariant(n, float(e)) for e in grid]
         eps_grid = float(grid[int(np.argmax(vals))])
         if not (value > shell_spectrum.scale_invariant(n, 0.0) and value > vals[-1]):
             return _worst("optimal_eps_interior", 1e-4, math.inf)
@@ -755,6 +756,23 @@ def check_bound_dominates_odd_family() -> CheckResult:
     return _worst("bound_dominates_odd_family", 0.0, worst, strict=True)
 
 
+def check_surface_bound_matches_breakdown() -> CheckResult:
+    """The sweep's surface-form bounds against the paper's adaptive W/V breakdown.
+
+    Both problems on RAYLEIGH_GRID at six offsets each; the measured value is
+    the largest relative difference.  Each adaptive integral meets 1e-12, so
+    the two routes may differ by a few parts in 1e12.
+    """
+    worst = 0.0
+    for n, a in RAYLEIGH_GRID:
+        for d in _d_grid(a, 6):
+            cfg = ShellConfig(n, a, float(d))
+            for problem in PROBLEMS.values():
+                breakdown = problem.breakdown(cfg)[-1][1]
+                worst = max(worst, abs(problem.bound(cfg) - breakdown) / abs(breakdown))
+    return _worst("surface_bound_matches_breakdown", 1e-11, worst)
+
+
 def check_solver_residual_improves() -> CheckResult:
     cfg = ShellConfig(2, 0.5, 0.3)
     r8, r24 = (solver._solve_at_order(cfg, N, "steklov").residual for N in (8, 24))
@@ -823,6 +841,7 @@ FULL_CHECKS = FAST_CHECKS + [
     check_solver_monotone_in_order,
     check_solver_residual_improves,
     check_bound_dominates_odd_family,
+    check_surface_bound_matches_breakdown,
 ]
 
 

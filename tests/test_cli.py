@@ -94,12 +94,12 @@ def openblas_loaded() -> bool:
 
 
 def rows_failing_at(failing, exc_type):
-    """A steklov_bound for FOUR_ROW_SWEEP that raises exc_type at the row indices in failing."""
-    def bound(cfg, **tol):
+    """A surface_bound for FOUR_ROW_SWEEP that raises exc_type at the row indices in failing."""
+    def bound(cfg, kind, **tol):
         i = round(cfg.d / 0.1)
         if i in failing:
             raise exc_type(f"row {i} failed")
-        return SimpleNamespace(bound=1.0)
+        return SimpleNamespace(value=1.0)
 
     return bound
 
@@ -213,6 +213,17 @@ class TestBoundCommand:
         assert code == 3
         assert out == ""
         assert err == f"numerical failure: floating-point overflow at {where}: {os.strerror(errno.ERANGE)}\n"
+
+    def test_mixed_sweep_at_a_tiny_hole_in_high_dimension(self, capsys):
+        # The breakdown's boundary mass squares a^(2-n) = 1e216 and overflows;
+        # the sweep's surface form divides it out.
+        code, out, err = run_cli(capsys, "sweep", "--problem", "dirichlet-steklov", "--dim", "20",
+                                 "--a", "1e-12", "--d-max", "0.5", "--d-steps", "3",
+                                 "--format", "csv")
+        assert (code, err) == (0, "")
+        rows = [line.split(",") for line in out.splitlines() if not line.startswith("#")]
+        assert rows[0] == ["d", "bound", "closed_form"]
+        assert float(rows[1][1]) == pytest.approx(18.0 / (1e216 - 1.0), rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("argv, line", [
         (["bound", "--dim", "2000", "--a", "0.5", "--d", "0.45"],
@@ -539,10 +550,10 @@ class TestSweepCommand:
     def test_solver_flags_validated_before_sweep(self, capsys, monkeypatch):
         # --no-solver is the one sweep option only the planar solver column
         # reads: at --dim 3 it is refused before any row runs.
-        def unread(cfg, **tol):
+        def unread(cfg, kind, **tol):
             raise AssertionError("a row ran")
 
-        monkeypatch.setattr(rayleigh, "steklov_bound", unread)
+        monkeypatch.setattr(rayleigh, "surface_bound", unread)
         code, out, err = run_cli(
             capsys, "sweep", "--problem", "steklov", "--dim", "3", "--a", "0.5",
             "--d-steps", "4", "--no-solver",
@@ -666,7 +677,7 @@ class TestSweepCommand:
     ])
     def test_failures_match_the_serial_run(self, capsys, monkeypatch, forks, exc_type, exit_code,
                                            failing, first):
-        monkeypatch.setattr(rayleigh, "steklov_bound", rows_failing_at(failing, exc_type))
+        monkeypatch.setattr(rayleigh, "surface_bound", rows_failing_at(failing, exc_type))
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
         serial = run_cli(capsys, *FOUR_ROW_SWEEP, "--jobs", "1")
         assert forks == []
@@ -682,12 +693,12 @@ class TestSweepCommand:
     def test_a_child_that_dies_without_its_rows_exits_1(self, capsys, monkeypatch, forks):
         parent = os.getpid()
 
-        def bound(cfg, **tol):
+        def bound(cfg, kind, **tol):
             if os.getpid() != parent:
                 os._exit(1)
-            return SimpleNamespace(bound=1.0)
+            return SimpleNamespace(value=1.0)
 
-        monkeypatch.setattr(rayleigh, "steklov_bound", bound)
+        monkeypatch.setattr(rayleigh, "surface_bound", bound)
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
         code, out, err = run_cli(capsys, *FOUR_ROW_SWEEP, "--jobs", "2")
         assert code == 1
@@ -784,8 +795,7 @@ class TestVerifyCommand:
 
     def test_constant_bound_fails_strict_checks(self, capsys, monkeypatch):
         # A tie is not a strict decrease.
-        monkeypatch.setattr(rayleigh, "steklov_bound", lambda cfg: SimpleNamespace(bound=0.5))
-        monkeypatch.setattr(rayleigh, "ds_bound", lambda cfg: 0.5)
+        monkeypatch.setattr(rayleigh, "surface_bound", lambda cfg, kind: SimpleNamespace(value=0.5))
         code, out, _ = run_cli(capsys, "verify", "--checks", "bound_strictly_decreasing")
         assert code == 1
         assert out.splitlines() == [
@@ -903,12 +913,12 @@ def test_benchmark_tracer_drives_the_cli():
     before_solve, after_solve = record["residual_s"]
     assert before_solve == 0
     assert after_solve > 0
-    # The mixed sweep reaches the traced bound and solve through the problem
-    # table, which looks them up when called: two rows, two solves.
+    # The mixed sweep reaches the traced solve through the problem table,
+    # which looks it up when called: two rows, two solves.  Its bound column
+    # is the surface form, which never calls the adaptive ds_bound.
     before_mixed, after_mixed = record["mixed_solves"]
     assert after_mixed == before_mixed + 2
-    assert record["ds_bound_ms"][0] == 0
-    assert record["ds_bound_ms"][1] > 0
+    assert record["ds_bound_ms"] == [0, 0]
 
 
 def test_version_flag(capsys):

@@ -1,6 +1,10 @@
 """Variational integrals and the certified upper bounds."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -204,3 +208,135 @@ class TestOrthogonality:
             rayleigh.test_function_orthogonality(ShellConfig(3, 0.4, 0.2), 0)
         with pytest.raises(ValueError):
             rayleigh.test_function_orthogonality(ShellConfig(3, 0.4, 0.2), 4)
+
+
+def _adaptive(cfg, kind, tol):
+    if kind == "steklov":
+        return rayleigh.steklov_bound(cfg, tol=tol).bound
+    return rayleigh.ds_bound(cfg, tol=tol)
+
+
+class TestSurfaceBound:
+    @pytest.mark.parametrize("kind", ["steklov", "dirichlet"])
+    @pytest.mark.parametrize("n", [2, 3, 4, 6])
+    @pytest.mark.parametrize("a", [0.15, 0.5, 0.8])
+    @pytest.mark.parametrize("frac", [0.0, 0.5, 0.95])
+    def test_agrees_with_the_adaptive_quotient_within_its_radius(self, kind, n, a, frac):
+        # The adaptive reference meets 1e-14 per integral, so 1e-13 relative
+        # is left for its own error.
+        cfg = ShellConfig(n, a, frac * (1.0 - a))
+        got = rayleigh.surface_bound(cfg, kind)
+        ref = _adaptive(cfg, kind, 1e-14)
+        assert 16 <= got.nodes <= 128
+        assert abs(got.value - ref) <= got.radius + 1e-13 * abs(ref)
+        assert got.radius <= rayleigh.QUAD_TOL * abs(got.value)
+
+    @pytest.mark.parametrize("kind", ["steklov", "dirichlet"])
+    @pytest.mark.parametrize("n, a, d", [(2, 0.15, 0.8075), (3, 0.15, 0.8075), (2, 0.5, 0.475),
+                                         (4, 0.3, 0.6), (2, 0.001, 0.95)])
+    def test_radius_covers_the_distance_to_twice_the_nodes(self, monkeypatch, kind, n, a, d):
+        cfg = ShellConfig(n, a, d)
+        got = rayleigh.surface_bound(cfg, kind)
+        assert got.nodes > 16
+        # A one-rung ladder at twice the count, accepted whatever its radius.
+        monkeypatch.setattr(rayleigh, "NODE_LADDER", (2 * got.nodes,))
+        finer = rayleigh.surface_bound(cfg, kind, tol=1.0)
+        assert finer.nodes == 2 * got.nodes
+        assert abs(got.value - finer.value) <= got.radius
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 20])
+    @pytest.mark.parametrize("a", [0.05, 0.5, 0.95])
+    def test_concentric_value_is_the_closed_form(self, n, a):
+        cfg = ShellConfig(n, a, 0.0)
+        steklov = rayleigh.surface_bound(cfg, "steklov")
+        mixed = rayleigh.surface_bound(cfg, "dirichlet")
+        assert steklov.nodes == mixed.nodes == 16
+        assert steklov.value == pytest.approx(sp.sigma1_closed_form(n, a), rel=1e-14)
+        assert mixed.value == pytest.approx(sp.tau1_closed_form(n, a), rel=1e-14, abs=0.0)
+
+    def test_mixed_bound_has_no_overflow_where_the_breakdown_has(self):
+        # a^(2-n) = 1e216: the breakdown squares it, the surface form divides it out.
+        cfg = ShellConfig(20, 1e-12, 0.0)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            got = rayleigh.surface_bound(cfg, "dirichlet")
+            with pytest.raises(FloatingPointError):
+                rayleigh.ds_boundary_mass(cfg)
+        assert got.value == pytest.approx(18.0 / (1e216 - 1.0), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("n, a", [(20, 1e-12), (50, 1e-6)])
+    def test_mixed_bound_at_a_tiny_hole_keeps_the_closed_form(self, n, a):
+        # (a^2/s)^k as exp(k (2 log a - log s)), an exponent near -500, erred
+        # by 1.7e-14 at (20, 1e-12, 0) and rose from d = 0 to d = 0.25.  The
+        # true bound falls by far less than rounding over these offsets.
+        closed = sp.tau1_closed_form(n, a)
+        for d in (0.0, 0.25, 0.5):
+            got = rayleigh.surface_bound(ShellConfig(n, a, d), "dirichlet")
+            assert got.value == pytest.approx(closed, rel=1e-14, abs=0.0)
+            assert abs(got.value - closed) <= got.radius
+
+    def test_no_rule_is_computed_at_import(self):
+        src = str(Path(rayleigh.__file__).resolve().parents[1])
+        code = ("from steklov_shell import cli, rayleigh; "
+                "print(rayleigh._jacobi_rule.cache_info().currsize)")
+        proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stdout) == (0, "0\n")
+
+    @pytest.mark.parametrize("alpha", [-0.5, 0.0, 1.5])
+    def test_weights_are_accurate(self, alpha):
+        # scipy's own weights lose up to 1e-10 relative at 256 nodes (alpha = 0);
+        # these are checked against the Chebyshev weights pi/m and the moments.
+        nodes, weights = rayleigh._jacobi_rule(alpha, 256)
+        if alpha == -0.5:
+            assert np.max(np.abs(weights * 256 / math.pi - 1.0)) <= 2e-12
+        moment = math.sqrt(math.pi) * math.gamma(alpha + 1) / math.gamma(alpha + 2.5) / 2
+        assert float(weights @ nodes**2) == pytest.approx(moment, rel=1e-14)
+
+    def test_nodes_are_computed_once_per_rule(self, monkeypatch):
+        rayleigh._jacobi_rule.cache_clear()
+        calls = []
+
+        def counting(m, alpha, beta):
+            calls.append((m, alpha))
+            return roots_jacobi(m, alpha, beta)
+
+        roots_jacobi = rayleigh.roots_jacobi
+        monkeypatch.setattr(rayleigh, "roots_jacobi", counting)
+        cfgs = [ShellConfig(3, 0.3, d) for d in (0.0, 0.3, 0.6, 0.6)]
+        first = [rayleigh.surface_bound(cfg, "steklov") for cfg in cfgs]
+        count = len(calls)
+        assert count == len(set(calls)) and count >= 2
+        assert [rayleigh.surface_bound(cfg, "steklov") for cfg in cfgs] == first
+        assert len(calls) == count
+        rayleigh._jacobi_rule.cache_clear()
+
+    @pytest.mark.parametrize("kind", ["steklov", "dirichlet"])
+    @pytest.mark.parametrize("n, a, d, tol", [(3, 0.4, 0.3, 1e-15), (2, 1e-6, 0.999, 1e-12)])
+    def test_past_the_ladder_the_adaptive_quotient_is_returned(self, kind, n, a, d, tol):
+        # A tol below the ladder's rounding, and an offset within 0.1% of contact.
+        cfg = ShellConfig(n, a, d)
+        got = rayleigh.surface_bound(cfg, kind, tol=tol)
+        assert (got.nodes, got.radius) == (0, math.inf)
+        assert got.value == _adaptive(cfg, kind, tol)
+
+    def test_a_rung_whose_rounding_must_fail_builds_no_rule(self, monkeypatch):
+        # Within 1% of contact the 2048-node truncation radius passes, but its
+        # rounding allowance, 2048 eps per integral, cannot meet 1e-12.
+        rayleigh._jacobi_rule.cache_clear()
+        calls = []
+
+        def counting(m, alpha, beta):
+            calls.append(m)
+            return roots_jacobi(m, alpha, beta)
+
+        roots_jacobi = rayleigh.roots_jacobi
+        monkeypatch.setattr(rayleigh, "roots_jacobi", counting)
+        cfg = ShellConfig(3, 0.001, 0.98901)
+        got = rayleigh.surface_bound(cfg, "steklov")
+        rayleigh._jacobi_rule.cache_clear()
+        assert calls == [16]
+        assert (got.nodes, got.value) == (0, _adaptive(cfg, "steklov", rayleigh.QUAD_TOL))
+
+    def test_unknown_kind_is_refused(self):
+        with pytest.raises(ValueError):
+            rayleigh.surface_bound(ShellConfig(2, 0.5, 0.1), "neumann")
