@@ -38,7 +38,7 @@ def _steklov_breakdown(cfg, **tol) -> list[tuple[str, float]]:
 def _ds_breakdown(cfg, **tol) -> list[tuple[str, float]]:
     energy = rayleigh.ds_energy(cfg, **tol)
     mass = rayleigh.ds_boundary_mass(cfg, **tol)
-    return [("energy", energy), ("boundary_mass", mass), ("bound", energy / mass)]
+    return [("energy", energy), ("boundary_mass", mass), ("bound", rayleigh.quotient(energy, mass))]
 
 
 PROBLEMS = {

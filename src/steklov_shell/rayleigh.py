@@ -69,6 +69,17 @@ def _quad(f, lo: float, hi: float, tol: float) -> float:
     return integrate(f, lo, hi, tol).value
 
 
+def quotient(energy: float, mass: float) -> float:
+    """energy / mass, or FloatingPointError where the mass is 0.
+
+    The angular constants underflow to 0 from n of a few hundred, and with
+    them both integrals wherever nothing overflows first.
+    """
+    if mass == 0.0:
+        raise FloatingPointError("the test function's boundary mass underflows to 0")
+    return energy / mass
+
+
 def steklov_angular_constant(n: int) -> float:
     """Shared angular factor (2/(n-1)) * I_0 * ... * I_{n-3} of the assemblies."""
     out = 2.0 / (n - 1)
@@ -205,7 +216,7 @@ def steklov_bound(cfg: ShellConfig, *, tol: float = QUAD_TOL) -> RayleighBreakdo
         inner_mass=inner,
         energy=energy,
         boundary_mass=boundary_mass,
-        bound=energy / boundary_mass,
+        bound=quotient(energy, boundary_mass),
     )
 
 
@@ -260,7 +271,7 @@ def ds_bound(cfg: ShellConfig, *, tol: float = QUAD_TOL) -> float:
     Equals 1/log(1/a) (n = 2) or (n-2)/(a^(2-n) - 1) (n >= 3) at d = 0 and
     decreases strictly in d.
     """
-    return ds_energy(cfg, tol=tol) / ds_boundary_mass(cfg, tol=tol)
+    return quotient(ds_energy(cfg, tol=tol), ds_boundary_mass(cfg, tol=tol))
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,10 @@ block per mode coupling the circles (the constant spans its kernel), and
 sigma are the eigenvalues of S^1/2 (T R^-1) S^1/2, a band of half-width 3
 with the circles' traces of each mode interleaved.  The map commutes with
 the mirror y -> -y, so the cos k t (k >= 0, "even") and sin k t (k >= 1,
-"odd") families are solved apart.
+"odd") families are separate problems.  The even family is solved; one
+inertia count per order certifies that the odd one lies above the even
+family's first value, and the odd family is solved only where that count
+fails (at the concentric Steklov tie) or where its values are read.
 
 On the modes k <= N each value lies at or above the true one and falls as N
 grows, since (P T P)^-1 <= P T^-1 P for SPD T.  LAPACK's banded values are
@@ -34,8 +37,8 @@ norm eta = |beta| |root_N+1 root_N y_N| costs O(1) (Kato 1949, Temple 1928).
 until the principal mode passes either of two tests: eta is at most
 GATE_RTOL times rho, or rho agrees with the previous order's to GATE_RTOL.
 They raise NonConvergenceError rather than pass MAX_ORDER.  The first order
-seeds inverse iteration with ``eig_banded``'s values; every later order seeds
-each family with its quotient at order N / 2, which bounds the order-N value
+seeds inverse iteration with ``eig_banded``'s value; every later order seeds
+a family with its quotient at order N / 2, which bounds the order-N value
 from above.  A seeded quotient rho is certified by an inertia count: with
 s = rho - 4 eps |A|_1, the LDL^T pivots of M - s S^-1, one 2 x 2 per mode in
 the circles' sum/difference frame, must find no value of the family below s
@@ -43,11 +46,15 @@ but the constants' zero, so the family's first order-N value lies in
 (s, rho], as near rho as the unseeded solve's rounding.  That certifies the finite section at
 order N only; bounds on the untruncated operator are ROADMAP item 2.  Any
 other count, or a zero or non-finite pivot, solves the order again from
-``eig_banded``.  So a gated solve calls ``eig_banded`` at its first order,
-and later only where a certificate fails; the result computes its low
-spectrum at the order it returns, on first read.  The result also carries
-the Kato-Temple width eta^2 / (nu - rho), with nu the family's next value at
-the same order: an estimate, because that nu is an upper bound.
+``eig_banded``.  The odd family's count is the same, at s = rho + 4 eps
+|A|_1 with rho the even family's quotient: no odd value below s puts the
+odd family's first quotient above rho, and the even mode is principal.  So
+a gated solve calls ``eig_banded`` once, on the even family at its first
+order, and later only where a certificate or the odd count fails; the
+result computes the odd family's chain and its low spectrum at the order it
+returns on first read.  The result also carries the Kato-Temple width
+eta^2 / (nu - rho), with nu the family's next value at the same order: an
+estimate, because that nu is an upper bound.
 The boundary residual checks a mode in the physical plane, independently of
 T and D: ``TrefftzBasis`` evaluates the fields whose traces are the Fourier
 modes, with 1/g from the map's derivative at the boundary points.  No call
@@ -339,11 +346,16 @@ def _low_spectrum(band: np.ndarray) -> np.ndarray:
 class EigResult:
     """Solver output: the principal mode, both families' first modes, and the basis of the order solved.
 
-    first_values holds the even then the odd family's first-mode Rayleigh
-    quotient rho (after the constants' zero in the even Steklov family);
-    principal, sigma_1 or tau_1, is the lower, the even one on a tie.
-    tail_residual is its closed-form residual eta in the untruncated
-    operator (``_tail_residual``).
+    even_value is the even family's first-mode Rayleigh quotient rho (after
+    the constants' zero in the Steklov problem).  odd_value is the odd
+    family's, where the solve computed it, else None: then an inertia count
+    showed the odd family above even_value by more than its rounding.
+    first_values holds both, the odd one computed on first read by
+    ``_odd_mode``, seeded as the gate seeds it from the result at half this
+    order (none at an unseeded order), which the result keeps privately with
+    its band's rounding for that replay.  principal, sigma_1 or
+    tau_1, is the lower, the even one on a tie.  tail_residual is its
+    closed-form residual eta in the untruncated operator (``_tail_residual``).
 
     The low spectrum is computed once, on first read, by ``eig_banded`` at the
     order solved.  eigenvalues merges the lowest KEPT values of both mirror
@@ -357,18 +369,29 @@ class EigResult:
     """
 
     basis: TrefftzBasis = field(repr=False)
-    first_values: tuple[float, float]
+    even_value: float
     tail_residual: float
+    odd_value: float | None = None
+    # For the odd family's replay on read: the result at half this order and the band's rounding.
+    _below: EigResult | None = field(default=None, repr=False, compare=False)
+    _band_rounding: float = field(default=math.nan, repr=False, compare=False)
 
     @property
     def principal(self) -> float:
         """Eigenvalue of the principal mode."""
-        return min(self.first_values)
+        return self.even_value if self.odd_value is None else min(self.even_value, self.odd_value)
 
     @property
     def family(self) -> str:
         """Mirror family of the principal mode, "even" or "odd"."""
-        return "odd" if self.first_values[1] < self.first_values[0] else "even"
+        return "odd" if self.odd_value is not None and self.odd_value < self.even_value else "even"
+
+    @cached_property
+    def first_values(self) -> tuple[float, float]:
+        """The even then the odd family's first-mode quotients."""
+        if self.odd_value is not None:
+            return self.even_value, self.odd_value
+        return self.even_value, _odd_mode(self.basis, self._below, self._band_rounding)[0]
 
     @cached_property
     def _spectrum(self) -> tuple[np.ndarray, np.ndarray, int, float]:
@@ -450,48 +473,114 @@ def assemble_steklov(cfg: ShellConfig, N: int) -> np.ndarray:
     return np.hstack([_band(*_factors(basis, odd)) for odd in (False, True)])
 
 
+def _family(basis: TrefftzBasis, odd: bool):
+    """One family at basis' order N: its factors at order N + 1, at order N, and its order-N band.
+
+    The band takes all blocks of the order-(N + 1) factors but the last; the tail residual that one.
+    """
+    ext = _factors(TrefftzBasis(max_order=basis.max_order + 1, a=basis.a, d=basis.d,
+                                kind=basis.kind), odd)
+    factors = (ext[0][:-1], ext[1], ext[2][:-1])
+    return ext, factors, _band(*factors)
+
+
+def _rounding(band: np.ndarray) -> float:
+    """eps |A|_1 of the even family's band, which bounds the odd one's.
+
+    Each odd column holds the entries of the even column of its mode, but for
+    the coupling to the constant at k = 1, so its sum is at most the even one.
+    """
+    return np.finfo(float).eps * np.abs(band).sum(axis=0).max()
+
+
+class _TooSmall(NonConvergenceError):
+    """The banded rounding is within ROUNDING_RTOL of start, a first mode's start value."""
+
+    def __init__(self, rounding: float, N: int, start: float):
+        super().__init__(f"the banded eigenvalues' rounding, {rounding:.3g} at order {N}, nears "
+                         f"the principal value {start:.3g}: the hole is too small")
+        self.start = start
+
+
+def _first_mode(family, first: int, rounding: float, N: int,
+                seed: float | None) -> tuple[float, np.ndarray]:
+    """One family's first-mode quotient rho and unit vector y at order N (``_refine``).
+
+    family is ``_family``'s, first the mode's index (1 after the Steklov
+    constants' zero).  Inverse iteration starts from seed, or without one
+    from the mode's ``eig_banded`` value.  A seeded rho stands only once
+    ``_count_below`` finds no value of the family below rho less four times
+    the banded rounding (which is at least eps rho), but the constants'
+    zero: then the family's first mode at order N lies in that interval, as
+    near rho as an unseeded solve's.  Otherwise the order is solved again
+    without the seed.  Raises NonConvergenceError when LAPACK fails or its
+    rounding is too near the start value.
+    """
+    _, factors, band = family
+    try:
+        # Inverse iteration finds the first mode only from a value nearer it than its
+        # neighbours, about as far as the value itself at small a (0, sigma1, 2, ...).
+        start = seed if seed is not None else _low_spectrum(band)[first]
+        if not rounding <= ROUNDING_RTOL * start:
+            raise _TooSmall(rounding, N, start)
+        rho, y, _ = _refine(band, *factors, start)
+    except (scipy.linalg.LinAlgError, ValueError) as exc:  # ValueError: a band entry overflowed
+        raise NonConvergenceError(f"banded eigensolve failed at order {N}: {exc}") from exc
+    if seed is not None and _count_below(*factors, rho - 4.0 * rounding, bool(first)) != first:
+        return _first_mode(family, first, rounding, N, None)
+    return rho, y
+
+
+def _odd_mode(basis: TrefftzBasis, below: EigResult | None, rounding: float):
+    """The odd family's first mode at basis' order as the gate reaches it: (rho, y, factors at N + 1).
+
+    Seeded with the odd value of below, the result at half the order (which
+    computes it there on read in turn), or without below from ``eig_banded``;
+    certified with rounding, the even band's, as the even family is.
+    """
+    family = _family(basis, True)
+    seed = None if below is None else below.first_values[1]
+    rho, y = _first_mode(family, 0, rounding, basis.max_order, seed)
+    return rho, y, family[0]
+
+
 def _solve_at_order(cfg: ShellConfig, N: int, kind: str,
-                    seeds: tuple[float, float] | None = None) -> EigResult:
+                    below: EigResult | None = None) -> EigResult:
     """The solve on the modes k <= N of kind "steklov" or "dirichlet".
 
-    Inverse iteration refines each family's first mode from its seed in seeds
-    (the even, then the odd family's), or without seeds from its
-    ``eig_banded`` value.  A seeded quotient rho stands only once
-    ``_count_below`` finds no value of its family below rho less four times
-    the banded rounding (which is at least eps rho), but the constants' zero:
-    then the family's first mode at order N lies in that interval, as near
-    rho as an unseeded solve's.  Otherwise the order is solved again without
-    seeds.  Raises NonConvergenceError when LAPACK fails or its rounding is
-    too near the principal value (the seeds' at a seeded order).
+    The even family's first mode is ``_first_mode``'s, seeded with below's
+    even value, below being the result at order N / 2 (none at an unseeded
+    order).  Then one inertia count on the odd family's factors, the even
+    ones' after mode 0 with no sqrt 2 in beta, at s = rho + 4 rounding.  If
+    it finds no odd value below s, the odd family's first value is at least
+    s, and its quotient, within about the rounding of that value, still lies
+    above rho: the even mode is principal, as a solve of both families finds.
+    Otherwise (at the concentric Steklov tie, or where the count is not
+    certain) the odd family is solved as well, by ``_odd_mode``.
     """
     validate_problem_size(cfg, N)
     basis = TrefftzBasis(max_order=N, a=cfg.a, d=cfg.d, kind=kind)
-    # The factors at order N + 1: the band takes all blocks but the last, the tail residual that one.
-    ext = [_factors(TrefftzBasis(max_order=N + 1, a=cfg.a, d=cfg.d, kind=kind), odd)
-           for odd in (False, True)]
-    factors = [(root[:-1], m, beta[:-1]) for root, m, beta in ext]
-    bands = [_band(*f) for f in factors]
-    first = (int(kind == "steklov"), 0)  # each family's first mode, after the constants' zero
+    family = _family(basis, False)
+    (root_ext, _, beta_ext), (root, m, beta), band = family
+    rounding = _rounding(band)
     try:
-        rounding = np.finfo(float).eps * max(np.abs(band).sum(axis=0).max() for band in bands)
-        # Inverse iteration finds the principal mode only from a value nearer it than its
-        # neighbours, about as far as the value itself at small a (0, sigma1, 2, ...).
-        start = seeds if seeds is not None else [_low_spectrum(b)[i] for b, i in zip(bands, first)]
-        if not rounding <= ROUNDING_RTOL * min(start):
-            raise NonConvergenceError(
-                f"the banded eigenvalues' rounding, {rounding:.3g} at order {N}, nears the "
-                f"principal value {min(start):.3g}: the hole is too small")
-        modes = [_refine(bands[f], *factors[f], start[f]) for f in (0, 1)]
-    except (scipy.linalg.LinAlgError, ValueError) as exc:  # ValueError: a band entry overflowed
-        raise NonConvergenceError(f"banded eigensolve failed at order {N}: {exc}") from exc
-    if seeds is not None and any(
-            _count_below(*factors[f], rho - 4.0 * rounding, bool(first[f])) != first[f]
-            for f, (rho, _, _) in enumerate(modes)):
-        return _solve_at_order(cfg, N, kind)
-    values = (modes[0][0], modes[1][0])
-    p = int(values[1] < values[0])  # the principal family, the even one on a tie
-    return EigResult(basis=basis, first_values=values,
-                     tail_residual=_tail_residual(ext[p][0], ext[p][2], modes[p][1]))
+        value, y = _first_mode(family, int(kind == "steklov"), rounding, N,
+                               None if below is None else below.even_value)
+    except _TooSmall as exc:  # named by the lower of both families' start values
+        try:
+            odd_start = (_low_spectrum(_family(basis, True)[2])[0] if below is None
+                         else below.first_values[1])
+        except (scipy.linalg.LinAlgError, ValueError) as err:
+            raise NonConvergenceError(f"banded eigensolve failed at order {N}: {err}") from err
+        raise _TooSmall(rounding, N, min(exc.start, odd_start)) from None
+    odd = None
+    if _count_below(root[1:], m, beta[1:], value + 4.0 * rounding, False) != 0:
+        odd, y_odd, (root_odd, _, beta_odd) = _odd_mode(basis, below, rounding)
+        if odd < value:  # the principal family, the even one on a tie
+            root_ext, beta_ext, y = root_odd, beta_odd, y_odd
+    return EigResult(basis=basis, even_value=value, odd_value=odd,
+                     tail_residual=_tail_residual(root_ext, beta_ext, y),
+                     _below=below, _band_rounding=rounding)
 
 
 def _solve(cfg: ShellConfig, kind: str) -> EigResult:
@@ -500,19 +589,19 @@ def _solve(cfg: ShellConfig, kind: str) -> EigResult:
     A solve passes when its tail residual is at most GATE_RTOL times its value,
     or when its value agrees with the previous order's to GATE_RTOL relative;
     the gate returns the first that passes.  Every order after the first is
-    seeded with the first-mode values of the order below, which bound its own
-    from above.  An order past MAX_ORDER is never solved, and
+    seeded from the result of the order below, whose first-mode values bound
+    its own from above.  An order past MAX_ORDER is never solved, and
     NonConvergenceError names the last two values.
     """
-    history, N, seeds = [], FIRST_ORDER, None
+    history, N, below = [], FIRST_ORDER, None
     while N <= MAX_ORDER:
-        result = _solve_at_order(cfg, N, kind, seeds)
+        result = _solve_at_order(cfg, N, kind, below)
         value = result.principal
         if (result.tail_residual <= GATE_RTOL * value
                 or history and abs(value - history[-1][1]) <= GATE_RTOL * abs(value)):
             return result
         history.append((N, value))
-        N, seeds = 2 * N, result.first_values
+        N, below = 2 * N, result
     label = "sigma1" if kind == "steklov" else "tau1"
     last = ", ".join(f"{value:.17g} at N={order}" for order, value in history[-2:])
     raise NonConvergenceError(f"{label} did not converge to {GATE_RTOL:g} relative by the "

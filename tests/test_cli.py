@@ -41,10 +41,10 @@ def _footer(out: str, name: str) -> float:
 
 def _gate_values(cfg, kind, top):
     """The gate's principal values at FIRST_ORDER, 2 FIRST_ORDER, ..., top, each seeded from the last."""
-    values, seeds, N = {}, None, solver.FIRST_ORDER
+    values, run, N = {}, None, solver.FIRST_ORDER
     while N <= top:
-        run = solver._solve_at_order(cfg, N, kind, seeds)
-        values[N], seeds, N = run.principal, run.first_values, 2 * N
+        run = solver._solve_at_order(cfg, N, kind, run)
+        values[N], N = run.principal, 2 * N
     return values
 
 
@@ -243,6 +243,23 @@ class TestBoundCommand:
         assert proc.returncode == 3
         assert proc.stdout == ""
         assert proc.stderr == f"numerical failure: {line}\n"
+
+    @pytest.mark.parametrize("argv, where", [
+        (["bound", "--dim", "5000", "--a", "0.9999", "--d", "0"], "dim=5000 a=0.9999 d=0.0"),
+        (["bound", "--problem", "dirichlet-steklov", "--dim", "5000", "--a", "0.9999", "--d", "0"],
+         "dim=5000 a=0.9999 d=0.0"),
+        (["sweep", "--problem", "steklov", "--dim", "5000", "--a", "0.9999", "--d-steps", "2",
+          "--jobs", "1"], "dim=5000 a=0.9999"),
+    ], ids=["bound", "mixed_bound", "sweep"])
+    def test_a_boundary_mass_that_underflows_is_a_numerical_failure(self, capsys, argv, where):
+        # The angular constants underflow to 0 from n of a few hundred; with
+        # a near 1 no integral overflows first, and the quotient was 0 / 0,
+        # an internal error (exit 1).  The sweep reaches it through the
+        # surface form's adaptive fallback.  n = 20000 fails the same way, slower.
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert err == (f"numerical failure: floating-point error at {where}: "
+                       "the test function's boundary mass underflows to 0\n")
 
     def test_breakdown_reads_the_patched_functions(self, capsys, monkeypatch):
         # The problem table looks the bound's terms up when called, so a

@@ -3,6 +3,7 @@
 import dataclasses
 import gc
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -78,10 +79,10 @@ def _relative(A, B, scale):
 
 def _gate_chain(cfg, kind, top):
     """The gate's solves at FIRST_ORDER, 2 FIRST_ORDER, ..., top, each seeded from the last."""
-    runs, seeds, N = [], None, solver.FIRST_ORDER
+    runs, N = [], solver.FIRST_ORDER
     while N <= top:
-        runs.append(solver._solve_at_order(cfg, N, kind, seeds))
-        seeds, N = runs[-1].first_values, 2 * N
+        runs.append(solver._solve_at_order(cfg, N, kind, runs[-1] if runs else None))
+        N *= 2
     return runs
 
 
@@ -291,7 +292,7 @@ class TestGate:
                     res = solver._solve(cfg, kind)
                     runs, passed, N = [], None, solver.FIRST_ORDER
                     while True:
-                        run = solver._solve_at_order(cfg, N, kind, runs[-1].first_values if runs else None)
+                        run = solver._solve_at_order(cfg, N, kind, runs[-1] if runs else None)
                         agree = bool(runs) and abs(run.principal - runs[-1].principal) <= rtol * run.principal
                         if passed is None and (run.tail_residual <= rtol * run.principal or agree):
                             passed = run
@@ -307,27 +308,47 @@ class TestGate:
         assert max(orders) <= solver.MAX_ORDER // 8
 
     def test_eig_banded_runs_at_the_first_order_and_on_read(self, monkeypatch):
-        eig_banded, calls = scipy.linalg.eig_banded, []
-
-        def counting(*args, **kwargs):
-            calls.append(None)
-            return eig_banded(*args, **kwargs)
-
-        monkeypatch.setattr(scipy.linalg, "eig_banded", counting)
-        # Gates stopping at orders 32 (0.5, 0.3) and 128 (0.2, 0.7): two calls
-        # each, one per mirror family at the first order, none at the later,
-        # certified orders.
-        results = [solver.solve_steklov(ShellConfig(2, 0.5, 0.3))]
-        for solve, _, _, _ in PROBLEMS.values():
-            results.append(solve(ShellConfig(2, 0.2, 0.7)))
-        assert [res.basis.max_order for res in results] == [32, 128, 128]
-        assert len(calls) == 2 * len(results)
-        for res in results:
-            before = len(calls)
-            res.eigenvalues
-            assert len(calls) == before + 2
-            res.eigenvalues, res.odd, res.mode, res.width, res.residual
-            assert len(calls) == before + 2
+        # Each eig_banded and inverse-iteration call, with its band's size:
+        # circles (N + 1) for the even family at order N, circles N for the
+        # odd, so no two orders or families of a gate share one.
+        eig_banded, refine, calls = scipy.linalg.eig_banded, solver._refine, []
+        monkeypatch.setattr(scipy.linalg, "eig_banded", lambda band, *args, **kwargs: (
+            calls.append(("eig_banded", band.shape[1])) or eig_banded(band, *args, **kwargs)))
+        monkeypatch.setattr(solver, "_refine", lambda band, *args: (
+            calls.append(("refine", band.shape[1])) or refine(band, *args)))
+        # Gates stopping at orders 32 (0.5, 0.3) and 128 (0.2, 0.7): eig_banded
+        # once, on the even family at the first order, and inverse iteration
+        # once per order, on the even family alone.
+        # The first read of first_values or of the spectrum runs the odd
+        # family's chain as the gate would: eig_banded at the first order,
+        # inverse iteration at each.  The spectrum's own two eig_banded calls
+        # come first when it is read first.
+        gates = [(solver.solve_steklov, ShellConfig(2, 0.5, 0.3), 32, "first_values")]
+        gates += [(solve, ShellConfig(2, 0.2, 0.7), 128, "eigenvalues") for solve, _, _, _ in PROBLEMS.values()]
+        for solve, cfg, order, first_read in gates:
+            res = solve(cfg)
+            assert res.basis.max_order == order
+            orders = [N for N in (32, 64, 128) if N <= order]
+            even = [res.basis.circles * (N + 1) for N in orders]
+            odd = [res.basis.circles * N for N in orders]
+            assert calls == [("eig_banded", even[0])] + [("refine", n) for n in even]
+            calls.clear()
+            res.principal, res.family, res.tail_residual
+            assert calls == []
+            replay = [("eig_banded", odd[0])] + [("refine", n) for n in odd]
+            spectrum = [("eig_banded", even[-1]), ("eig_banded", odd[-1])]
+            getattr(res, first_read)
+            if first_read == "first_values":
+                assert calls == replay
+                res.eigenvalues
+            expected = replay + spectrum if first_read == "first_values" else spectrum + replay
+            assert calls == expected
+            res.first_values, res.eigenvalues, res.odd, res.mode, res.width, res.family
+            assert calls == expected
+            res.residual
+            assert [call for call in calls if call[0] == "eig_banded"] == [
+                call for call in expected if call[0] == "eig_banded"]
+            calls.clear()
 
     def test_the_cap_raises_with_the_last_two_values(self, monkeypatch):
         monkeypatch.setattr(solver, "MAX_ORDER", 64)
@@ -416,7 +437,7 @@ class TestTailResidual:
                 return _fn(*args, **kwargs)
             monkeypatch.setattr(scipy.linalg.lapack, name, counting)
         monkeypatch.setattr(scipy.linalg, "solve_banded", None)
-        solver.solve_steklov(ShellConfig(2, 0.5, 0.3))
+        solver.solve_steklov(ShellConfig(2, 0.5, 0.3)).first_values  # and the odd family on read
         assert calls["dgbtrf"] >= 2
         assert calls["dgbtrs"] == 2 * calls["dgbtrf"]
 
@@ -465,12 +486,15 @@ class TestCertificate:
         cold = solver._solve_at_order(cfg, N, kind)
         even = cold.eigenvalues[~cold.odd]
         second = float(even[2 if kind == "steklov" else 1])
+        below = dataclasses.replace(cold, even_value=second)
         counts, count_below = [], solver._count_below
         monkeypatch.setattr(solver, "_count_below",
                             lambda *args: counts.append(count_below(*args)) or counts[-1])
-        seeded = solver._solve_at_order(cfg, N, kind, (second, cold.first_values[1]))
+        seeded = solver._solve_at_order(cfg, N, kind, below)
         assert counts[0] == int(kind == "steklov") + 1  # the inverse iteration found the second mode
-        assert seeded.first_values == cold.first_values
+        assert counts[1:] == [0]  # then the unseeded solve, and the odd family's count
+        assert (seeded.even_value, seeded.odd_value) == (cold.even_value, None)
+        assert seeded.principal == cold.principal
         assert seeded.tail_residual == cold.tail_residual
 
     @pytest.mark.parametrize("kind", ["steklov", "dirichlet"])
@@ -486,11 +510,12 @@ class TestCertificate:
         counts, count_below = [], solver._count_below
         monkeypatch.setattr(solver, "_count_below",
                             lambda *args: counts.append(count_below(*args)) or counts[-1])
-        solver._solve_at_order(cfg, N, kind, cold.first_values)
-        assert counts == [int(kind == "steklov") + 1]  # then the unseeded solve, which counts nothing
+        solver._solve_at_order(cfg, N, kind, cold)
+        # Then the unseeded solve, which counts nothing, and the odd family's count.
+        assert counts == [int(kind == "steklov") + 1, 0]
         monkeypatch.setattr(solver, "_refine", refine)
-        seeded = solver._solve_at_order(cfg, N, kind, cold.first_values)
-        assert counts[1:] == [int(kind == "steklov"), 0]
+        seeded = solver._solve_at_order(cfg, N, kind, cold)
+        assert counts[2:] == [int(kind == "steklov"), 0]
         assert seeded.first_values == pytest.approx(cold.first_values, rel=1e-14)
 
     @pytest.mark.parametrize("kind", ["steklov", "dirichlet"])
@@ -508,6 +533,110 @@ class TestCertificate:
         assert np.array_equal(res.eigenvalues[rest], cold.eigenvalues[rest])
         assert res.eigenvalues[first] == pytest.approx(cold.eigenvalues[first], rel=1e-14)
         assert res.width == pytest.approx(cold.width, rel=1e-6)
+
+
+def _both_families_order(cfg, N, kind, seeds=None):
+    """One order of a gate that solves both families, with no odd family's count: the reference.
+
+    Each family's seed, or without seeds its eig_banded value, is refined;
+    two seeded quotients stand only if both certificates pass, else both
+    families are solved again without seeds.  Returns the first values and
+    the principal's tail residual.
+    """
+    ext = [solver._factors(solver.TrefftzBasis(max_order=N + 1, a=cfg.a, d=cfg.d, kind=kind), odd)
+           for odd in (False, True)]
+    factors = [(root[:-1], m, beta[:-1]) for root, m, beta in ext]
+    bands = [solver._band(*f) for f in factors]
+    first = (int(kind == "steklov"), 0)
+    rounding = np.finfo(float).eps * max(np.abs(band).sum(axis=0).max() for band in bands)
+    start = seeds if seeds is not None else [solver._low_spectrum(b)[i] for b, i in zip(bands, first)]
+    if not rounding <= solver.ROUNDING_RTOL * min(start):
+        raise NonConvergenceError(f"the banded eigenvalues' rounding, {rounding:.3g} at order {N}, "
+                                  f"nears the principal value {min(start):.3g}: the hole is too small")
+    modes = [solver._refine(bands[f], *factors[f], start[f]) for f in (0, 1)]
+    if seeds is not None and any(
+            solver._count_below(*factors[f], rho - 4.0 * rounding, bool(first[f])) != first[f]
+            for f, (rho, _, _) in enumerate(modes)):
+        return _both_families_order(cfg, N, kind)
+    values = (modes[0][0], modes[1][0])
+    p = int(values[1] < values[0])
+    return values, solver._tail_residual(ext[p][0], ext[p][2], modes[p][1])
+
+
+def _both_families(cfg, kind):
+    """The gate with both families solved at every order, as a result holding both values."""
+    history, N, seeds = [], solver.FIRST_ORDER, None
+    while True:
+        assert N <= solver.MAX_ORDER
+        values, tail = _both_families_order(cfg, N, kind, seeds)
+        value = min(values)
+        if tail <= solver.GATE_RTOL * value or history and abs(value - history[-1]) <= solver.GATE_RTOL * value:
+            basis = solver.TrefftzBasis(max_order=N, a=cfg.a, d=cfg.d, kind=kind)
+            return solver.EigResult(basis=basis, even_value=values[0], odd_value=values[1],
+                                    tail_residual=tail)
+        history.append(value)
+        N, seeds = 2 * N, values
+
+
+def _fields(res):
+    return (res.principal, res.first_values, res.family, res.eigenvalues.tobytes(), res.odd.tobytes(),
+            res.mode, res.width, res.tail_residual, res.basis.max_order)
+
+
+# Concentric, nearly concentric, near contact, gates to high orders, and a tiny hole.
+ODD_COUNT_CASES = [(0.5, 0.0), (0.3, 0.0), (0.5, 1e-9), (0.15, 0.8075), (0.2, 0.76), (0.5, 0.3),
+                   (0.5, 0.4999), (1e-8, 0.5)]
+
+
+class TestOddCount:
+    @pytest.mark.parametrize("kind", ["steklov", "dirichlet"])
+    @pytest.mark.parametrize("a, d", ODD_COUNT_CASES)
+    def test_the_gate_keeps_the_both_families_result(self, kind, a, d):
+        cfg = ShellConfig(2, a, d)
+        assert _fields(solver._solve(cfg, kind)) == _fields(_both_families(cfg, kind))
+
+    @pytest.mark.parametrize("forced", [None, 1])
+    @pytest.mark.parametrize("kind", ["steklov", "dirichlet"])
+    @pytest.mark.parametrize("a, d", [case for case in ODD_COUNT_CASES if case != (0.5, 0.4999)])
+    def test_an_odd_count_that_fails_solves_the_odd_family(self, kind, a, d, forced, monkeypatch):
+        # The odd family's count is the one made by _solve_at_order itself;
+        # the certificates are _first_mode's.  (0.5, 0.4999), whose order-2048
+        # spectra take seconds, is left out; (0.15, 0.8075) seeds up to order 256.
+        cfg = ShellConfig(2, a, d)
+        expected, count_below, forced_calls = _fields(_both_families(cfg, kind)), solver._count_below, []
+
+        def failing(*args):
+            if sys._getframe(1).f_code.co_name == "_solve_at_order":
+                forced_calls.append(args)
+                return forced
+            return count_below(*args)
+
+        monkeypatch.setattr(solver, "_count_below", failing)
+        res = solver._solve(cfg, kind)
+        assert res.odd_value is not None
+        assert len(forced_calls) == int(math.log2(res.basis.max_order // solver.FIRST_ORDER)) + 1  # one per order
+        assert _fields(res) == expected
+
+    @pytest.mark.parametrize("a, d", [(1e-13, 0.5), (1e-14, 0.1), (1e-14, 0.5), (2e-15, 0.3),
+                                      (2e-15, 0.7)])
+    def test_a_refused_hole_names_the_lower_start_value(self, a, d):
+        # The message names the lower of both families' start values, though
+        # the even family's alone fails: at a = 1e-14 its eig_banded value is the higher.
+        cfg = ShellConfig(2, a, d)
+        with pytest.raises(NonConvergenceError) as both:
+            _both_families(cfg, "steklov")
+        with pytest.raises(NonConvergenceError, match="the hole is too small") as gate:
+            solver.solve_steklov(cfg)
+        assert str(gate.value) == str(both.value)
+
+    def test_the_count_separates_the_families_off_center(self):
+        # Every row of the default sweep grids off center leaves the odd family
+        # unsolved, and the concentric Steklov rows, where the families tie, solve it.
+        for a in (0.15, 0.2827, 0.5073, 0.7287, 0.85):
+            for d in np.linspace(0.0, 0.95 * (1.0 - a), 21).tolist():
+                for kind in ("steklov", "dirichlet"):
+                    res = solver._solve(ShellConfig(2, a, d), kind)
+                    assert (res.odd_value is not None) == (d == 0.0 and kind == "steklov")
 
 
 class TestSteklovSolve:
@@ -715,38 +844,48 @@ class TestPrincipalMode:
     def test_eigenvalue_at_the_tolerance_is_not_principal(self, monkeypatch):
         # The even Steklov family's first value is the constants' zero, never
         # principal, and reads its exact 0 even where rounding lifts LAPACK's
-        # value to ZERO_MODE_TOL.  The eig_banded calls are the even then the
-        # odd family.
+        # value to ZERO_MODE_TOL.  The eig_banded calls are the even family's
+        # at the solve, then on read the spectrum's even then odd one and the
+        # odd family's replay; every even band, 2 (N + 1) columns, is lifted.
         eig_banded, calls = scipy.linalg.eig_banded, []
 
-        def lifted(*args, **kwargs):
-            vals = eig_banded(*args, **kwargs)
-            calls.append(vals)
-            if len(calls) % 2:
+        def lifted(band, *args, **kwargs):
+            vals = eig_banded(band, *args, **kwargs)
+            calls.append(band.shape[1])
+            if band.shape[1] == 2 * (8 + 1):
                 vals[0] = solver.ZERO_MODE_TOL
             return vals
 
         monkeypatch.setattr(scipy.linalg, "eig_banded", lifted)
         cfg = ShellConfig(2, 0.5, 0.3)
         res = solver._solve_at_order(cfg, 8, "steklov")
-        assert len(calls) == 2
+        assert calls == [18]
         assert res.eigenvalues[0] == 0.0
-        assert len(calls) == 4  # the spectrum is computed again on read
+        assert calls == [18, 18, 16, 16]  # the spectrum is computed again on read
         assert res.mode == 1
         assert res.residual == solver.boundary_residual(res, 1)
 
 
 class TestDerivedFields:
     def test_result_holds_only_what_the_solve_produced(self):
-        # The low spectrum, the mode index and the width are computed on read.
+        # The odd family's first value (unless the solve needed it), the low
+        # spectrum, the mode index and the width are computed on read.
         names = [f.name for f in dataclasses.fields(solver.EigResult)]
-        assert names == ["basis", "first_values", "tail_residual"]
+        assert names == ["basis", "even_value", "tail_residual", "odd_value", "_below",
+                         "_band_rounding"]
+        hidden = [f for f in dataclasses.fields(solver.EigResult) if f.name.startswith("_")]
+        assert not any(f.repr or f.compare for f in hidden)
         for gone in ("first_nonzero", "n_points", "gram_condition", "coefficients"):
             assert not hasattr(solver.EigResult, gone)
         res = solver.solve_steklov(ShellConfig(2, 0.5, 0.3))
-        for name in ("principal", "residual", "eigenvalues", "odd", "mode", "width"):
+        assert res.odd_value is None and res._below is None
+        for name in ("principal", "family", "first_values", "residual", "eigenvalues", "odd",
+                     "mode", "width"):
             with pytest.raises(AttributeError):
                 setattr(res, name, 0.0)
+        # At the concentric tie the count cannot separate the families, and the solve takes both.
+        tie = solver.solve_steklov(ShellConfig(2, 0.5, 0.0))
+        assert tie.odd_value is not None and tie.principal == min(tie.first_values)
 
     def test_a_residual_is_computed_only_when_read(self, capsys, monkeypatch):
         def unread(result, mode):
