@@ -34,7 +34,7 @@ from scipy.special import roots_jacobi
 
 from .geometry import ShellConfig, _arc_factor, _phi_weight, _psi_weight, _radius
 from .quadrature import QUAD_TOL, integrate
-from .special import wallis
+from .special import _wallis_run, wallis
 from .shell_spectrum import mu_sigma
 
 EPS = float(np.finfo(float).eps)
@@ -82,18 +82,12 @@ def quotient(energy: float, mass: float) -> float:
 
 def steklov_angular_constant(n: int) -> float:
     """Shared angular factor (2/(n-1)) * I_0 * ... * I_{n-3} of the assemblies."""
-    out = 2.0 / (n - 1)
-    for k in range(n - 2):
-        out *= wallis(k)
-    return out
+    return math.prod(_wallis_run(n - 2), start=2.0 / (n - 1))
 
 
 def ds_angular_constant(n: int) -> float:
     """Angular factor 2 * I_0 * ... * I_{n-3} for the radial test function."""
-    out = 2.0
-    for k in range(n - 2):
-        out *= wallis(k)
-    return out
+    return math.prod(_wallis_run(n - 2), start=2.0)
 
 
 def w1(cfg: ShellConfig, *, tol: float = QUAD_TOL) -> float:

@@ -44,7 +44,7 @@ s = rho - 4 eps |A|_1, the LDL^T pivots of M - s S^-1, one 2 x 2 per mode in
 the circles' sum/difference frame, must find no value of the family below s
 but the constants' zero, so the family's first order-N value lies in
 (s, rho], as near rho as the unseeded solve's rounding.  That certifies the finite section at
-order N only; bounds on the untruncated operator are ROADMAP item 2.  Any
+order N only; bounds on the untruncated operator are ROADMAP item 1.  Any
 other count, or a zero or non-finite pivot, solves the order again from
 ``eig_banded``.  The odd family's count is the same, at s = rho + 4 eps
 |A|_1 with rho the even family's quotient: no odd value below s puts the
@@ -493,15 +493,6 @@ def _rounding(band: np.ndarray) -> float:
     return np.finfo(float).eps * np.abs(band).sum(axis=0).max()
 
 
-class _TooSmall(NonConvergenceError):
-    """The banded rounding is within ROUNDING_RTOL of start, a first mode's start value."""
-
-    def __init__(self, rounding: float, N: int, start: float):
-        super().__init__(f"the banded eigenvalues' rounding, {rounding:.3g} at order {N}, nears "
-                         f"the principal value {start:.3g}: the hole is too small")
-        self.start = start
-
-
 def _first_mode(family, first: int, rounding: float, N: int,
                 seed: float | None) -> tuple[float, np.ndarray]:
     """One family's first-mode quotient rho and unit vector y at order N (``_refine``).
@@ -522,7 +513,8 @@ def _first_mode(family, first: int, rounding: float, N: int,
         # neighbours, about as far as the value itself at small a (0, sigma1, 2, ...).
         start = seed if seed is not None else _low_spectrum(band)[first]
         if not rounding <= ROUNDING_RTOL * start:
-            raise _TooSmall(rounding, N, start)
+            raise NonConvergenceError(f"the banded eigenvalues' rounding, {rounding:.3g} at order {N}, "
+                                      "nears the principal value: the hole is too small")
         rho, y, _ = _refine(band, *factors, start)
     except (scipy.linalg.LinAlgError, ValueError) as exc:  # ValueError: a band entry overflowed
         raise NonConvergenceError(f"banded eigensolve failed at order {N}: {exc}") from exc
@@ -563,16 +555,8 @@ def _solve_at_order(cfg: ShellConfig, N: int, kind: str,
     family = _family(basis, False)
     (root_ext, _, beta_ext), (root, m, beta), band = family
     rounding = _rounding(band)
-    try:
-        value, y = _first_mode(family, int(kind == "steklov"), rounding, N,
-                               None if below is None else below.even_value)
-    except _TooSmall as exc:  # named by the lower of both families' start values
-        try:
-            odd_start = (_low_spectrum(_family(basis, True)[2])[0] if below is None
-                         else below.first_values[1])
-        except (scipy.linalg.LinAlgError, ValueError) as err:
-            raise NonConvergenceError(f"banded eigensolve failed at order {N}: {err}") from err
-        raise _TooSmall(rounding, N, min(exc.start, odd_start)) from None
+    value, y = _first_mode(family, int(kind == "steklov"), rounding, N,
+                           None if below is None else below.even_value)
     odd = None
     if _count_below(root[1:], m, beta[1:], value + 4.0 * rounding, False) != 0:
         odd, y_odd, (root_odd, _, beta_odd) = _odd_mode(basis, below, rounding)

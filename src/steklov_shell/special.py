@@ -1,13 +1,18 @@
 """Wallis integrals, spherical-harmonic dimension counts, and two series identities.
 
 ``wallis(p)`` is the integral of sin^p over [0, pi] (twice the classical
-Wallis integral).  Everything here is exact-recursion or adaptively truncated
-summation; no factorials are ever formed, so large orders do not overflow.
+Wallis integral).  Every Wallis value, and every sphere constant built from
+them (``sphere_area`` here, the Rayleigh angular constants in ``rayleigh``),
+is read from one recursion, I_k = I_(k-2) (k - 1) / k from I_0 = pi and
+I_1 = 2, so a product of n of them costs O(n).  Everything here is
+exact-recursion or adaptively truncated summation; no factorials are ever
+formed, so large orders do not overflow.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cache
 
@@ -29,24 +34,28 @@ class WallisTable:
     values: tuple[float, ...]
 
 
+def _wallis_run(count: int) -> Iterator[float]:
+    """I_0, ..., I_(count-1), each I_k = I_(k-2) * ((k - 1) / k) from I_0 = pi and I_1 = 2."""
+    two_back, one_back = math.pi, 2.0
+    for k in range(2, count + 2):
+        yield two_back
+        two_back, one_back = one_back, two_back * ((k - 1) / k)
+
+
 def wallis_table(max_p: int) -> WallisTable:
     """Build the table of I_0 .. I_max_p by forward recursion."""
     if max_p < 1:
         raise ValueError("max_p must be at least 1")
-    vals = [math.pi, 2.0]
-    for p in range(max_p - 1):
-        vals.append((p + 1) / (p + 2) * vals[p])
-    return WallisTable(values=tuple(vals[: max_p + 1]))
+    return WallisTable(values=tuple(_wallis_run(max_p + 1)))
 
 
 def wallis(p: int) -> float:
     """I_p = integral of sin^p t dt over [0, pi], by recursion from I_0, I_1."""
     if p < 0 or p != int(p):
         raise ValueError("p must be a non-negative integer")
-    val = math.pi if p % 2 == 0 else 2.0
-    for j in range(p % 2, p, 2):
-        val *= (j + 1) / (j + 2)
-    return val
+    for value in _wallis_run(p + 1):
+        pass
+    return value
 
 
 def harmonic_dim(n: int, k: int) -> int:
@@ -75,10 +84,7 @@ def sphere_area(n: int) -> float:
     """
     if n < 2:
         raise ValueError("dimension n must be at least 2")
-    out = 2.0
-    for k in range(n - 1):
-        out *= wallis(k)
-    return out
+    return math.prod(_wallis_run(n - 1), start=2.0)
 
 
 def _sum_adaptive(term_iter) -> float:

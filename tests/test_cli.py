@@ -261,6 +261,27 @@ class TestBoundCommand:
         assert err == (f"numerical failure: floating-point error at {where}: "
                        "the test function's boundary mass underflows to 0\n")
 
+    @pytest.mark.parametrize("argv, line", [
+        (["bound", "--dim", "20000", "--a", "0.9999", "--d", "0"],
+         "floating-point error at dim=20000 a=0.9999 d=0.0: "
+         "the test function's boundary mass underflows to 0"),
+        (["sweep", "--dim", "20000", "--problem", "steklov", "--a", "0.9999", "--d-steps", "2",
+          "--jobs", "1"],
+         "floating-point error at dim=20000 a=0.9999: the test function's boundary mass underflows to 0"),
+        (["ratio", "--dim", "100000", "--eps-steps", "2"],
+         "coarse scan found no interior maximum of the normalized eigenvalue"),
+    ], ids=["bound", "sweep", "ratio"])
+    def test_a_huge_dimension_fails_promptly(self, argv, line):
+        # Each sphere constant is a product of n Wallis values read from one
+        # recursion, O(n).  The timeout fails an O(n^2) product, one wallis(k)
+        # per factor, which takes 15 s to minutes at these n on 2 vCPUs.
+        src = str(Path(cli.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-m", "steklov_shell.cli", *argv],
+                              env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                              text=True, timeout=15)
+        assert (proc.returncode, proc.stdout) == (3, "")
+        assert proc.stderr == f"numerical failure: {line}\n"
+
     def test_breakdown_reads_the_patched_functions(self, capsys, monkeypatch):
         # The problem table looks the bound's terms up when called, so a
         # patched or traced rayleigh function is the one whose values print.
@@ -493,7 +514,7 @@ class TestSolveCommand:
         code, out, err = run_cli(capsys, "solve", "--a", a, "--d", "0.5")
         assert (code, out) == (3, "")
         assert err.startswith("numerical failure: the banded eigenvalues' rounding, ")
-        assert err.endswith(": the hole is too small\n")
+        assert err.endswith(", nears the principal value: the hole is too small\n")
 
     def test_a_denormal_hole_exits_3(self, capsys):
         # 1/rho overflows in the band, as the solver this one replaced overflowed.

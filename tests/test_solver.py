@@ -552,7 +552,7 @@ def _both_families_order(cfg, N, kind, seeds=None):
     start = seeds if seeds is not None else [solver._low_spectrum(b)[i] for b, i in zip(bands, first)]
     if not rounding <= solver.ROUNDING_RTOL * min(start):
         raise NonConvergenceError(f"the banded eigenvalues' rounding, {rounding:.3g} at order {N}, "
-                                  f"nears the principal value {min(start):.3g}: the hole is too small")
+                                  "nears the principal value: the hole is too small")
     modes = [solver._refine(bands[f], *factors[f], start[f]) for f in (0, 1)]
     if seeds is not None and any(
             solver._count_below(*factors[f], rho - 4.0 * rounding, bool(first[f])) != first[f]
@@ -619,9 +619,9 @@ class TestOddCount:
 
     @pytest.mark.parametrize("a, d", [(1e-13, 0.5), (1e-14, 0.1), (1e-14, 0.5), (2e-15, 0.3),
                                       (2e-15, 0.7)])
-    def test_a_refused_hole_names_the_lower_start_value(self, a, d):
-        # The message names the lower of both families' start values, though
-        # the even family's alone fails: at a = 1e-14 its eig_banded value is the higher.
+    def test_a_refused_hole_is_refused_where_both_families_refuse(self, a, d):
+        # The gate judges the even family's start value alone, the reference the
+        # lower of both families': both refuse at the same order, with the same rounding.
         cfg = ShellConfig(2, a, d)
         with pytest.raises(NonConvergenceError) as both:
             _both_families(cfg, "steklov")

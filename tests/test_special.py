@@ -1,6 +1,7 @@
 """Wallis integrals, harmonic dimension counts, and the series identities."""
 
 import math
+from functools import cache
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from steklov_shell import special
+from steklov_shell import rayleigh, special
 from steklov_shell.errors import NonConvergenceError
 
 
@@ -93,6 +94,50 @@ class TestSphereArea:
         assert special.sphere_area(2) == pytest.approx(2 * math.pi, rel=1e-15)
         assert special.sphere_area(3) == pytest.approx(4 * math.pi, rel=1e-15)
         assert special.sphere_area(4) == pytest.approx(2 * math.pi**2, rel=1e-14)
+
+
+@cache
+def _wallis_loop(p):
+    """wallis as it was computed before the shared recursion: I_0 or I_1 times each ratio."""
+    val = math.pi if p % 2 == 0 else 2.0
+    for j in range(p % 2, p, 2):
+        val *= (j + 1) / (j + 2)
+    return val
+
+
+def _table_loop(max_p):
+    vals = [math.pi, 2.0]
+    for p in range(max_p - 1):
+        vals.append((p + 1) / (p + 2) * vals[p])
+    return tuple(vals[: max_p + 1])
+
+
+def _product_loop(out, count):
+    """out * I_0 * ... * I_(count-1), one wallis factor at a time."""
+    for k in range(count):
+        out *= _wallis_loop(k)
+    return out
+
+
+class TestOneRecursion:
+    # Every reader of the shared recursion multiplies in the order of the
+    # per-factor loops it replaced, so each value is bit-identical to theirs.
+    TOP = 2000
+
+    def test_wallis_and_table(self):
+        assert [special.wallis(p) for p in range(self.TOP + 1)] == [
+            _wallis_loop(p) for p in range(self.TOP + 1)]
+        for max_p in (1, 2, 3, 80, self.TOP):
+            assert special.wallis_table(max_p).values == _table_loop(max_p)
+
+    def test_sphere_area(self):
+        for n in range(2, self.TOP + 1):
+            assert special.sphere_area(n) == _product_loop(2.0, n - 1)
+
+    def test_angular_constants(self):
+        for n in range(2, self.TOP + 1):
+            assert rayleigh.steklov_angular_constant(n) == _product_loop(2.0 / (n - 1), n - 2)
+            assert rayleigh.ds_angular_constant(n) == _product_loop(2.0, n - 2)
 
 
 class TestCatalanSeries:
