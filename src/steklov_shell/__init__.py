@@ -34,7 +34,6 @@ from .solver import (
     group_eigenvalues,
     solve_dirichlet_steklov,
     solve_steklov,
-    solve_with_order_fallback,
 )
 from .special import (
     WallisTable,
@@ -98,7 +97,6 @@ __all__ = [
     "group_eigenvalues",
     "solve_dirichlet_steklov",
     "solve_steklov",
-    "solve_with_order_fallback",
     "WallisTable",
     "catalan_series",
     "harmonic_dim",

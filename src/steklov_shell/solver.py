@@ -19,9 +19,10 @@ sigma are the eigenvalues of S^1/2 (T R^-1) S^1/2, a band of half-width 3
 with the circles' traces of each mode interleaved.  The map commutes with
 the mirror y -> -y, so the cos k t (k >= 0, "even") and sin k t (k >= 1,
 "odd") families are separate problems.  The even family is solved; one
-inertia count per order certifies that the odd one lies above the even
-family's first value, and the odd family is solved only where that count
-fails (at the concentric Steklov tie) or where its values are read.
+banded Cholesky factorization per order certifies that the odd one lies
+above the even family's first value, and the odd family is solved only where
+that certificate fails (at the concentric Steklov tie) or where its values
+are read.
 
 On the modes k <= N each value lies at or above the true one and falls as N
 grows, since (P T P)^-1 <= P T^-1 P for SPD T.  LAPACK's banded values are
@@ -39,18 +40,19 @@ GATE_RTOL times rho, or rho agrees with the previous order's to GATE_RTOL.
 They raise NonConvergenceError rather than pass MAX_ORDER.  The first order
 seeds inverse iteration with ``eig_banded``'s value; every later order seeds
 a family with its quotient at order N / 2, which bounds the order-N value
-from above.  A seeded quotient rho is certified by an inertia count: with
-s = rho - 4 eps |A|_1, the LDL^T pivots of M - s S^-1, one 2 x 2 per mode in
-the circles' sum/difference frame, must find no value of the family below s
-but the constants' zero, so the family's first order-N value lies in
-(s, rho], as near rho as the unseeded solve's rounding.  That certifies the finite section at
-order N only; bounds on the untruncated operator are ROADMAP item 1.  Any
-other count, or a zero or non-finite pivot, solves the order again from
-``eig_banded``.  The odd family's count is the same, at s = rho + 4 eps
-|A|_1 with rho the even family's quotient: no odd value below s puts the
-odd family's first quotient above rho, and the even mode is principal.  So
-a gated solve calls ``eig_banded`` once, on the even family at its first
-order, and later only where a certificate or the odd count fails; the
+from above.  A seeded quotient rho is certified by a banded Cholesky
+factorization: with s = rho - 4 eps |A|_1, M - s S^-1, a band in the
+circles' sum/difference frame, must be positive definite once the
+constants' zero is dropped, so no value of the family lies at or below s
+but that zero and the family's first order-N value lies in (s, rho], as
+near rho as the unseeded solve's rounding.  That certifies the finite
+section at order N only; bounds on the untruncated operator are ROADMAP
+item 1.  A factorization that fails, or a non-finite factor, solves the
+order again from ``eig_banded``.  The odd family's certificate is the same,
+at s = rho + 4 eps |A|_1 with rho the even family's quotient: no odd value
+at or below s puts the odd family's first quotient above rho, and the even
+mode is principal.  So a gated solve calls ``eig_banded`` once, on the even
+family at its first order, and later only where a certificate fails; the
 result computes the odd family's chain and its low spectrum at the order it
 returns on first read.  The result also carries the Kato-Temple width
 eta^2 / (nu - rho), with nu the family's next value at the same order: an
@@ -280,48 +282,37 @@ def _refine(band: np.ndarray, root, m, beta, value: float) -> tuple[float, np.nd
     return value, y, Mv
 
 
-def _count_below(root: np.ndarray, m: np.ndarray, beta: np.ndarray, s: float,
-                 kernel: bool) -> int | None:
-    """Eigenvalues of root M root below s > 0, or None where the count is not certain.
+def _positive_definite(root: np.ndarray, m: np.ndarray, beta: np.ndarray, s: float,
+                       kernel: bool) -> bool:
+    """Whether M - s S^-1 is positive definite: root M root has no eigenvalue at or below s > 0
+    but, with kernel, the constants' zero.
 
-    The count is the inertia of M - s S^-1, block by block over the modes'
-    LDL^T pivots (Haynsworth, Linear Algebra Appl. 1, 1968).  In each mode's
-    sum/difference frame of the circles S^-1 is diagonal, M's block is
-    [[h, g], [g, h]] and the coupling to the next mode is beta times the
-    identity, so every pivot is a symmetric 2 x 2 (a scalar for the mixed
-    problem's D^-1).  kernel drops the constant's direction, the sum at
-    k = 0, which root does not reach, and counts it as one value below s.
-    A zero or non-finite pivot gives None; the loop runs on Python floats,
-    so nothing raises.
+    In each mode's sum/difference frame of the circles S^-1 is diagonal, M's
+    block is [[h, g], [g, h]] and the coupling to the next mode is beta on
+    each component, so with the modes' components interleaved M - s S^-1 is
+    a band of half-width 2 (1 for the mixed problem's D^-1).  kernel drops
+    the constant's direction, the sum at k = 0, which root does not reach:
+    the band starts one column later, and that entry is never computed.
+    LAPACK's banded Cholesky decides.  The band is stored lower, so that its
+    rank-one updates run on contiguous columns: upper storage makes them
+    strided, and OpenBLAS threads strided updates, which restarts its thread
+    server in a forked sweep row.  A zero or negative pivot stops the
+    factorization, but a NaN or +inf one does not, so the factor's diagonal
+    must also be finite.
     """
-    count, inv = int(kernel), (0.0, 0.0, 0.0)  # the last pivot's inverse [[i0, i1], [i1, i2]]
-    coupling = [0.0] + (beta * beta).tolist()
-    if root.shape[1] == 1:  # scalar pivots of the tridiagonal M - s D^-1
-        for b2, x in zip(coupling, (m[0] - s / (root[:, 0, 0] * root[:, 0, 0])).tolist()):
-            x -= b2 * inv[0]
-            if x == 0.0 or not math.isfinite(x):
-                return None
-            count += x < 0.0
-            inv = (1.0 / x,)
-        return count
-    h, g = float(m[0] + m[1]) / 2.0, float(m[0] - m[1]) / 2.0
-    p, q = root[:, 0, 0], root[:, 0, 1]  # root's eigenvalues are p + q (sum) and p - q (difference)
-    start = int(kernel)
-    xs = (h - s / (p + q)[start:] ** 2).tolist()  # the sums' diagonal
-    ws = (h - s / (p - q) ** 2).tolist()  # the differences'
-    if kernel:  # k = 0: the difference alone, a scalar pivot
-        x = ws.pop(0)
-        if x == 0.0 or not math.isfinite(x):
-            return None
-        count, inv = count + (x < 0.0), (0.0, 0.0, 1.0 / x)
-    for b2, x, w in zip(coupling[start:], xs, ws):
-        x, z, w = x - b2 * inv[0], g - b2 * inv[1], w - b2 * inv[2]
-        det = x * w - z * z
-        if det == 0.0 or not math.isfinite(det):
-            return None
-        count += 1 if det < 0.0 else 2 * (x < 0.0)
-        inv = (w / det, -z / det, x / det)
-    return count
+    b, start = root.shape[1], int(kernel)
+    band = np.zeros((b + 1, b * len(root)))
+    if b == 1:
+        band[0] = m[0] - s / (root[:, 0, 0] * root[:, 0, 0])
+    else:
+        h = float(m[0] + m[1]) / 2.0
+        p, q = root[:, 0, 0], root[:, 0, 1]  # root's eigenvalues are p + q (sum) and p - q (difference)
+        band[0, 2 * start::2] = h - s / (p + q)[start:] ** 2
+        band[0, 1::2] = h - s / (p - q) ** 2
+        band[1, ::2] = float(m[0] - m[1]) / 2.0
+    band[b, :-b] = np.repeat(beta, b)
+    factor, info = scipy.linalg.lapack.dpbtrf(band[:, start:], lower=1)
+    return info == 0 and bool(np.isfinite(factor[0]).all())
 
 
 def _tail_residual(root: np.ndarray, beta: np.ndarray, y: np.ndarray) -> float:
@@ -348,8 +339,9 @@ class EigResult:
 
     even_value is the even family's first-mode Rayleigh quotient rho (after
     the constants' zero in the Steklov problem).  odd_value is the odd
-    family's, where the solve computed it, else None: then an inertia count
-    showed the odd family above even_value by more than its rounding.
+    family's, where the solve computed it, else None: then a banded Cholesky
+    certificate showed the odd family above even_value by more than its
+    rounding.
     first_values holds both, the odd one computed on first read by
     ``_odd_mode``, seeded as the gate seeds it from the result at half this
     order (none at an unseeded order), which the result keeps privately with
@@ -500,12 +492,12 @@ def _first_mode(family, first: int, rounding: float, N: int,
     family is ``_family``'s, first the mode's index (1 after the Steklov
     constants' zero).  Inverse iteration starts from seed, or without one
     from the mode's ``eig_banded`` value.  A seeded rho stands only once
-    ``_count_below`` finds no value of the family below rho less four times
-    the banded rounding (which is at least eps rho), but the constants'
-    zero: then the family's first mode at order N lies in that interval, as
-    near rho as an unseeded solve's.  Otherwise the order is solved again
-    without the seed.  Raises NonConvergenceError when LAPACK fails or its
-    rounding is too near the start value.
+    ``_positive_definite`` finds no value of the family at or below rho less
+    four times the banded rounding (which is at least eps rho), but the
+    constants' zero: then the family's first mode at order N lies in that
+    interval, as near rho as an unseeded solve's.  Otherwise the order is
+    solved again without the seed.  Raises NonConvergenceError when LAPACK
+    fails or its rounding is too near the start value.
     """
     _, factors, band = family
     try:
@@ -518,7 +510,7 @@ def _first_mode(family, first: int, rounding: float, N: int,
         rho, y, _ = _refine(band, *factors, start)
     except (scipy.linalg.LinAlgError, ValueError) as exc:  # ValueError: a band entry overflowed
         raise NonConvergenceError(f"banded eigensolve failed at order {N}: {exc}") from exc
-    if seed is not None and _count_below(*factors, rho - 4.0 * rounding, bool(first)) != first:
+    if seed is not None and not _positive_definite(*factors, rho - 4.0 * rounding, bool(first)):
         return _first_mode(family, first, rounding, N, None)
     return rho, y
 
@@ -542,13 +534,13 @@ def _solve_at_order(cfg: ShellConfig, N: int, kind: str,
 
     The even family's first mode is ``_first_mode``'s, seeded with below's
     even value, below being the result at order N / 2 (none at an unseeded
-    order).  Then one inertia count on the odd family's factors, the even
-    ones' after mode 0 with no sqrt 2 in beta, at s = rho + 4 rounding.  If
-    it finds no odd value below s, the odd family's first value is at least
+    order).  Then one ``_positive_definite`` certificate on the odd family's
+    factors, the even ones' after mode 0 with no sqrt 2 in beta, at
+    s = rho + 4 rounding.  If it holds, the odd family's first value exceeds
     s, and its quotient, within about the rounding of that value, still lies
     above rho: the even mode is principal, as a solve of both families finds.
-    Otherwise (at the concentric Steklov tie, or where the count is not
-    certain) the odd family is solved as well, by ``_odd_mode``.
+    Otherwise (at the concentric Steklov tie, or where the factorization is
+    not certain) the odd family is solved as well, by ``_odd_mode``.
     """
     validate_problem_size(cfg, N)
     basis = TrefftzBasis(max_order=N, a=cfg.a, d=cfg.d, kind=kind)
@@ -558,7 +550,7 @@ def _solve_at_order(cfg: ShellConfig, N: int, kind: str,
     value, y = _first_mode(family, int(kind == "steklov"), rounding, N,
                            None if below is None else below.even_value)
     odd = None
-    if _count_below(root[1:], m, beta[1:], value + 4.0 * rounding, False) != 0:
+    if not _positive_definite(root[1:], m, beta[1:], value + 4.0 * rounding, False):
         odd, y_odd, (root_odd, _, beta_odd) = _odd_mode(basis, below, rounding)
         if odd < value:  # the principal family, the even one on a tie
             root_ext, beta_ext, y = root_odd, beta_odd, y_odd

@@ -53,26 +53,18 @@ def test_criterion_12_determinism(tmp_path):
     assert blobs[0] == blobs[1]
 
 
-SOLVE_NAMES = ("solve_steklov", "solve_dirichlet_steklov", "solve_with_order_fallback")
+SOLVE_NAMES = ("solve_steklov", "solve_dirichlet_steklov")
 
 
 @pytest.fixture
 def solves(monkeypatch):
-    """Every outermost solver call, as (function name, problem, a, d).
-
-    The attempts the order fallback makes on its own are not counted.
-    """
-    calls, depth = [], [0]
+    """Every gated solve, as (function name, a, d)."""
+    calls = []
     for name in SOLVE_NAMES:
 
-        def counted(cfg, *args, _name=name, _solve=getattr(solver, name), **kwargs):
-            if not depth[0]:
-                calls.append((_name, kwargs.get("problem"), cfg.a, cfg.d))
-            depth[0] += 1
-            try:
-                return _solve(cfg, *args, **kwargs)
-            finally:
-                depth[0] -= 1
+        def counted(cfg, _name=name, _solve=getattr(solver, name)):
+            calls.append((_name, cfg.a, cfg.d))
+            return _solve(cfg)
 
         monkeypatch.setattr(solver, name, counted)
     return calls

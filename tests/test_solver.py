@@ -446,7 +446,7 @@ class TestCertificate:
     @pytest.mark.parametrize("N", [32, 64, 256])
     @pytest.mark.parametrize("a, d", [(0.5, 0.0), (0.5, 0.3), (0.15, 0.8075), (0.2, 0.76),
                                       (0.85, 0.1), (0.5, 0.4999)])
-    def test_count_is_the_number_of_values_below_the_shift(self, a, d, N):
+    def test_positive_definite_where_only_the_kernel_lies_below_the_shift(self, a, d, N):
         # Shifts midway between consecutive eig_banded values, and just below
         # the second and third; the constants' zero counts as one value.  At
         # d = 0 some values of different modes coincide to rounding, and no
@@ -464,21 +464,30 @@ class TestCertificate:
                 shifts = np.concatenate((((vals[kernel:-1] + vals[kernel + 1:]) / 2)[apart],
                                          vals[[1, 2]] * (1.0 - 1e-9)))
                 for s in shifts:
-                    assert solver._count_below(*factors, s, kernel) == np.sum(vals < s)
+                    assert solver._positive_definite(*factors, s, kernel) == (np.sum(vals < s) == kernel)
 
     def test_a_zero_pivot_is_uncertified(self):
         # At s = 1 the first pivot of M - s S^-1 is exactly 0, for both pivot sizes.
         with np.errstate(all="raise"):
             for root, m in ((np.ones((3, 1, 1)), np.array([1.0])),
                             (np.tile(np.eye(2), (3, 1, 1)), np.array([1.0, 1.0]))):
-                assert solver._count_below(root, m, np.full(2, 0.5), 1.0, False) is None
+                assert solver._positive_definite(root, m, np.full(2, 0.5), 1.0, False) is False
 
-    def test_a_non_finite_pivot_at_a_tiny_hole_is_uncertified(self):
-        # At a = 1e-300 the inner circle's entries of M near 1e300 overflow the
-        # pivot's determinant; cli.main runs commands with numpy raising.
+    @pytest.mark.parametrize("pivot", [math.nan, math.inf])
+    def test_a_non_finite_pivot_is_uncertified(self, pivot):
+        # The banded Cholesky stops only at a pivot <= 0: a NaN or +inf one
+        # factors without error, so only the factor's finiteness refuses it.
+        assert scipy.linalg.lapack.dpbtrf(np.array([[pivot, 1.0], [0.0, 0.0]]), lower=1)[1] == 0
+        for root, m in ((np.ones((3, 1, 1)), np.array([pivot])),
+                        (np.tile(np.eye(2), (3, 1, 1)), np.array([pivot, 1.0]))):
+            assert solver._positive_definite(root, m, np.full(2, 0.5), 0.5, False) is False
+
+    def test_a_tiny_hole_runs_with_numpy_raising(self):
+        # At a = 1e-300 the inner circle's entries of M are near 1e300, and the
+        # kernel's entry would divide by zero; cli.main runs commands with numpy raising.
         factors = solver._factors(solver.TrefftzBasis(max_order=32, a=1e-300, d=0.5, kind="steklov"), False)
         with np.errstate(all="raise"):
-            assert solver._count_below(*factors, 0.5, True) is None
+            assert isinstance(solver._positive_definite(*factors, 0.5, True), bool)
 
     @pytest.mark.parametrize("kind", ["steklov", "dirichlet"])
     def test_a_seed_at_the_second_value_falls_back_to_the_unseeded_solve(self, kind, monkeypatch):
@@ -487,12 +496,12 @@ class TestCertificate:
         even = cold.eigenvalues[~cold.odd]
         second = float(even[2 if kind == "steklov" else 1])
         below = dataclasses.replace(cold, even_value=second)
-        counts, count_below = [], solver._count_below
-        monkeypatch.setattr(solver, "_count_below",
-                            lambda *args: counts.append(count_below(*args)) or counts[-1])
+        certified, positive_definite = [], solver._positive_definite
+        monkeypatch.setattr(solver, "_positive_definite",
+                            lambda *args: certified.append(positive_definite(*args)) or certified[-1])
         seeded = solver._solve_at_order(cfg, N, kind, below)
-        assert counts[0] == int(kind == "steklov") + 1  # the inverse iteration found the second mode
-        assert counts[1:] == [0]  # then the unseeded solve, and the odd family's count
+        assert certified[0] is False  # the inverse iteration found the second mode
+        assert certified[1:] == [True]  # then the unseeded solve, and the odd family's certificate
         assert (seeded.even_value, seeded.odd_value) == (cold.even_value, None)
         assert seeded.principal == cold.principal
         assert seeded.tail_residual == cold.tail_residual
@@ -507,15 +516,15 @@ class TestCertificate:
         refine = solver._refine
         monkeypatch.setattr(solver, "_refine", lambda *args: (lambda v, y, Mv: (v * (1.0 + 1e-11), y, Mv))(
             *refine(*args)))
-        counts, count_below = [], solver._count_below
-        monkeypatch.setattr(solver, "_count_below",
-                            lambda *args: counts.append(count_below(*args)) or counts[-1])
+        certified, positive_definite = [], solver._positive_definite
+        monkeypatch.setattr(solver, "_positive_definite",
+                            lambda *args: certified.append(positive_definite(*args)) or certified[-1])
         solver._solve_at_order(cfg, N, kind, cold)
-        # Then the unseeded solve, which counts nothing, and the odd family's count.
-        assert counts == [int(kind == "steklov") + 1, 0]
+        # Then the unseeded solve, which certifies nothing, and the odd family's certificate.
+        assert certified == [False, True]
         monkeypatch.setattr(solver, "_refine", refine)
         seeded = solver._solve_at_order(cfg, N, kind, cold)
-        assert counts[2:] == [int(kind == "steklov"), 0]
+        assert certified[2:] == [True, True]
         assert seeded.first_values == pytest.approx(cold.first_values, rel=1e-14)
 
     @pytest.mark.parametrize("kind", ["steklov", "dirichlet"])
@@ -536,7 +545,7 @@ class TestCertificate:
 
 
 def _both_families_order(cfg, N, kind, seeds=None):
-    """One order of a gate that solves both families, with no odd family's count: the reference.
+    """One order of a gate that solves both families, with no odd family's certificate: the reference.
 
     Each family's seed, or without seeds its eig_banded value, is refined;
     two seeded quotients stand only if both certificates pass, else both
@@ -554,8 +563,8 @@ def _both_families_order(cfg, N, kind, seeds=None):
         raise NonConvergenceError(f"the banded eigenvalues' rounding, {rounding:.3g} at order {N}, "
                                   "nears the principal value: the hole is too small")
     modes = [solver._refine(bands[f], *factors[f], start[f]) for f in (0, 1)]
-    if seeds is not None and any(
-            solver._count_below(*factors[f], rho - 4.0 * rounding, bool(first[f])) != first[f]
+    if seeds is not None and not all(
+            solver._positive_definite(*factors[f], rho - 4.0 * rounding, bool(first[f]))
             for f, (rho, _, _) in enumerate(modes)):
         return _both_families_order(cfg, N, kind)
     values = (modes[0][0], modes[1][0])
@@ -595,23 +604,33 @@ class TestOddCount:
         cfg = ShellConfig(2, a, d)
         assert _fields(solver._solve(cfg, kind)) == _fields(_both_families(cfg, kind))
 
-    @pytest.mark.parametrize("forced", [None, 1])
+    @pytest.mark.parametrize("kind", ["steklov", "dirichlet"])
+    @pytest.mark.parametrize("N", [32, 64, 256, 2048])
+    @pytest.mark.parametrize("a, d", [(0.5, 0.0), (0.5, 0.3), (0.15, 0.8075), (0.5, 0.4999), (1e-8, 0.5)])
+    def test_the_odd_certificate_reads_the_odd_factors(self, kind, N, a, d):
+        # _solve_at_order certifies the odd family on the even factors past mode 0;
+        # _odd_mode, _spectrum and boundary_residual build the odd factors: the same bits.
+        basis = solver.TrefftzBasis(max_order=N, a=a, d=d, kind=kind)
+        root, m, beta = solver._family(basis, False)[1]
+        for odd in (solver._factors(basis, True), solver._family(basis, True)[1]):
+            assert all(np.array_equal(x, y) for x, y in zip((root[1:], m, beta[1:]), odd))
+
     @pytest.mark.parametrize("kind", ["steklov", "dirichlet"])
     @pytest.mark.parametrize("a, d", [case for case in ODD_COUNT_CASES if case != (0.5, 0.4999)])
-    def test_an_odd_count_that_fails_solves_the_odd_family(self, kind, a, d, forced, monkeypatch):
-        # The odd family's count is the one made by _solve_at_order itself;
-        # the certificates are _first_mode's.  (0.5, 0.4999), whose order-2048
+    def test_an_odd_count_that_fails_solves_the_odd_family(self, kind, a, d, monkeypatch):
+        # The odd family's certificate is the one made by _solve_at_order
+        # itself; the others are _first_mode's.  (0.5, 0.4999), whose order-2048
         # spectra take seconds, is left out; (0.15, 0.8075) seeds up to order 256.
         cfg = ShellConfig(2, a, d)
-        expected, count_below, forced_calls = _fields(_both_families(cfg, kind)), solver._count_below, []
+        expected, positive_definite, forced_calls = _fields(_both_families(cfg, kind)), solver._positive_definite, []
 
         def failing(*args):
             if sys._getframe(1).f_code.co_name == "_solve_at_order":
                 forced_calls.append(args)
-                return forced
-            return count_below(*args)
+                return False
+            return positive_definite(*args)
 
-        monkeypatch.setattr(solver, "_count_below", failing)
+        monkeypatch.setattr(solver, "_positive_definite", failing)
         res = solver._solve(cfg, kind)
         assert res.odd_value is not None
         assert len(forced_calls) == int(math.log2(res.basis.max_order // solver.FIRST_ORDER)) + 1  # one per order
@@ -883,7 +902,7 @@ class TestDerivedFields:
                      "mode", "width"):
             with pytest.raises(AttributeError):
                 setattr(res, name, 0.0)
-        # At the concentric tie the count cannot separate the families, and the solve takes both.
+        # At the concentric tie the certificate cannot separate the families, and the solve takes both.
         tie = solver.solve_steklov(ShellConfig(2, 0.5, 0.0))
         assert tie.odd_value is not None and tie.principal == min(tie.first_values)
 
