@@ -15,6 +15,7 @@ already bounds d.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -54,7 +55,7 @@ def _check_d(d: float) -> float:
 
 
 def _check_n(n: int) -> int:
-    if int(n) != n or n < 2:
+    if not isinstance(n, Integral) or n < 2:
         raise ValueError("dimension must be an integer >= 2")
     return n
 

@@ -18,11 +18,13 @@ block per mode coupling the circles (the constant spans its kernel), and
 sigma are the eigenvalues of S^1/2 (T R^-1) S^1/2, a band of half-width 3
 with the circles' traces of each mode interleaved.  The map commutes with
 the mirror y -> -y, so the cos k t (k >= 0, "even") and sin k t (k >= 1,
-"odd") families are separate problems.  The even family is solved; one
-banded Cholesky factorization per order certifies that the odd one lies
-above the even family's first value, and the odd family is solved only where
-that certificate fails (at the concentric Steklov tie) or where its values
-are read.
+"odd") families are separate problems.  Their factors agree past mode 0,
+so each order builds the even family's once, on the modes 0..N+1, and both
+families' order-N problems (modes 0..N and 1..N) and the tail residual
+(mode N + 1) read that build.  The even family is solved; one banded
+Cholesky factorization per order certifies that the odd one lies above the
+even family's first value, and the odd family is solved only where that
+certificate fails (at the concentric Steklov tie) or where its values are read.
 
 On the modes k <= N each value lies at or above the true one and falls as N
 grows, since (P T P)^-1 <= P T^-1 P for SPD T.  LAPACK's banded values are
@@ -205,15 +207,15 @@ class TrefftzBasis:
         return np.hstack([self._fields(pts, normals, fam)[1] for fam in families])
 
 
-def _factors(basis: TrefftzBasis, odd: bool):
-    """One family's problem as root M root: (root, m, beta).
+def _factors(basis: TrefftzBasis):
+    """The even family's problem as root M root on the modes 0..N+1, N basis' order: (root, m, beta).
 
     root holds the symmetric per-mode blocks of S^1/2 (2 x 2, kind
     "steklov") or D^1/2 (1 x 1, kind "dirichlet"); M = T R^-1 (T) has the
     diagonal m on each circle and beta between consecutive modes.
     """
     f0 = basis.frame
-    k = basis.modes(odd).astype(float)
+    k = np.arange(basis.max_order + 2, dtype=float)
     L = -math.log(f0.rho)
     if basis.kind == "steklov":
         # S_k has eigenvalues k tanh(k L/2) on (1, 1) and k coth(k L/2) on (1, -1).
@@ -228,9 +230,14 @@ def _factors(basis: TrefftzBasis, odd: bool):
         root = np.sqrt(dtn)[:, None, None]
         m = np.array([(1.0 + f0.c ** 2) / f0.kappa])
     beta = np.full(len(k) - 1, -f0.c / f0.kappa)
-    if not odd:
-        beta[0] *= math.sqrt(2.0)  # cos t times the constant mode
+    beta[0] *= math.sqrt(2.0)  # cos t times the constant mode
     return root, m, beta
+
+
+def _order_n(factors, odd: bool):
+    """One family's order-N factors, its modes 0..N (even) or 1..N (odd) of ``_factors``' build."""
+    root, m, beta = factors
+    return root[int(odd):-1], m, beta[int(odd):-1]
 
 
 def _band(root: np.ndarray, m: np.ndarray, beta: np.ndarray) -> np.ndarray:
@@ -315,13 +322,14 @@ def _positive_definite(root: np.ndarray, m: np.ndarray, beta: np.ndarray, s: flo
     return info == 0 and bool(np.isfinite(factor[0]).all())
 
 
-def _tail_residual(root: np.ndarray, beta: np.ndarray, y: np.ndarray) -> float:
-    """|A y - rho y| in the infinite operator, y the order-N unit vector padded with zeros.
+def _tail_residual(factors, y: np.ndarray) -> float:
+    """|A y - rho y| in the infinite operator, y either family's order-N unit vector padded with zeros.
 
-    root and beta are the factors at order N + 1.  With rho the quotient of
+    factors are ``_factors``' build on the modes 0..N+1.  With rho the quotient of
     y, the order-N band's rows of A y - rho y vanish (to the vector's
     rounding), and the rest lies in mode N + 1: beta root_N+1 root_N y_N.
     """
+    root, _, beta = factors
     return abs(beta[-1]) * float(np.linalg.norm(root[-1] @ root[-2] @ y[-root.shape[1]:]))
 
 
@@ -383,14 +391,15 @@ class EigResult:
         """The even then the odd family's first-mode quotients."""
         if self.odd_value is not None:
             return self.even_value, self.odd_value
-        return self.even_value, _odd_mode(self.basis, self._below, self._band_rounding)[0]
+        return self.even_value, _odd_mode(_factors(self.basis), self._below, self._band_rounding)[0]
 
     @cached_property
     def _spectrum(self) -> tuple[np.ndarray, np.ndarray, int, float]:
         """(eigenvalues, odd, mode, width) at the order solved."""
         first = (int(self.basis.kind == "steklov"), 0)
         try:
-            spectra = [_low_spectrum(_band(*_factors(self.basis, odd))) for odd in (False, True)]
+            factors = _factors(self.basis)
+            spectra = [_low_spectrum(_band(*_order_n(factors, odd))) for odd in (False, True)]
         except (scipy.linalg.LinAlgError, ValueError) as exc:
             raise NonConvergenceError(
                 f"banded eigensolve failed at order {self.basis.max_order}: {exc}") from exc
@@ -428,10 +437,6 @@ class EigResult:
         """boundary_residual of the principal mode."""
         return boundary_residual(self, self.mode)
 
-    def family_of(self, mode: int) -> str:
-        """"odd" if the mode is in the odd family, else "even"."""
-        return "odd" if self.odd[mode] else "even"
-
 
 def boundary_points(geom: ShellConfig | TrefftzBasis, m: int):
     """Trapezoid sample of both boundary circles: (pts, normals, weights, is_outer).
@@ -461,19 +466,8 @@ def assemble_steklov(cfg: ShellConfig, N: int) -> np.ndarray:
     first, then the odd family's 2N.  No entry couples the two families.
     """
     validate_problem_size(cfg, N)
-    basis = TrefftzBasis(max_order=N, a=cfg.a, d=cfg.d, kind="steklov")
-    return np.hstack([_band(*_factors(basis, odd)) for odd in (False, True)])
-
-
-def _family(basis: TrefftzBasis, odd: bool):
-    """One family at basis' order N: its factors at order N + 1, at order N, and its order-N band.
-
-    The band takes all blocks of the order-(N + 1) factors but the last; the tail residual that one.
-    """
-    ext = _factors(TrefftzBasis(max_order=basis.max_order + 1, a=basis.a, d=basis.d,
-                                kind=basis.kind), odd)
-    factors = (ext[0][:-1], ext[1], ext[2][:-1])
-    return ext, factors, _band(*factors)
+    factors = _factors(TrefftzBasis(max_order=N, a=cfg.a, d=cfg.d, kind="steklov"))
+    return np.hstack([_band(*_order_n(factors, odd)) for odd in (False, True)])
 
 
 def _rounding(band: np.ndarray) -> float:
@@ -485,21 +479,21 @@ def _rounding(band: np.ndarray) -> float:
     return np.finfo(float).eps * np.abs(band).sum(axis=0).max()
 
 
-def _first_mode(family, first: int, rounding: float, N: int,
+def _first_mode(factors, band: np.ndarray, first: int, rounding: float, N: int,
                 seed: float | None) -> tuple[float, np.ndarray]:
     """One family's first-mode quotient rho and unit vector y at order N (``_refine``).
 
-    family is ``_family``'s, first the mode's index (1 after the Steklov
-    constants' zero).  Inverse iteration starts from seed, or without one
-    from the mode's ``eig_banded`` value.  A seeded rho stands only once
-    ``_positive_definite`` finds no value of the family at or below rho less
-    four times the banded rounding (which is at least eps rho), but the
-    constants' zero: then the family's first mode at order N lies in that
-    interval, as near rho as an unseeded solve's.  Otherwise the order is
-    solved again without the seed.  Raises NonConvergenceError when LAPACK
-    fails or its rounding is too near the start value.
+    factors and band are the family's at order N (``_order_n``), first the
+    mode's index (1 after the Steklov constants' zero).  Inverse iteration
+    starts from seed, or without one from the mode's ``eig_banded`` value.
+    A seeded rho stands only once ``_positive_definite`` finds no value of
+    the family at or below rho less four times the banded rounding (which is
+    at least eps rho), but the constants' zero: then the family's first mode
+    at order N lies in that interval, as near rho as an unseeded solve's.
+    Otherwise the order is solved again without the seed.  Raises
+    NonConvergenceError when LAPACK fails or its rounding is too near the
+    start value.
     """
-    _, factors, band = family
     try:
         # Inverse iteration finds the first mode only from a value nearer it than its
         # neighbours, about as far as the value itself at small a (0, sigma1, 2, ...).
@@ -511,51 +505,52 @@ def _first_mode(family, first: int, rounding: float, N: int,
     except (scipy.linalg.LinAlgError, ValueError) as exc:  # ValueError: a band entry overflowed
         raise NonConvergenceError(f"banded eigensolve failed at order {N}: {exc}") from exc
     if seed is not None and not _positive_definite(*factors, rho - 4.0 * rounding, bool(first)):
-        return _first_mode(family, first, rounding, N, None)
+        return _first_mode(factors, band, first, rounding, N, None)
     return rho, y
 
 
-def _odd_mode(basis: TrefftzBasis, below: EigResult | None, rounding: float):
-    """The odd family's first mode at basis' order as the gate reaches it: (rho, y, factors at N + 1).
+def _odd_mode(factors, below: EigResult | None, rounding: float) -> tuple[float, np.ndarray]:
+    """The odd family's first mode (rho, y) as the gate reaches it, from ``_factors``' build.
 
     Seeded with the odd value of below, the result at half the order (which
     computes it there on read in turn), or without below from ``eig_banded``;
     certified with rounding, the even band's, as the even family is.
     """
-    family = _family(basis, True)
+    odd = _order_n(factors, True)
     seed = None if below is None else below.first_values[1]
-    rho, y = _first_mode(family, 0, rounding, basis.max_order, seed)
-    return rho, y, family[0]
+    return _first_mode(odd, _band(*odd), 0, rounding, len(odd[0]), seed)  # one block per mode 1..N
 
 
 def _solve_at_order(cfg: ShellConfig, N: int, kind: str,
                     below: EigResult | None = None) -> EigResult:
     """The solve on the modes k <= N of kind "steklov" or "dirichlet".
 
-    The even family's first mode is ``_first_mode``'s, seeded with below's
-    even value, below being the result at order N / 2 (none at an unseeded
-    order).  Then one ``_positive_definite`` certificate on the odd family's
-    factors, the even ones' after mode 0 with no sqrt 2 in beta, at
-    s = rho + 4 rounding.  If it holds, the odd family's first value exceeds
-    s, and its quotient, within about the rounding of that value, still lies
-    above rho: the even mode is principal, as a solve of both families finds.
-    Otherwise (at the concentric Steklov tie, or where the factorization is
-    not certain) the odd family is solved as well, by ``_odd_mode``.
+    One ``_factors`` build on the modes 0..N+1 serves both families and the
+    tail residual.  The even family's first mode is ``_first_mode``'s,
+    seeded with below's even value, below being the result at order N / 2
+    (none at an unseeded order).  Then one ``_positive_definite`` certificate
+    on the odd family's factors at s = rho + 4 rounding.  If it holds, the
+    odd family's first value exceeds s, and its quotient, within about the
+    rounding of that value, still lies above rho: the even mode is
+    principal, as a solve of both families finds.  Otherwise (at the
+    concentric Steklov tie, or where the factorization is not certain) the
+    odd family is solved as well, by ``_odd_mode``.
     """
     validate_problem_size(cfg, N)
     basis = TrefftzBasis(max_order=N, a=cfg.a, d=cfg.d, kind=kind)
-    family = _family(basis, False)
-    (root_ext, _, beta_ext), (root, m, beta), band = family
+    factors = _factors(basis)
+    even = _order_n(factors, False)
+    band = _band(*even)
     rounding = _rounding(band)
-    value, y = _first_mode(family, int(kind == "steklov"), rounding, N,
+    value, y = _first_mode(even, band, int(kind == "steklov"), rounding, N,
                            None if below is None else below.even_value)
     odd = None
-    if not _positive_definite(root[1:], m, beta[1:], value + 4.0 * rounding, False):
-        odd, y_odd, (root_odd, _, beta_odd) = _odd_mode(basis, below, rounding)
+    if not _positive_definite(*_order_n(factors, True), value + 4.0 * rounding, False):
+        odd, y_odd = _odd_mode(factors, below, rounding)
         if odd < value:  # the principal family, the even one on a tie
-            root_ext, beta_ext, y = root_odd, beta_odd, y_odd
+            y = y_odd
     return EigResult(basis=basis, even_value=value, odd_value=odd,
-                     tail_residual=_tail_residual(root_ext, beta_ext, y),
+                     tail_residual=_tail_residual(factors, y),
                      _below=below, _band_rounding=rounding)
 
 
@@ -567,19 +562,19 @@ def _solve(cfg: ShellConfig, kind: str) -> EigResult:
     the gate returns the first that passes.  Every order after the first is
     seeded from the result of the order below, whose first-mode values bound
     its own from above.  An order past MAX_ORDER is never solved, and
-    NonConvergenceError names the last two values.
+    NonConvergenceError names the last result's value and its seed's.
     """
-    history, N, below = [], FIRST_ORDER, None
+    N, below = FIRST_ORDER, None
     while N <= MAX_ORDER:
         result = _solve_at_order(cfg, N, kind, below)
         value = result.principal
         if (result.tail_residual <= GATE_RTOL * value
-                or history and abs(value - history[-1][1]) <= GATE_RTOL * abs(value)):
+                or below is not None and abs(value - below.principal) <= GATE_RTOL * abs(value)):
             return result
-        history.append((N, value))
         N, below = 2 * N, result
     label = "sigma1" if kind == "steklov" else "tau1"
-    last = ", ".join(f"{value:.17g} at N={order}" for order, value in history[-2:])
+    last = ", ".join(f"{run.principal:.17g} at N={run.basis.max_order}"
+                     for run in (below._below, below) if run is not None)
     raise NonConvergenceError(f"{label} did not converge to {GATE_RTOL:g} relative by the "
                               f"order cap {MAX_ORDER}: {last}")
 
@@ -605,7 +600,7 @@ def boundary_residual(result: EigResult, mode: int) -> float:
     if not 0 <= mode < len(result.eigenvalues):
         raise ValueError("mode index out of range")
     basis, odd = result.basis, bool(result.odd[mode])
-    factors = _factors(basis, odd)
+    factors = _order_n(_factors(basis), odd)
     sigma, y, Mv = _refine(_band(*factors), *factors, result.eigenvalues[mode])
     trace = Mv.ravel() if sigma > ZERO_MODE_TOL else y  # the zero mode's M root y vanishes
     pts, normals, _, is_outer = boundary_points(basis, RESIDUAL_POINTS)

@@ -6,7 +6,8 @@ them (``sphere_area`` here, the Rayleigh angular constants in ``rayleigh``),
 is read from one recursion, I_k = I_(k-2) (k - 1) / k from I_0 = pi and
 I_1 = 2, so a product of n of them costs O(n).  Everything here is
 exact-recursion or adaptively truncated summation; no factorials are ever
-formed, so large orders do not overflow.
+formed, so large orders do not overflow.  An integer argument must be of an
+integer type: 3.0 is refused, not read as 3.
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import cache
+from functools import lru_cache
+from numbers import Integral
 
 from .errors import NonConvergenceError
 
@@ -44,14 +46,14 @@ def _wallis_run(count: int) -> Iterator[float]:
 
 def wallis_table(max_p: int) -> WallisTable:
     """Build the table of I_0 .. I_max_p by forward recursion."""
-    if max_p < 1:
-        raise ValueError("max_p must be at least 1")
+    if not isinstance(max_p, Integral) or max_p < 1:
+        raise ValueError("max_p must be an integer >= 1")
     return WallisTable(values=tuple(_wallis_run(max_p + 1)))
 
 
 def wallis(p: int) -> float:
     """I_p = integral of sin^p t dt over [0, pi], by recursion from I_0, I_1."""
-    if p < 0 or p != int(p):
+    if not isinstance(p, Integral) or p < 0:
         raise ValueError("p must be a non-negative integer")
     for value in _wallis_run(p + 1):
         pass
@@ -64,10 +66,10 @@ def harmonic_dim(n: int, k: int) -> int:
     C(n+k-1, n-1) - C(n+k-3, n-1), with C(m, j) = 0 for m < j.  Exact integer
     arithmetic; equals 1 for k = 0 and n for k = 1.
     """
-    if n < 2:
-        raise ValueError("dimension n must be at least 2")
-    if k < 0:
-        raise ValueError("order k must be non-negative")
+    if not isinstance(n, Integral) or n < 2:
+        raise ValueError("dimension n must be an integer >= 2")
+    if not isinstance(k, Integral) or k < 0:
+        raise ValueError("order k must be a non-negative integer")
 
     def comb0(m: int, j: int) -> int:
         return math.comb(m, j) if m >= j else 0
@@ -75,15 +77,15 @@ def harmonic_dim(n: int, k: int) -> int:
     return comb0(n + k - 1, n - 1) - comb0(n + k - 3, n - 1)
 
 
-@cache
+@lru_cache(maxsize=None, typed=True)
 def sphere_area(n: int) -> float:
     """Surface area of the unit sphere in R^n: 2 * I_0 * I_1 * ... * I_{n-2}.
 
     Computed once per n and cached: the hole-ratio invariant asks for it on
-    every evaluation.
+    every evaluation.  The cache is typed, so 3.0 does not find the entry of 3.
     """
-    if n < 2:
-        raise ValueError("dimension n must be at least 2")
+    if not isinstance(n, Integral) or n < 2:
+        raise ValueError("dimension n must be an integer >= 2")
     return math.prod(_wallis_run(n - 1), start=2.0)
 
 

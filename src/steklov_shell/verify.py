@@ -730,7 +730,7 @@ def _first_odd(res: solver.EigResult) -> float:
     """The first eigenvalue above ZERO_MODE_TOL whose mode is in the odd family (inf if none)."""
     return next(
         (float(v) for i, v in enumerate(res.eigenvalues)
-         if v > solver.ZERO_MODE_TOL and res.family_of(i) == "odd"),
+         if v > solver.ZERO_MODE_TOL and res.odd[i]),
         math.inf,
     )
 

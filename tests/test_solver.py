@@ -170,7 +170,7 @@ class TestMirrorFamilies:
         cfg = ShellConfig(2, 0.5, 0.3)
         basis, _, K = _dense_full_circle(cfg, 8, m, kind)
         for odd, cols in ((False, np.flatnonzero(~basis.odd)), (True, np.flatnonzero(basis.odd))):
-            root = solver._factors(basis, odd)[0]
+            root = solver._order_n(solver._factors(basis), odd)[0]
             S = scipy.linalg.block_diag(*(block @ block for block in root))
             assert _relative(K[np.ix_(cols, cols)], S, S) < 1e-10
 
@@ -191,7 +191,7 @@ class TestMirrorFamilies:
         B = np.where(outer_field == is_outer[:, None], basis.evaluate(pts), 0.0)
         M = (B * (weights * dw ** 2 / r ** 2)[:, None]).T @ B
         root = scipy.linalg.block_diag(*(block for odd in (False, True)
-                                         for block in solver._factors(basis, odd)[0]))
+                                         for block in solver._order_n(solver._factors(basis), odd)[0]))
         A = _dense(solver.assemble_steklov(cfg, N=8))
         assert _relative(root @ M @ root, A, A) < 1e-12
 
@@ -217,7 +217,7 @@ class TestMirrorFamilies:
         assert res.family == "even"
         assert res.principal == pytest.approx(0.40393, abs=1e-5)
         odd = [v for i, v in enumerate(res.eigenvalues)
-               if v > solver.ZERO_MODE_TOL and res.family_of(i) == "odd"]
+               if v > solver.ZERO_MODE_TOL and res.odd[i]]
         assert odd[0] == pytest.approx(0.41056, abs=1e-5)
         bound = rayleigh.steklov_bound(cfg).bound
         assert bound == pytest.approx(0.42924, abs=1e-5)
@@ -239,17 +239,17 @@ class TestMirrorFamilies:
     def test_each_mode_lives_in_one_family(self, problem):
         # Every eigenvalue is one of its own family's band at the order solved.
         res = PROBLEMS[problem][0](ShellConfig(2, 0.5, 0.3))
-        spectra = {odd: np.linalg.eigvalsh(_dense(solver._band(*solver._factors(res.basis, odd))))
+        factors = solver._factors(res.basis)
+        spectra = {odd: np.linalg.eigvalsh(_dense(solver._band(*solver._order_n(factors, odd))))
                    for odd in (False, True)}
         for i, value in enumerate(res.eigenvalues):
             own = spectra[bool(res.odd[i])]
             assert np.abs(own - value).min() < 1e-12 * max(1.0, value)
-            assert res.family_of(i) == ("odd" if res.odd[i] else "even")
-        assert res.family_of(0) == "even"
+        assert not res.odd[0]
 
     def test_concentric_double_mode_splits_across_the_families(self):
         res = solver.solve_steklov(ShellConfig(2, 0.5, 0.0))
-        assert {res.family_of(res.mode), res.family_of(res.mode + 1)} == {"even", "odd"}
+        assert {bool(res.odd[res.mode]), bool(res.odd[res.mode + 1])} == {False, True}
 
 
 class TestGate:
@@ -350,6 +350,23 @@ class TestGate:
                 call for call in expected if call[0] == "eig_banded"]
             calls.clear()
 
+    @pytest.mark.parametrize("problem", list(PROBLEMS))
+    @pytest.mark.parametrize("a, d, order", [(0.5, 0.0, 32), (0.15, 0.8075, 256)])
+    def test_each_order_builds_its_frame_and_factors_once(self, problem, a, d, order, monkeypatch):
+        # Both families and the tail residual read one build on the modes
+        # 0..N+1, also at the concentric Steklov tie, where both are solved.
+        calls = {"_frame": 0, "_factors": 0}
+        for name in calls:
+            def counting(*args, _name=name, _fn=getattr(solver, name)):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(solver, name, counting)
+        res = PROBLEMS[problem][0](ShellConfig(2, a, d))
+        assert res.basis.max_order == order
+        assert (res.odd_value is not None) == ((a, d, problem) == (0.5, 0.0, "steklov"))
+        orders = int(math.log2(order // solver.FIRST_ORDER)) + 1
+        assert calls == {"_frame": orders, "_factors": orders}
+
     def test_the_cap_raises_with_the_last_two_values(self, monkeypatch):
         monkeypatch.setattr(solver, "MAX_ORDER", 64)
         cfg = ShellConfig(2, 0.15, 0.8075)
@@ -397,14 +414,14 @@ class TestTailResidual:
         # rounding of A y - rho y does not show at 1e-12.
         N = 16
         basis = solver.TrefftzBasis(max_order=N, a=a, d=d, kind=kind)
-        factors = solver._factors(basis, odd)
+        factors = solver._order_n(solver._factors(basis), odd)
         band = solver._band(*factors)
         first = int(kind == "steklov" and not odd)
         guess = scipy.linalg.eig_banded(band[len(band) // 2:], lower=True, eigvals_only=True)[first]
         rho, y, _ = solver._refine(band, *factors, guess)
-        root, _, beta = solver._factors(dataclasses.replace(basis, max_order=N + 1), odd)
-        eta = solver._tail_residual(root, beta, y)
-        wide = _dense(solver._band(*solver._factors(dataclasses.replace(basis, max_order=N + 4), odd)))
+        eta = solver._tail_residual(solver._factors(basis), y)
+        wide = _dense(solver._band(*solver._order_n(
+            solver._factors(dataclasses.replace(basis, max_order=N + 4)), odd)))
         padded = np.concatenate((y, np.zeros(len(wide) - len(y))))
         assert np.linalg.norm(wide @ padded - rho * padded) == pytest.approx(eta, rel=1e-12)
 
@@ -413,10 +430,10 @@ class TestTailResidual:
     def test_result_carries_the_principal_tail_and_its_width(self, kind, a, d):
         res = solver._solve_at_order(ShellConfig(2, a, d), 16, kind)
         odd = bool(res.odd[res.mode])
-        factors = solver._factors(res.basis, odd)
+        factors = solver._order_n(solver._factors(res.basis), odd)
         _, y, _ = solver._refine(solver._band(*factors), *factors, res.principal)
-        root, _, beta = solver._factors(dataclasses.replace(res.basis, max_order=17), odd)
-        assert res.tail_residual == pytest.approx(solver._tail_residual(root, beta, y), rel=1e-10)
+        assert res.tail_residual == pytest.approx(solver._tail_residual(solver._factors(res.basis), y),
+                                                  rel=1e-10)
         # nu is the next value of the principal family at the same order.
         nu = res.eigenvalues[res.mode + 1:][res.odd[res.mode + 1:] == odd][0]
         assert res.width == pytest.approx(res.tail_residual ** 2 / (nu - res.principal), rel=1e-10)
@@ -452,9 +469,9 @@ class TestCertificate:
         # d = 0 some values of different modes coincide to rounding, and no
         # shift lies between them.
         for kind in ("steklov", "dirichlet"):
-            basis = solver.TrefftzBasis(max_order=N, a=a, d=d, kind=kind)
+            build = solver._factors(solver.TrefftzBasis(max_order=N, a=a, d=d, kind=kind))
             for odd in (False, True):
-                factors = solver._factors(basis, odd)
+                factors = solver._order_n(build, odd)
                 band = solver._band(*factors)
                 vals = scipy.linalg.eig_banded(band[len(band) // 2:], lower=True, eigvals_only=True)
                 kernel = kind == "steklov" and not odd
@@ -485,7 +502,8 @@ class TestCertificate:
     def test_a_tiny_hole_runs_with_numpy_raising(self):
         # At a = 1e-300 the inner circle's entries of M are near 1e300, and the
         # kernel's entry would divide by zero; cli.main runs commands with numpy raising.
-        factors = solver._factors(solver.TrefftzBasis(max_order=32, a=1e-300, d=0.5, kind="steklov"), False)
+        factors = solver._order_n(
+            solver._factors(solver.TrefftzBasis(max_order=32, a=1e-300, d=0.5, kind="steklov")), False)
         with np.errstate(all="raise"):
             assert isinstance(solver._positive_definite(*factors, 0.5, True), bool)
 
@@ -552,9 +570,8 @@ def _both_families_order(cfg, N, kind, seeds=None):
     families are solved again without seeds.  Returns the first values and
     the principal's tail residual.
     """
-    ext = [solver._factors(solver.TrefftzBasis(max_order=N + 1, a=cfg.a, d=cfg.d, kind=kind), odd)
-           for odd in (False, True)]
-    factors = [(root[:-1], m, beta[:-1]) for root, m, beta in ext]
+    build = solver._factors(solver.TrefftzBasis(max_order=N, a=cfg.a, d=cfg.d, kind=kind))
+    factors = [solver._order_n(build, odd) for odd in (False, True)]
     bands = [solver._band(*f) for f in factors]
     first = (int(kind == "steklov"), 0)
     rounding = np.finfo(float).eps * max(np.abs(band).sum(axis=0).max() for band in bands)
@@ -569,7 +586,7 @@ def _both_families_order(cfg, N, kind, seeds=None):
         return _both_families_order(cfg, N, kind)
     values = (modes[0][0], modes[1][0])
     p = int(values[1] < values[0])
-    return values, solver._tail_residual(ext[p][0], ext[p][2], modes[p][1])
+    return values, solver._tail_residual(build, modes[p][1])
 
 
 def _both_families(cfg, kind):
@@ -603,17 +620,6 @@ class TestOddCount:
     def test_the_gate_keeps_the_both_families_result(self, kind, a, d):
         cfg = ShellConfig(2, a, d)
         assert _fields(solver._solve(cfg, kind)) == _fields(_both_families(cfg, kind))
-
-    @pytest.mark.parametrize("kind", ["steklov", "dirichlet"])
-    @pytest.mark.parametrize("N", [32, 64, 256, 2048])
-    @pytest.mark.parametrize("a, d", [(0.5, 0.0), (0.5, 0.3), (0.15, 0.8075), (0.5, 0.4999), (1e-8, 0.5)])
-    def test_the_odd_certificate_reads_the_odd_factors(self, kind, N, a, d):
-        # _solve_at_order certifies the odd family on the even factors past mode 0;
-        # _odd_mode, _spectrum and boundary_residual build the odd factors: the same bits.
-        basis = solver.TrefftzBasis(max_order=N, a=a, d=d, kind=kind)
-        root, m, beta = solver._family(basis, False)[1]
-        for odd in (solver._factors(basis, True), solver._family(basis, True)[1]):
-            assert all(np.array_equal(x, y) for x, y in zip((root[1:], m, beta[1:]), odd))
 
     @pytest.mark.parametrize("kind", ["steklov", "dirichlet"])
     @pytest.mark.parametrize("a, d", [case for case in ODD_COUNT_CASES if case != (0.5, 0.4999)])

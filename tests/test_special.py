@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from steklov_shell import rayleigh, special
+from steklov_shell import geometry, rayleigh, shell_spectrum, special
 from steklov_shell.errors import NonConvergenceError
 
 
@@ -94,6 +94,33 @@ class TestSphereArea:
         assert special.sphere_area(2) == pytest.approx(2 * math.pi, rel=1e-15)
         assert special.sphere_area(3) == pytest.approx(4 * math.pi, rel=1e-15)
         assert special.sphere_area(4) == pytest.approx(2 * math.pi**2, rel=1e-14)
+
+
+class TestIntegerArguments:
+    # A float equal to an integer gets the checks' ValueError, not a
+    # TypeError from a range() deeper in.
+    @pytest.mark.parametrize("fn, args", [
+        (geometry.ShellConfig, (3.0, 0.5, 0.2)),
+        (shell_spectrum.spectrum, (3.0, 0.5, 3)),
+        (special.sphere_area, (3.0,)),
+        (special.wallis, (2.0,)),
+        (special.wallis_table, (2.0,)),
+        (special.wallis_table, (2.5,)),
+        (special.harmonic_dim, (3.0, 1)),
+        (special.harmonic_dim, (3, 1.0)),
+        (geometry.phi_weight, (3.0, 0.3)),
+        (geometry.psi_weight, (3.0, 0.3)),
+    ], ids=["ShellConfig", "spectrum", "sphere_area", "wallis", "wallis_table", "wallis_table_2.5",
+            "harmonic_dim_n", "harmonic_dim_k", "phi_weight", "psi_weight"])
+    def test_a_float_is_refused(self, fn, args):
+        special.sphere_area(3)  # the cached value of 3 does not answer for 3.0
+        with pytest.raises(ValueError, match="integer"):
+            fn(*args)
+
+    def test_numpy_integers_are_integers(self):
+        assert special.wallis(np.int64(5)) == special.wallis(5)
+        assert special.sphere_area(np.int64(3)) == special.sphere_area(3)
+        assert geometry.ShellConfig(np.int64(3), 0.5).n == 3
 
 
 @cache
