@@ -604,6 +604,23 @@ def _both_families(cfg, kind):
         N, seeds = 2 * N, values
 
 
+def _odd_family_factors(basis):
+    """The odd family's (root, m, beta) built on its own modes 1..N from the closed forms: the reference."""
+    f0 = basis.frame
+    k = basis.modes(True).astype(float)
+    L = -math.log(f0.rho)
+    if basis.kind == "steklov":
+        half = np.tanh(0.5 * L * k)
+        low, high = np.sqrt(k * half), np.sqrt(k / half)
+        p, q = 0.5 * (low + high), 0.5 * (low - high)
+        root = np.stack((np.stack((p, q), axis=-1), np.stack((q, p), axis=-1)), axis=1)
+        m = np.array([1.0 + f0.c ** 2, (1.0 + (f0.c * f0.rho) ** 2) / f0.rho]) / f0.kappa
+    else:
+        root = np.sqrt(k / np.tanh(L * k))[:, None, None]
+        m = np.array([(1.0 + f0.c ** 2) / f0.kappa])
+    return root, m, np.full(len(k) - 1, -f0.c / f0.kappa)  # no coupling to the constant
+
+
 def _fields(res):
     return (res.principal, res.first_values, res.family, res.eigenvalues.tobytes(), res.odd.tobytes(),
             res.mode, res.width, res.tail_residual, res.basis.max_order)
@@ -620,6 +637,30 @@ class TestOddCount:
     def test_the_gate_keeps_the_both_families_result(self, kind, a, d):
         cfg = ShellConfig(2, a, d)
         assert _fields(solver._solve(cfg, kind)) == _fields(_both_families(cfg, kind))
+
+    @pytest.mark.parametrize("kind", ["steklov", "dirichlet"])
+    @pytest.mark.parametrize("N", [32, 64, 256, 2048])
+    @pytest.mark.parametrize("a, d", [(0.5, 0.0), (0.5, 0.3), (0.15, 0.8075), (0.5, 0.4999), (1e-8, 0.5)])
+    def test_the_odd_certificate_reads_the_odd_factors(self, kind, N, a, d, monkeypatch):
+        # _solve_at_order certifies the odd family on the one build's factors past
+        # mode 0, which _odd_mode, _spectrum and boundary_residual slice as well:
+        # the same bits as the odd family's own factors on its modes 1..N.
+        basis = solver.TrefftzBasis(max_order=N, a=a, d=d, kind=kind)
+        reference = _odd_family_factors(basis)
+        assert len(reference[0]) == N
+        sliced = solver._order_n(solver._factors(basis), True)
+        assert all(np.array_equal(x, y) for x, y in zip(sliced, reference))
+        positive_definite, certified = solver._positive_definite, []
+
+        def recording(*args):
+            if sys._getframe(1).f_code.co_name == "_solve_at_order":
+                certified.append(args[:3])
+            return positive_definite(*args)
+
+        monkeypatch.setattr(solver, "_positive_definite", recording)
+        solver._solve_at_order(ShellConfig(2, a, d), N, kind)
+        assert len(certified) == 1
+        assert all(np.array_equal(x, y) for x, y in zip(certified[0], reference))
 
     @pytest.mark.parametrize("kind", ["steklov", "dirichlet"])
     @pytest.mark.parametrize("a, d", [case for case in ODD_COUNT_CASES if case != (0.5, 0.4999)])
