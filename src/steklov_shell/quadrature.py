@@ -1,4 +1,4 @@
-"""Deterministic adaptive Gauss-Legendre quadrature.
+"""Deterministic adaptive Gauss-Legendre quadrature, over one interval or a batch.
 
 On every interval a 16-node Gauss-Legendre rule is compared against a
 separate 8-node one; intervals whose discrepancy exceeds their share of the
@@ -9,18 +9,22 @@ relative tolerance.  All integrands here are analytic on the integration
 interval, so convergence is fast and the error estimate is sharply
 conservative.
 
-The intervals are bisected one level at a time: the integrand is called
-once per level, on a flat 1-D array holding every pending interval's 24
-nodes, so it must accept an array of any length and act elementwise,
-returning one value per abscissa (scalar-only callables can be wrapped with
-``np.vectorize``).  Each interval's two rule values are dot products over
-its own nodes, not one matrix-vector product over the level, which would
-sum in another order and change the last bits of the result.
+One adaptive loop, integrate_batch, integrates a batch of intervals; integrate
+is its one-interval case.  The intervals are bisected one level at a time:
+the integrand is called once per level, on a flat 1-D array holding the 24
+nodes of every pending panel of every interval (with each node's interval
+index, for a batch), so it must accept an array of any length and act
+elementwise, returning one value per abscissa (scalar-only callables can be
+wrapped with ``np.vectorize``).  Each panel's two rule values are dot
+products over its own nodes, not one matrix-vector product over the level,
+which would sum in another order and change the last bits of the result; so
+an interval's result is the same to the bit alone or in any batch.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -79,8 +83,20 @@ def gauss_legendre_rule(order: int) -> QuadratureRule:
     return QuadratureRule(order=order, nodes=tuple(x), weights=tuple(w))
 
 
+@lru_cache(maxsize=None)
+def _panel_rule():
+    """A panel's 16 high-rule then 8 low-rule nodes on (-1, 1), and each rule's weights' dot.
+
+    ndarray.dot is np.dot without the dispatch through __array_function__.
+    """
+    high = gauss_legendre_rule(16)
+    low = gauss_legendre_rule(8)
+    nodes = np.concatenate((high.node_array, low.node_array))
+    return nodes, high.weight_array.dot, low.weight_array.dot
+
+
 def integrate(f, lo: float, hi: float, tol: float = QUAD_TOL) -> QuadResult:
-    """Adaptive bisection integral of f over [lo, hi].
+    """Adaptive bisection integral of f over [lo, hi]: integrate_batch on one interval.
 
     tol is both the absolute and the relative tolerance: the accepted value
     satisfies |value - integral| <= max(tol, tol*|value|) for integrands
@@ -90,74 +106,107 @@ def integrate(f, lo: float, hi: float, tol: float = QUAD_TOL) -> QuadResult:
     So a tol just above machine epsilon is met instead of running to the
     subdivision cap.
 
-    The panels are bisected one level at a time (Gander & Gautschi, BIT 40,
-    2000): f is called once per level, on one flat 1-D array of any length
-    holding each pending panel's 16 high-rule nodes then its 8 low-rule
-    nodes, so f must act elementwise.  Each rule value is the dot product of
-    the weights with that panel's own slice, as QuadratureRule.apply computes
-    it; a matrix-vector product over the level would sum in another order
-    and change the last bits.  Deterministic: identical inputs produce
-    bit-identical results, and the accepted panels are summed left to right.
+    f is called once per level of the bisection, on one flat 1-D array of
+    any length holding each pending panel's 16 high-rule nodes then its 8
+    low-rule nodes, so f must act elementwise.  Each panel's two rule values
+    are dot products of the weights with its own slice of f's values, as
+    QuadratureRule.apply computes them, and the accepted panels are summed
+    left to right.  Deterministic: identical inputs produce bit-identical
+    results, and the same bits as this interval in any integrate_batch.
 
     Raises ValueError for a NaN or infinite bound, for hi < lo and for tol
     below MIN_TOL, machine epsilon, and NonConvergenceError if more than
     2^16 intervals are needed.
     """
-    # Written as "not inside" so that NaN, which compares false, is refused.
-    if not -math.inf < lo <= hi < math.inf:
-        raise ValueError("integration bounds must be finite and satisfy lo <= hi")
+    return integrate_batch(lambda x, _: f(x), ((lo, hi),), tol)[0]
+
+
+def integrate_batch(f, bounds, tol: float = QUAD_TOL) -> list[QuadResult]:
+    """integrate over each interval of bounds, an iterable of (lo, hi), in one adaptive loop.
+
+    The panels of every interval are bisected one level at a time (Gander &
+    Gautschi, BIT 40, 2000): f(x, owner) is called once per level, on one
+    flat 1-D array x holding each pending panel's 16 high-rule nodes then its
+    8 low-rule nodes, interval by interval, and an integer array owner giving
+    each node's index in bounds.  A panel is accepted or bisected by
+    integrate's test against its own interval's span and tolerance scale,
+    max(tol, tol * |v|) with v the estimate on the whole interval.  Its rule
+    values are dot products of the weights with its own slice of f's values
+    (a matrix-vector product over the level would sum in another order and
+    change the last bits), and each interval sums its accepted panels left
+    to right.  So each result is bit-identical to integrate's over that
+    interval alone, with f(x, i) as the integrand.
+
+    Returns one QuadResult per interval, in order; a zero-width interval
+    gives QuadResult(0.0, 0.0, 0).  Raises as integrate does if any interval
+    would: ValueError for a bound or tol it refuses, NonConvergenceError once
+    one interval needs more than 2^16 panels.
+    """
+    spans = []
+    accepted = []  # per interval: (start, value, err)
+    # The pending panels of one level, interval by interval and left to right,
+    # as (start, end, index of the interval).
+    panels = []
+    for i, (lo, hi) in enumerate(bounds):
+        # Written as "not inside" so that NaN, which compares false, is refused.
+        if not -math.inf < lo <= hi < math.inf:
+            raise ValueError("integration bounds must be finite and satisfy lo <= hi")
+        spans.append(hi - lo)
+        accepted.append([])
+        if hi != lo:
+            panels.append((lo, hi, i))
     if not MIN_TOL <= tol < math.inf:
         raise ValueError(f"tolerance must be finite and at least machine epsilon {MIN_TOL:.17g}")
-    if hi == lo:
-        return QuadResult(0.0, 0.0, 0)
 
-    high = gauss_legendre_rule(16)
-    low = gauss_legendre_rule(8)
-    nodes = np.concatenate((high.node_array, low.node_array))
-    span = hi - lo
-
-    # The pending panels of one level, left to right: bounds and the index j
-    # of the panel among the 2^depth panels of a uniform bisection.
-    panels = [(lo, hi, 0)]
-    depth = 0
-    scale = None
-    accepted = []  # (depth, j, value, err)
-    count = 1
+    nodes, dot_high, dot_low = _panel_rule()
+    rounding = 8.0 * MIN_TOL
+    scales = [0.0] * len(spans)  # set from each interval's whole-interval panel
+    count = len(panels)  # panels made so far, in all intervals
+    whole = True
     while panels:
-        half = [0.5 * (b - a) for a, b, _ in panels]
-        mid = [0.5 * (b + a) for a, b, _ in panels]
-        x = np.array(mid)[:, None] + np.array(half)[:, None] * nodes
-        values = np.asarray(f(x.ravel())).reshape(-1, nodes.size)
+        half_mid = [(0.5 * (b - a), 0.5 * (b + a)) for a, b, _ in panels]
+        columns = np.array(half_mid)
+        x = columns[:, :1] * nodes
+        x += columns[:, 1:]
+        owner = np.array([i for _, _, i in panels]).repeat(nodes.size)
+        values = np.asarray(f(x.ravel(), owner)).reshape(-1, nodes.size)
         children = []
-        for (a, b, j), h, m, row in zip(panels, half, mid, values):
-            v_high = h * float(np.dot(high.weight_array, row[:16]))
-            if scale is None:
+        for (a, b, i), (h, m), row in zip(panels, half_mid, values):
+            v_high = h * float(dot_high(row[:16]))
+            if whole:
                 # The high-order estimate of the whole interval seeds the relative tolerance.
-                scale = max(tol, tol * abs(v_high))
-            err = abs(v_high - h * float(np.dot(low.weight_array, row[16:])))
+                scales[i] = max(tol, tol * abs(v_high))
+            err = abs(v_high - h * float(dot_low(row[16:])))
             # Accept a panel within its share of the tolerance or at its rounding level.
+            width = b - a
             if (
-                err <= scale * (b - a) / span
-                or err <= 8.0 * MIN_TOL * abs(v_high)
-                or (b - a) < 1e-14 * span
+                err <= scales[i] * width / spans[i]
+                or err <= rounding * abs(v_high)
+                or width < 1e-14 * spans[i]
             ):
-                accepted.append((depth, j, v_high, err))
+                accepted[i].append((a, v_high, err))
             else:
-                children += [(a, m, 2 * j), (m, b, 2 * j + 1)]
-        if count + len(children) > MAX_INTERVALS:
-            raise NonConvergenceError(
-                "quadrature exceeded the subdivision cap "
-                f"({MAX_INTERVALS} intervals) before reaching tolerance"
-            )
+                children += [(a, m, i), (m, b, i)]
         count += len(children)
+        if count > MAX_INTERVALS:
+            # An interval with L accepted and Q pending panels has made 2L + 2Q - 1.
+            pending = Counter(i for _, _, i in children)
+            if any(2 * (len(accepted[i]) + q) - 1 > MAX_INTERVALS for i, q in pending.items()):
+                raise NonConvergenceError(
+                    "quadrature exceeded the subdivision cap "
+                    f"({MAX_INTERVALS} intervals) before reaching tolerance"
+                )
         panels = children
-        depth += 1
+        whole = False
 
-    # Panel (depth k, index j) starts at lo + j * 2^-k * span: order by j * 2^(depth - k).
-    accepted.sort(key=lambda panel: panel[1] << (depth - panel[0]))
-    value = 0.0
-    err_total = 0.0
-    for _, _, v, e in accepted:
-        value += v
-        err_total += e
-    return QuadResult(value=value, error_estimate=err_total, subdivisions=len(accepted))
+    results = []
+    for panels in accepted:
+        # The panels tile the interval, so their starts order them left to right.
+        panels.sort()
+        value = 0.0
+        err_total = 0.0
+        for _, v, e in panels:
+            value += v
+            err_total += e
+        results.append(QuadResult(value, err_total, len(panels)))
+    return results

@@ -11,6 +11,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
+
+import numpy as np
 
 from .errors import NonConvergenceError
 from .geometry import _check_n
@@ -93,15 +96,19 @@ def sigma1_closed_form(n: int, a: float) -> float:
     the unit ball) and approaches 1 as a -> 0.
     """
     _check_na(n, a)
-    return _sigma1(n, a)
+    return float(_sigma1(n, a))
 
 
-def _sigma1(n: int, a: float) -> float:
-    """sigma1_closed_form without its argument checks."""
+def _sigma1(n: int, a):
+    """sigma1_closed_form without its argument checks, elementwise over an array a.
+
+    A float a gives a numpy float of the same bits as the scalar formula;
+    a = 0 gives exactly 1, the value for the solid ball.
+    """
     t = (n - 1) * a ** (n + 1) + a**n + a + n - 1
     disc = t * t - 4.0 * (n - 1) * a * (1.0 - a**n) ** 2
     # Cancellation-safe lower root: multiply through by the conjugate.
-    return 2.0 * (n - 1) * (1.0 - a**n) / (t + math.sqrt(disc))
+    return 2.0 * (n - 1) * (1.0 - a**n) / (t + np.sqrt(disc))
 
 
 def tau1_closed_form(n: int, a: float) -> float:
@@ -156,6 +163,12 @@ def radial_coefficient(n: int, a: float, k: int, branch: str) -> float:
     return (k - delta) / (n + delta + k - 2.0)
 
 
+def _check_k_max(k_max: int) -> None:
+    # The integer-type rule of geometry._check_n: a float k_max would reach a range().
+    if not isinstance(k_max, Integral) or k_max < 1:
+        raise ValueError("k_max must be an integer >= 1")
+
+
 def spectrum(n: int, a: float, k_max: int = DEFAULT_K_MAX) -> list[SpectrumEntry]:
     """All eigenvalue branches up to angular order k_max, sorted ascending.
 
@@ -166,8 +179,7 @@ def spectrum(n: int, a: float, k_max: int = DEFAULT_K_MAX) -> list[SpectrumEntry
     orders.  Ties are broken by ascending k, then lower < upper < radial0.
     """
     _check_na(n, a)
-    if k_max < 1:
-        raise ValueError("k_max must be >= 1")
+    _check_k_max(k_max)
     entries = [
         SpectrumEntry(k=0, branch="zero", value=0.0, multiplicity=1),
         SpectrumEntry(k=0, branch="radial0", value=delta0(n, a), multiplicity=1),
@@ -187,6 +199,8 @@ def spectrum_complete_below(n: int, a: float, k_max: int) -> float:
 
     Equals the lower root of the first omitted angular order, k_max + 1.
     """
+    _check_na(n, a)
+    _check_k_max(k_max)
     return delta_pair(n, a, k_max + 1)[0]
 
 
@@ -226,20 +240,24 @@ def scale_invariant(n: int, eps: float) -> float:
     _check_n(n)
     if not 0.0 <= eps < 1.0:
         raise ValueError("eps must lie in [0, 1)")
-    return _scale_invariant(n, eps)
+    return float(_scale_invariant(n, eps))
 
 
-def _scale_invariant(n: int, eps: float) -> float:
-    """scale_invariant without its checks, for scans that validate n once and keep eps in [0, 1)."""
+def _scale_invariant(n: int, eps):
+    """scale_invariant without its checks, elementwise over an array eps.
+
+    For scans that validate n once and keep eps in [0, 1).  A float eps gives
+    a numpy float of the same bits as scale_invariant.
+    """
     perim = sphere_area(n) * (1.0 + eps ** (n - 1))
-    s1 = 1.0 if eps == 0.0 else _sigma1(n, eps)
-    return perim ** (1.0 / (n - 1)) * s1
+    return perim ** (1.0 / (n - 1)) * _sigma1(n, eps)
 
 
 def optimal_eps(n: int) -> tuple[float, float]:
     """Maximize scale_invariant over (0, 1) by golden-section search.
 
-    n is validated once; every evaluation then takes the unchecked core.
+    n is validated once; every evaluation then takes the unchecked core, the
+    coarse scan in one call on its whole grid.
 
     A coarse scan brackets the maximum first; the golden-section interval is
     then shrunk below OPTIMAL_EPS_TOL.  Raises NonConvergenceError if the
@@ -248,14 +266,14 @@ def optimal_eps(n: int) -> tuple[float, float]:
     _check_n(n)
     grid_n = 256
     hi_cap = 1.0 - 1e-9
-    xs = [i * hi_cap / (grid_n - 1) for i in range(grid_n)]
-    ys = [_scale_invariant(n, x) for x in xs]
-    i_best = max(range(grid_n), key=lambda i: ys[i])
+    xs = np.arange(grid_n) * hi_cap / (grid_n - 1)
+    ys = _scale_invariant(n, xs)
+    i_best = int(np.argmax(ys))
     if i_best == 0 or i_best == grid_n - 1:
         raise NonConvergenceError(
             "coarse scan found no interior maximum of the normalized eigenvalue"
         )
-    lo, hi = xs[i_best - 1], xs[i_best + 1]
+    lo, hi = float(xs[i_best - 1]), float(xs[i_best + 1])
 
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     x1 = hi - invphi * (hi - lo)
@@ -271,7 +289,7 @@ def optimal_eps(n: int) -> tuple[float, float]:
             x1 = hi - invphi * (hi - lo)
             f1 = _scale_invariant(n, x1)
     eps_star = 0.5 * (lo + hi)
-    value = _scale_invariant(n, eps_star)
+    value = float(_scale_invariant(n, eps_star))
     if not (value > _scale_invariant(n, 0.0) and value > ys[-1]):
         raise NonConvergenceError(
             "golden-section maximum does not dominate the endpoint values"

@@ -30,7 +30,7 @@ import numpy as np
 from . import geometry, rayleigh, shell_spectrum, solver, special
 from .geometry import ShellConfig
 from .problems import PROBLEMS
-from .quadrature import gauss_legendre_rule, integrate
+from .quadrature import gauss_legendre_rule, integrate, integrate_batch
 
 FAULTS = ("w2-sign",)
 
@@ -347,8 +347,8 @@ def check_optimal_eps_interior() -> CheckResult:
         if not (0.0 < eps_star < 1.0):
             return _worst("optimal_eps_interior", 1e-4, math.inf)
         grid = np.linspace(1e-6, 1.0 - 1e-6, 10_000)
-        # optimal_eps validated n; the scan takes the unchecked core.
-        vals = [shell_spectrum._scale_invariant(n, float(e)) for e in grid]
+        # optimal_eps validated n; the scan takes the unchecked core, on the whole grid at once.
+        vals = shell_spectrum._scale_invariant(n, grid)
         eps_grid = float(grid[int(np.argmax(vals))])
         if not (value > shell_spectrum.scale_invariant(n, 0.0) and value > vals[-1]):
             return _worst("optimal_eps_interior", 1e-4, math.inf)
@@ -452,7 +452,13 @@ def energy_direct_2d(cfg: ShellConfig) -> float:
 
     Independent of the 1D assembly: the squared gradient is integrated in r
     inside an adaptive polar quadrature, with every angular constant itself
-    computed by quadrature.
+    computed by quadrature.  Each call of the polar integrand integrates the
+    radial integrals of all its abscissae in one integrate_batch call, so the
+    radial integrand is called once per level of the radial bisection, not
+    once per level and abscissa.  Each abscissa's sine, cosine and
+    sin^(n-2) are taken in scalar arithmetic, which numpy's array functions
+    need not match to the last bit, so each radial value has the bits of one
+    integrate call at that abscissa.
     """
     n, a, d = cfg.n, cfg.a, cfg.d
     mu = shell_spectrum.mu_sigma(n, a)
@@ -470,22 +476,21 @@ def energy_direct_2d(cfg: ShellConfig) -> float:
         cb = rest * _quad(lambda t: np.sin(t) ** (n - 1), 0.0, math.pi)
 
     def outer(thetas):
-        out = np.empty_like(thetas)
-        for i, th in enumerate(thetas):
-            R = float(geometry.radius(d, th))
-            s, c = math.sin(th), math.cos(th)
+        angles = thetas.tolist()
+        sines = [math.sin(th) for th in angles]
+        s, c = np.array(sines), np.array([math.cos(th) for th in angles])
+        weight = np.array([si ** (n - 2) for si in sines])
 
-            def radial(r):
-                A = 1.0 - (n - 1) * mu / r**n
-                B = 1.0 + mu / r**n
-                return (
-                    r ** (n - 1)
-                    * s ** (n - 2)
-                    * (ca * (s * s * A * A + c * c * B * B) + cb * B * B)
-                )
+        def radial(r, i):
+            A = 1.0 - (n - 1) * mu / r**n
+            B = 1.0 + mu / r**n
+            si, ci = s[i], c[i]
+            return (
+                r ** (n - 1) * weight[i] * (ca * (si * si * A * A + ci * ci * B * B) + cb * B * B)
+            )
 
-            out[i] = integrate(radial, a, R, tol=1e-13).value
-        return out
+        bounds = [(a, R) for R in geometry.radius(d, thetas).tolist()]
+        return np.array([res.value for res in integrate_batch(radial, bounds, tol=1e-13)])
 
     return integrate(outer, 0.0, math.pi).value
 

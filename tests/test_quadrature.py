@@ -206,8 +206,20 @@ def _assert_bit_identical(f, lo, hi, tol=quadrature.QUAD_TOL):
     assert _fields(quadrature.integrate(f, lo, hi, tol)) == _fields(_depth_first_integrate(f, lo, hi, tol))
 
 
+# Peaks of different heights and widths: one interval needs 30 panels, one
+# needs 1, and each has its own tolerance scale.  The fourth has zero width.
+BATCH_BOUNDS = [(-1.0, 1.0), (0.0, 1.0), (-0.5, 2.0), (0.3, 0.3), (2.0, 2.5), (-3.0, 0.25)]
+BATCH_WIDTH = np.array([1e-4, 1.0, 1e-2, 0.5, 3e-3, 0.7])
+BATCH_HEIGHT = np.array([1.0, 1e6, 1e-3, 1.0, 7.0, 1e-9])
+
+
+def _batch_peaks(x, i):
+    return BATCH_HEIGHT[i] / (BATCH_WIDTH[i] + x * x)
+
+
 class TestBitIdentity:
-    """The level-at-a-time loop reproduces the depth-first loop exactly."""
+    """The level-at-a-time loop reproduces the depth-first loop exactly,
+    on one interval and on each interval of a batch."""
 
     @pytest.mark.parametrize("n, a, d", [(2, 0.15, 0.8), (3, 0.99, 0.005), (6, 0.5, 0.2)])
     def test_rayleigh_integrands(self, monkeypatch, n, a, d):
@@ -233,19 +245,30 @@ class TestBitIdentity:
         _assert_bit_identical(f, 0.0, math.pi, tol=1e-15)
 
     def test_nested_integrand(self):
-        # Shaped like verify.energy_direct_2d: the outer integrand loops over
-        # its abscissae and integrates in r at each, with the same routine.
+        # Shaped like verify.energy_direct_2d: the outer integrand integrates
+        # in r at each of its abscissae, one call each or all in one batch.
+        inner = lambda r, k: r * (1.0 + k / r**2) ** 2
+
         def nested(integrate):
             def outer(thetas):
                 out = np.empty_like(thetas)
                 for i, th in enumerate(thetas):
+                    k = 0.2 * math.cos(th)
                     R = 1.0 + 0.3 * math.cos(th)
-                    out[i] = integrate(lambda r: r * (1.0 + 0.2 / r**2) ** 2, 0.4, R, 1e-13).value
+                    out[i] = integrate(lambda r: inner(r, k), 0.4, R, 1e-13).value
                 return out
 
             return integrate(outer, 0.0, math.pi)
 
-        assert _fields(nested(quadrature.integrate)) == _fields(nested(_depth_first_integrate))
+        def batched(thetas):
+            k = np.array([0.2 * math.cos(th) for th in thetas])
+            bounds = [(0.4, 1.0 + 0.3 * math.cos(th)) for th in thetas]
+            results = quadrature.integrate_batch(lambda r, i: inner(r, k[i]), bounds, 1e-13)
+            return np.array([res.value for res in results])
+
+        want = _fields(nested(_depth_first_integrate))
+        assert _fields(nested(quadrature.integrate)) == want
+        assert _fields(quadrature.integrate(batched, 0.0, math.pi)) == want
 
     def test_subdivision_cap_raises_the_same_error(self):
         f = lambda t: np.sin(1e7 * t)
@@ -253,4 +276,103 @@ class TestBitIdentity:
             quadrature.integrate(f, 0, 2 * math.pi)
         with pytest.raises(NonConvergenceError) as want:
             _depth_first_integrate(f, 0, 2 * math.pi)
+        assert str(got.value) == str(want.value)
+
+    def test_batch_each_interval_matches_the_depth_first_loop(self):
+        results = quadrature.integrate_batch(_batch_peaks, BATCH_BOUNDS)
+        assert len(results) == len(BATCH_BOUNDS)
+        for i, (lo, hi) in enumerate(BATCH_BOUNDS):
+            alone = quadrature.integrate(lambda x: _batch_peaks(x, i), lo, hi)
+            assert _fields(results[i]) == _fields(alone)
+            if hi > lo:  # the depth-first loop divides by the span
+                assert _fields(results[i]) == _fields(_depth_first_integrate(lambda x: _batch_peaks(x, i), lo, hi))
+        assert _fields(results[3]) == (0.0, 0.0, 0)
+        # The batch mixes depths: from one panel to 30.
+        assert len({res.subdivisions for res in results}) >= 4
+        assert max(res.subdivisions for res in results) == 30
+
+    def test_batch_rounding_level_acceptance(self):
+        scale = np.array([1.0, 1e3, 1e-3])
+        f = lambda t, s: (3.0 * np.sin(t) ** 2 - 4.0 * np.sin(t) ** 4) * s
+        bounds = [(0.0, math.pi), (0.0, math.pi), (0.0, 0.5 * math.pi)]
+        results = quadrature.integrate_batch(lambda x, i: f(x, scale[i]), bounds, tol=1e-15)
+        for i, (lo, hi) in enumerate(bounds):
+            want = _depth_first_integrate(lambda x: f(x, scale[i]), lo, hi, tol=1e-15)
+            assert _fields(results[i]) == _fields(want)
+
+    def test_batch_one_integrand_call_per_level_with_each_node_s_interval(self):
+        calls = []
+
+        def record(x, i):
+            calls.append((x.copy(), i.copy()))
+            return _batch_peaks(x, i)
+
+        quadrature.integrate_batch(record, BATCH_BOUNDS)
+        alone = []
+        for i, (lo, hi) in enumerate(BATCH_BOUNDS):
+            count = []
+            quadrature.integrate(lambda x: count.append(1) or _batch_peaks(x, i), lo, hi)
+            alone.append(len(count))
+        assert len(calls) == max(alone)
+        lo = np.array([b[0] for b in BATCH_BOUNDS])
+        hi = np.array([b[1] for b in BATCH_BOUNDS])
+        for x, i in calls:
+            assert x.shape == i.shape and x.ndim == 1 and i.dtype.kind == "i"
+            # Interval by interval, each node inside its own interval.
+            assert np.all(np.diff(i) >= 0)
+            assert np.all((lo[i] < x) & (x < hi[i]))
+            # Each panel's 24 nodes belong to one interval.
+            assert np.all(i.reshape(-1, 24) == i.reshape(-1, 24)[:, :1])
+        # The zero-width interval is never evaluated; each other one at level 0.
+        np.testing.assert_array_equal(np.unique(calls[0][1]), [0, 1, 2, 4, 5])
+
+    def test_batch_empty_or_zero_width_calls_nothing(self):
+        def never(x, i):
+            raise AssertionError("integrand called")
+
+        assert quadrature.integrate_batch(never, []) == []
+        results = quadrature.integrate_batch(never, [(1.0, 1.0), (-2.0, -2.0)])
+        assert [_fields(res) for res in results] == [(0.0, 0.0, 0)] * 2
+
+    def test_batch_subdivision_cap_raises_the_same_error(self):
+        # One interval of the batch exceeds the cap; the batch raises what the
+        # depth-first loop raises on that interval alone.
+        freq = np.array([1.0, 1e7, 3.0])
+        bounds = [(0.0, 1.0), (0.0, 2 * math.pi), (0.0, 2.0)]
+        with pytest.raises(NonConvergenceError) as got:
+            quadrature.integrate_batch(lambda x, i: np.sin(freq[i] * x), bounds)
+        with pytest.raises(NonConvergenceError) as want:
+            _depth_first_integrate(lambda x: np.sin(1e7 * x), 0, 2 * math.pi)
+        assert str(got.value) == str(want.value)
+
+    def test_batch_cap_counts_each_interval_s_panels(self):
+        # Each interval makes about 50,000 panels, under the cap of 2^16; the
+        # batch as a whole makes about 100,000, which is no error.
+        f = lambda x, phase: np.cos(6e4 * x + 0.3 * x * x + phase)
+        phase = np.array([0.0, 1.0])
+        bounds = [(0.0, 1.0), (0.0, 0.9)]
+        results = quadrature.integrate_batch(lambda x, i: f(x, phase[i]), bounds)
+        assert sum(2 * res.subdivisions - 1 for res in results) > quadrature.MAX_INTERVALS
+        for i, (lo, hi) in enumerate(bounds):
+            assert _fields(results[i]) == _fields(quadrature.integrate(lambda x: f(x, phase[i]), lo, hi))
+
+    @pytest.mark.parametrize("bad", [
+        (1.0, 0.0), (0.0, math.nan), (math.nan, 1.0), (0.0, math.inf), (-math.inf, 0.0),
+    ])
+    def test_batch_refuses_a_bad_interval_among_good_ones(self, bad):
+        def never(x, i):
+            raise AssertionError("integrand called")
+
+        with pytest.raises(ValueError) as got:
+            quadrature.integrate_batch(never, [(0.0, 1.0), bad, (2.0, 3.0)])
+        with pytest.raises(ValueError) as want:
+            quadrature.integrate(np.sin, *bad)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("tol", [0.0, math.inf, math.nan, 1e-17])
+    def test_batch_refuses_a_bad_tolerance(self, tol):
+        with pytest.raises(ValueError) as got:
+            quadrature.integrate_batch(_batch_peaks, BATCH_BOUNDS, tol=tol)
+        with pytest.raises(ValueError) as want:
+            quadrature.integrate(np.sin, 0.0, 1.0, tol=tol)
         assert str(got.value) == str(want.value)

@@ -10,10 +10,49 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from steklov_shell import rayleigh
+from steklov_shell import geometry, rayleigh, verify
 from steklov_shell import shell_spectrum as sp
 from steklov_shell.geometry import ShellConfig
+from steklov_shell.quadrature import integrate
 from steklov_shell.verify import energy_direct_2d
+
+
+def _energy_direct_2d_per_abscissa(cfg):
+    """verify.energy_direct_2d with one radial integrate call per polar abscissa."""
+    n, a, d = cfg.n, cfg.a, cfg.d
+    mu = sp.mu_sigma(n, a)
+    _quad = verify._quad
+    if n == 2:
+        ca, cb = 2.0, 0.0
+    elif n == 3:
+        ca = _quad(lambda t: np.cos(t) ** 2, 0.0, 2.0 * math.pi)
+        cb = _quad(lambda t: np.sin(t) ** 2, 0.0, 2.0 * math.pi)
+    else:
+        rest = _quad(lambda t: np.ones_like(t), 0.0, 2.0 * math.pi)
+        for j in range(3, n - 1):
+            rest *= _quad(lambda t, p=n - 1 - j: np.sin(t) ** p, 0.0, math.pi)
+        ca = rest * _quad(lambda t: np.cos(t) ** 2 * np.sin(t) ** (n - 3), 0.0, math.pi)
+        cb = rest * _quad(lambda t: np.sin(t) ** (n - 1), 0.0, math.pi)
+
+    def outer(thetas):
+        out = np.empty_like(thetas)
+        for i, th in enumerate(thetas):
+            R = float(geometry.radius(d, th))
+            s, c = math.sin(th), math.cos(th)
+
+            def radial(r):
+                A = 1.0 - (n - 1) * mu / r**n
+                B = 1.0 + mu / r**n
+                return (
+                    r ** (n - 1)
+                    * s ** (n - 2)
+                    * (ca * (s * s * A * A + c * c * B * B) + cb * B * B)
+                )
+
+            out[i] = integrate(radial, a, R, tol=1e-13).value
+        return out
+
+    return integrate(outer, 0.0, math.pi).value
 
 
 class TestWIntegrals:
@@ -103,6 +142,13 @@ class TestSteklovBound:
         for cfg in (ShellConfig(2, 0.5, 0.3), ShellConfig(3, 0.3, 0.2)):
             assembled = rayleigh.steklov_bound(cfg).energy
             assert assembled == pytest.approx(energy_direct_2d(cfg), abs=1e-8)
+
+    @pytest.mark.parametrize("n, a, d", verify.ENERGY_TRIPLES + [(4, 0.3, 0.5), (5, 0.5, 0.3)])
+    def test_energy_direct_2d_is_the_per_abscissa_integral(self, n, a, d):
+        # One batched radial call per polar level gives the bits of one
+        # integrate call per polar abscissa.
+        cfg = ShellConfig(n, a, 0.4 * (1.0 - a) if d is None else d)
+        assert energy_direct_2d(cfg) == _energy_direct_2d_per_abscissa(cfg)
 
 
 class TestMixedProblem:

@@ -161,6 +161,17 @@ class TestSpectrum:
             sp.delta_pair(2, 0.5, 4)[0], rel=1e-15
         )
 
+    @pytest.mark.parametrize("k_max", [3.0, 2.5, 0, -1, "3"])
+    def test_k_max_must_be_an_integer_at_least_one(self, k_max):
+        # A float k_max used to pass `k_max < 1` and fail later in a range().
+        for call in (sp.spectrum, sp.spectrum_complete_below):
+            with pytest.raises(ValueError, match="integer"):
+                call(3, 0.5, k_max)
+
+    def test_numpy_integer_k_max_is_an_integer(self):
+        assert sp.spectrum(3, 0.5, np.int64(3)) == sp.spectrum(3, 0.5, 3)
+        assert sp.spectrum_complete_below(3, 0.5, np.int32(3)) == sp.spectrum_complete_below(3, 0.5, 3)
+
 
 class TestEigenfunctionRadial:
     def test_first_mode_profile_identity(self):
@@ -238,3 +249,83 @@ class TestOptimalEps:
         grid = np.linspace(1e-6, 1 - 1e-6, 10_000)
         vals = [sp.scale_invariant(3, float(e)) for e in grid]
         assert abs(eps_star - float(grid[int(np.argmax(vals))])) < 1e-4
+
+
+def _sigma1_scalar(n, a):
+    """The closed form as written for one float: Python floats and math.sqrt."""
+    t = (n - 1) * a ** (n + 1) + a**n + a + n - 1
+    disc = t * t - 4.0 * (n - 1) * a * (1.0 - a**n) ** 2
+    return 2.0 * (n - 1) * (1.0 - a**n) / (t + math.sqrt(disc))
+
+
+def _scale_invariant_scalar(n, eps):
+    perim = special.sphere_area(n) * (1.0 + eps ** (n - 1))
+    s1 = 1.0 if eps == 0.0 else _sigma1_scalar(n, eps)
+    return perim ** (1.0 / (n - 1)) * s1
+
+
+def _optimal_eps_scalar(n):
+    """optimal_eps with its coarse scan one scalar call per grid point."""
+    grid_n = 256
+    hi_cap = 1.0 - 1e-9
+    xs = [i * hi_cap / (grid_n - 1) for i in range(grid_n)]
+    ys = [_scale_invariant_scalar(n, x) for x in xs]
+    i_best = max(range(grid_n), key=lambda i: ys[i])
+    assert 0 < i_best < grid_n - 1
+    lo, hi = xs[i_best - 1], xs[i_best + 1]
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    x1 = hi - invphi * (hi - lo)
+    x2 = lo + invphi * (hi - lo)
+    f1, f2 = _scale_invariant_scalar(n, x1), _scale_invariant_scalar(n, x2)
+    while hi - lo > sp.OPTIMAL_EPS_TOL:
+        if f1 < f2:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + invphi * (hi - lo)
+            f2 = _scale_invariant_scalar(n, x2)
+        else:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - invphi * (hi - lo)
+            f1 = _scale_invariant_scalar(n, x1)
+    eps_star = 0.5 * (lo + hi)
+    return eps_star, _scale_invariant_scalar(n, eps_star)
+
+
+class TestArrayCore:
+    """_sigma1 and _scale_invariant take an array of radii; a float keeps its bits."""
+
+    EPS = [0.0, 1e-300, 1e-9, 1e-6, 0.01, 0.0887, 0.3, 0.5, 0.77, 0.999999, 1.0 - 1e-9]
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_a_float_gives_the_scalar_formula_s_bits(self, n):
+        for eps in self.EPS:
+            got = sp.scale_invariant(n, eps)
+            assert type(got) is float and got == _scale_invariant_scalar(n, eps)
+            if eps > 0.0:
+                got = sp.sigma1_closed_form(n, eps)
+                assert type(got) is float and got == _sigma1_scalar(n, eps)
+        assert sp._sigma1(n, 0.0) == 1.0  # the solid ball, without a branch
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_an_array_is_the_scalar_formula_elementwise(self, n):
+        # numpy may take its own pow for arrays, so the last bits may differ.
+        grid = np.linspace(0.0, 1.0 - 1e-6, 1001)
+        want = [_scale_invariant_scalar(n, float(e)) for e in grid]
+        np.testing.assert_allclose(sp._scale_invariant(n, grid), want, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(sp._sigma1(n, grid[1:]), [_sigma1_scalar(n, float(e)) for e in grid[1:]],
+                                   rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_optimal_eps_matches_the_scalar_scan(self, n):
+        got = sp.optimal_eps(n)
+        assert got == _optimal_eps_scalar(n)
+        assert all(type(v) is float for v in got)
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_the_check_s_scan_finds_the_scalar_scan_s_argmax(self, n):
+        # The scan of verify's optimal_eps_interior check, at every n here.
+        grid = np.linspace(1e-6, 1.0 - 1e-6, 10_000)
+        vals = sp._scale_invariant(n, grid)
+        want = [_scale_invariant_scalar(n, float(e)) for e in grid]
+        assert int(np.argmax(vals)) == int(np.argmax(want))
+        value = sp.optimal_eps(n)[1]
+        assert (value > vals[-1]) == (value > want[-1])
